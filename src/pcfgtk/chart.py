@@ -1,14 +1,20 @@
 """Span-based dynamic programming over CNF grammars.
 
-``inside`` fills a log-space chart whose full-span start entry is the log
-string probability (the sum over all derivations); ``viterbi`` finds the
-single highest-probability derivation.  Both accept an optional bracketing:
-chart spans that cross a bracket are suppressed, which restricts the
-computation to derivations whose constituents all nest with the brackets.
-Passing an empty bracketing is identical to passing none (same code path,
-bit-for-bit equal results).
+One bottom-up CKY pass, ``_cky``, serves every parser in the package.  It
+checks the sentence and the brackets once, seeds each width-one cell from a
+per-task ``leaf``, and visits the bracket-compatible spans in order of
+width; for each span and left-hand side it hands the binary candidates
+``(split, rule, left entry, right entry)``, in ascending (split, rule id)
+order, to a per-task ``combine`` whose result becomes the cell's entry.
+Chart spans that cross a bracket are never filled, which restricts every
+task to derivations whose constituents all nest with the brackets; an
+empty bracketing is identical to none.
 
-Both functions are pure; one immutable grammar may be shared by concurrent
+``inside`` combines by log-sum-exp, so its full-span start entry is the log
+string probability (the sum over all derivations); ``viterbi`` keeps the
+single highest-probability derivation; ``kbest.nbest`` merges top-n lists.
+
+All functions are pure; one immutable grammar may be shared by concurrent
 calls over different sentences.
 """
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Bracketing
-from .derivations import Derivation, score_counts
+from .derivations import Derivation, count_vector, score_counts
 from .grammar import Grammar
 from .logmath import NEG_INF, logsumexp
 
@@ -32,7 +38,13 @@ class UnknownTokenError(ValueError):
         self.position = position
 
 
-def _check_sentence(g: Grammar, sentence) -> list[str]:
+def _cky(g: Grammar, sentence, brackets: Bracketing | None, leaf, combine):
+    """Fill a chart ``{(i, j, lhs): entry}``; returns the tokens and the chart.
+
+    ``leaf(rule)`` gives the entry of a lexical rule over its token;
+    ``combine(candidates)`` gives the entry of one span and left-hand side
+    from its ``(split, rule, left, right)`` candidates.
+    """
     tokens = list(sentence)
     if not tokens:
         raise ValueError("sentence is empty")
@@ -40,15 +52,36 @@ def _check_sentence(g: Grammar, sentence) -> list[str]:
     for pos, tok in enumerate(tokens):
         if tok not in terminal_set:
             raise UnknownTokenError(tok, pos)
-    return tokens
-
-
-def _check_brackets(brackets: Bracketing | None, n: int) -> Bracketing:
+    n = len(tokens)
     if brackets is None:
-        return Bracketing()
-    if brackets.max_position() > n:
+        brackets = Bracketing()
+    elif brackets.max_position() > n:
         raise ValueError(f"bracket span exceeds sentence length {n}")
-    return brackets
+    cells = {}
+    for i, tok in enumerate(tokens):
+        for rule in g.rules_for_terminal(tok):
+            cells[(i, i + 1, rule.lhs)] = leaf(rule)
+    for width in range(2, n + 1):
+        for i in range(n - width + 1):
+            j = i + width
+            if not brackets.compatible(i, j):
+                continue
+            candidates: dict[str, list] = {}
+            for k in range(i + 1, j):
+                for rule in g.binary_rules:
+                    left = cells.get((i, k, rule.rhs[0]))
+                    right = cells.get((k, j, rule.rhs[1]))
+                    if left is not None and right is not None:
+                        candidates.setdefault(rule.lhs, []).append((k, rule, left, right))
+            for lhs, cands in candidates.items():
+                cells[(i, j, lhs)] = combine(cands)
+    return tokens, cells
+
+
+def _joined_counts(rule, left_counts, right_counts) -> tuple[int, ...]:
+    """Rule-usage counts of ``rule`` over two subtrees with the given counts."""
+    counts = tuple(a + b for a, b in zip(left_counts, right_counts))
+    return counts[: rule.id] + (counts[rule.id] + 1,) + counts[rule.id + 1 :]
 
 
 @dataclass(frozen=True)
@@ -77,29 +110,18 @@ class InsideChart:
 
 def inside(g: Grammar, sentence, brackets: Bracketing | None = None) -> InsideChart:
     """Fill the inside chart for a sentence, optionally bracket-constrained."""
-    tokens = _check_sentence(g, sentence)
-    n = len(tokens)
-    brk = _check_brackets(brackets, n)
-    table = np.full((n + 1, n + 1, len(g.nonterminals)), NEG_INF)
-    idx = g.nt_index
     lp = g.log_probs
-    for i, tok in enumerate(tokens):
-        for rule in g.rules_for_terminal(tok):
-            table[i, i + 1, idx[rule.lhs]] = lp[rule.id]
-    for width in range(2, n + 1):
-        for i in range(n - width + 1):
-            j = i + width
-            if not brk.compatible(i, j):
-                continue
-            masses: dict[int, list[float]] = {}
-            for k in range(i + 1, j):
-                for rule in g.binary_rules:
-                    left = table[i, k, idx[rule.rhs[0]]]
-                    right = table[k, j, idx[rule.rhs[1]]]
-                    if left > NEG_INF and right > NEG_INF:
-                        masses.setdefault(idx[rule.lhs], []).append(lp[rule.id] + left + right)
-            for a, vals in masses.items():
-                table[i, j, a] = logsumexp(vals)
+    tokens, cells = _cky(
+        g,
+        sentence,
+        brackets,
+        lambda rule: lp[rule.id],
+        lambda cands: logsumexp([lp[rule.id] + left + right for _, rule, left, right in cands]),
+    )
+    n = len(tokens)
+    table = np.full((n + 1, n + 1, len(g.nonterminals)), NEG_INF)
+    for (i, j, lhs), mass in cells.items():
+        table[i, j, g.nt_index[lhs]] = mass
     return InsideChart(g, tuple(tokens), table)
 
 
@@ -121,43 +143,28 @@ def viterbi(
     several derivations have exactly equal probability.  Returns None when
     the sentence has no (bracket-compatible) derivation.
     """
-    tokens = _check_sentence(g, sentence)
+
+    def leaf(rule) -> _Cell:
+        return _Cell(g.log_probs[rule.id], count_vector(g, (rule.id,)), rule.id, -1)
+
+    def best(cands) -> _Cell:
+        # candidates arrive in ascending (split, rule id) order, so keeping
+        # the first of equal scores is the documented tie-break
+        top = None
+        for k, rule, left, right in cands:
+            counts = _joined_counts(rule, left.counts, right.counts)
+            score = score_counts(g, counts)
+            if top is None or score > top.score:
+                top = _Cell(score, counts, rule.id, k)
+        return top
+
+    tokens, cells = _cky(g, sentence, brackets, leaf, best)
     n = len(tokens)
-    brk = _check_brackets(brackets, n)
-    nrules = len(g.rules)
-    best: dict[tuple[int, int, str], _Cell] = {}
-    for i, tok in enumerate(tokens):
-        for rule in g.rules_for_terminal(tok):
-            counts = tuple(int(r == rule.id) for r in range(nrules))
-            best[(i, i + 1, rule.lhs)] = _Cell(g.log_probs[rule.id], counts, rule.id, -1)
-    for width in range(2, n + 1):
-        for i in range(n - width + 1):
-            j = i + width
-            if not brk.compatible(i, j):
-                continue
-            for k in range(i + 1, j):
-                for rule in g.binary_rules:
-                    left = best.get((i, k, rule.rhs[0]))
-                    right = best.get((k, j, rule.rhs[1]))
-                    if left is None or right is None:
-                        continue
-                    counts = tuple(
-                        l + r for l, r in zip(left.counts, right.counts)
-                    )
-                    counts = counts[: rule.id] + (counts[rule.id] + 1,) + counts[rule.id + 1 :]
-                    score = score_counts(g, counts)
-                    cur = best.get((i, j, rule.lhs))
-                    if (
-                        cur is None
-                        or score > cur.score
-                        or (score == cur.score and (k, rule.id) < (cur.split, cur.rule_id))
-                    ):
-                        best[(i, j, rule.lhs)] = _Cell(score, counts, rule.id, k)
-    if (0, n, g.start) not in best:
+    if (0, n, g.start) not in cells:
         return None
 
     def backtrace(i: int, j: int, lhs: str) -> list[int]:
-        cell = best[(i, j, lhs)]
+        cell = cells[(i, j, lhs)]
         rule = g.rules[cell.rule_id]
         if rule.is_lexical:
             return [rule.id]

@@ -36,12 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pcfgtk",
         description="CNF PCFG toolkit: parsing, consistency, discriminative training.",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved for randomized harnesses; the core algorithms are deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a grammar file and report diagnostics")

@@ -8,6 +8,11 @@ rule-usage counts with rule log probabilities, summed in ascending rule-id
 order.  Because that sum is independent of tree shape, derivations that use
 the same multiset of rules receive bit-identical scores, which makes the
 deterministic tie-breaking in the parsers reproducible.
+
+One iterative walker, ``_walk``, validates a rule sequence and reads off its
+tokens, constituent spans and tree in a single left-to-right pass;
+``replay_derivation``, ``derivation_spans`` and ``derivation_tree`` each
+return one of those views.
 """
 from __future__ import annotations
 
@@ -69,79 +74,72 @@ def rule_counts(g: Grammar, d: Derivation) -> RuleCounts:
     return RuleCounts({rid: c for rid, c in enumerate(counts)}, per_nt)
 
 
+def _walk(g: Grammar, rules):
+    """Validate a rule sequence as a complete leftmost derivation and read it.
+
+    Returns the tokens, the half-open span of every constituent and the
+    nested ``(label, children)`` tree.  Iterative, so the depth of the tree
+    is not bounded by the interpreter's recursion limit.  Raises ValueError
+    if the sequence is not a complete leftmost derivation from the start
+    symbol.
+    """
+    pending = [g.start]  # leftmost pending nonterminal on top
+    open_nodes: list[tuple[str, int, list]] = []  # binary nodes awaiting children
+    tokens: list[str] = []
+    spans: list[tuple[int, int]] = []
+    tree = None
+    for rid in rules:
+        if not 0 <= rid < len(g.rules):
+            raise ValueError(f"rule id {rid} out of range")
+        rule = g.rules[rid]
+        if not pending:
+            raise ValueError(f"rule {rule} applied after the derivation completed")
+        top = pending.pop()
+        if top != rule.lhs:
+            raise ValueError(f"rule {rule} cannot rewrite pending nonterminal {top}")
+        if not rule.is_lexical:
+            pending += (rule.rhs[1], rule.rhs[0])
+            open_nodes.append((rule.lhs, len(tokens), []))
+            continue
+        tokens.append(rule.terminal)
+        spans.append((len(tokens) - 1, len(tokens)))
+        node = (rule.lhs, (rule.terminal,))
+        # a finished subtree completes every ancestor whose right child it ends
+        while open_nodes:
+            lhs, start, children = open_nodes[-1]
+            children.append(node)
+            if len(children) < 2:
+                break
+            open_nodes.pop()
+            node = (lhs, tuple(children))
+            spans.append((start, len(tokens)))
+        else:
+            tree = node
+    if pending:
+        raise ValueError(f"derivation incomplete; pending nonterminals {pending[::-1]}")
+    return tokens, spans, tree
+
+
 def replay_derivation(g: Grammar, rules) -> list[str]:
     """Expand a rule sequence as a leftmost derivation; returns the tokens.
 
     Raises ValueError if the sequence is not a complete leftmost derivation
     from the start symbol.
     """
-    stack = [g.start]  # leftmost pending nonterminal on top
-    tokens: list[str] = []
-    for rid in rules:
-        if not 0 <= rid < len(g.rules):
-            raise ValueError(f"rule id {rid} out of range")
-        rule = g.rules[rid]
-        if not stack:
-            raise ValueError(f"rule {rule} applied after the derivation completed")
-        top = stack.pop()
-        if top != rule.lhs:
-            raise ValueError(f"rule {rule} cannot rewrite pending nonterminal {top}")
-        if rule.is_lexical:
-            tokens.append(rule.terminal)
-        else:
-            stack.append(rule.rhs[1])
-            stack.append(rule.rhs[0])
-    if stack:
-        raise ValueError(f"derivation incomplete; pending nonterminals {stack[::-1]}")
-    return tokens
+    return _walk(g, rules)[0]
 
 
 def derivation_spans(g: Grammar, d: Derivation) -> frozenset[tuple[int, int]]:
     """Half-open token spans of every constituent in the derivation's tree."""
-    spans: list[tuple[int, int]] = []
-    seq = list(d.rules)
-    pos = 0
-    cursor = 0
-
-    def walk(expected_lhs: str) -> None:
-        nonlocal pos, cursor
-        rule = g.rules[seq[pos]]
-        pos += 1
-        if rule.lhs != expected_lhs:
-            raise ValueError(f"rule {rule} cannot rewrite pending nonterminal {expected_lhs}")
-        start = cursor
-        if rule.is_lexical:
-            cursor += 1
-        else:
-            walk(rule.rhs[0])
-            walk(rule.rhs[1])
-        spans.append((start, cursor))
-
-    walk(g.start)
-    if pos != len(seq) or cursor != d.sentence_len:
+    tokens, spans, _ = _walk(g, d.rules)
+    if len(tokens) != d.sentence_len:
         raise ValueError("rule sequence is not a complete derivation of the sentence")
     return frozenset(spans)
 
 
 def derivation_tree(g: Grammar, d: Derivation):
     """Nested ``(label, children)`` tuples for the derivation's parse tree."""
-    seq = list(d.rules)
-    pos = 0
-
-    def build(expected_lhs: str):
-        nonlocal pos
-        rule = g.rules[seq[pos]]
-        pos += 1
-        if rule.lhs != expected_lhs:
-            raise ValueError(f"rule {rule} cannot rewrite pending nonterminal {expected_lhs}")
-        if rule.is_lexical:
-            return (rule.lhs, (rule.terminal,))
-        return (rule.lhs, (build(rule.rhs[0]), build(rule.rhs[1])))
-
-    tree = build(g.start)
-    if pos != len(seq):
-        raise ValueError("trailing rules beyond a complete derivation")
-    return tree
+    return _walk(g, d.rules)[2]
 
 
 def format_tree(tree) -> str:

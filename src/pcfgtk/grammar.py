@@ -215,6 +215,7 @@ def parse_grammar(text: str) -> Grammar:
     """
     start_symbol: str | None = None
     entries: list[tuple[int, str, tuple[str, ...], float]] = []
+    seen: set[tuple[str, tuple[str, ...]]] = set()
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -253,8 +254,9 @@ def parse_grammar(text: str) -> Grammar:
                     )
         else:
             raise GrammarFormatError(f"{len(rhs)} RHS symbols is not CNF", line_no)
-        if any(lhs == e[1] and rhs == e[2] for e in entries):
+        if (lhs, rhs) in seen:
             raise GrammarFormatError(f"duplicate rule {lhs} -> {' '.join(rhs)}", line_no)
+        seen.add((lhs, rhs))
         entries.append((line_no, lhs, rhs, prob))
 
     if not entries:

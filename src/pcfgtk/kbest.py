@@ -1,21 +1,24 @@
 """Exact n-best derivations via per-cell hypothesis lists.
 
-Each chart cell keeps its top-n hypotheses, eagerly merged from child
-lists; exact and simple at the scales this package targets (n up to about
-a thousand).  Ordering is by descending canonical log probability with the
-backpointer key as secondary criterion: the flattened (split, rule id)
-tuples of the hypothesis tree, compared lexicographically.  That secondary
-key agrees with the Viterbi tie-break, so ``nbest(..., 1)`` returns exactly
-the Viterbi derivation.  With a large enough n the result is the complete
-derivation set, which is how the estimator realizes "all derivations".
+The chart's shared CKY pass builds each cell's top-n list: a lexical cell
+holds its one hypothesis, and a span's candidates are merged eagerly by
+joining every left hypothesis with every right one, sorting and keeping
+the first n.  Exact and simple at the scales this package targets (n up
+to about a thousand).  Ordering is by descending canonical log
+probability with the backpointer key as secondary criterion: the
+flattened (split, rule id) tuples of the hypothesis tree, compared
+lexicographically.  That secondary key agrees with the Viterbi tie-break,
+so ``nbest(..., 1)`` returns exactly the Viterbi derivation.  With a large
+enough n the result is the complete derivation set, which is how the
+estimator realizes "all derivations".
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chart import _check_brackets, _check_sentence
+from .chart import _cky, _joined_counts
 from .corpus import Bracketing
-from .derivations import Derivation, score_counts
+from .derivations import Derivation, count_vector, score_counts
 from .grammar import Grammar
 
 
@@ -53,55 +56,30 @@ def nbest(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    tokens = _check_sentence(g, sentence)
-    length = len(tokens)
-    brk = _check_brackets(brackets, length)
-    nrules = len(g.rules)
-    cells: dict[tuple[int, int, str], list[_Hyp]] = {}
-    for i, tok in enumerate(tokens):
-        for rule in g.rules_for_terminal(tok):
-            counts = tuple(int(r == rule.id) for r in range(nrules))
-            hyp = _Hyp(g.log_probs[rule.id], (rule.id,), counts, (rule.id,))
-            cells.setdefault((i, i + 1, rule.lhs), []).append(hyp)
-    for key in list(cells):
-        cells[key].sort(key=_rank)
-    for width in range(2, length + 1):
-        for i in range(length - width + 1):
-            j = i + width
-            if not brk.compatible(i, j):
-                continue
-            candidates: dict[str, list[_Hyp]] = {}
-            for k in range(i + 1, j):
-                for rule in g.binary_rules:
-                    lefts = cells.get((i, k, rule.rhs[0]))
-                    rights = cells.get((k, j, rule.rhs[1]))
-                    if not lefts or not rights:
-                        continue
-                    for left in lefts:
-                        for right in rights:
-                            counts = tuple(
-                                a + b for a, b in zip(left.counts, right.counts)
-                            )
-                            counts = (
-                                counts[: rule.id]
-                                + (counts[rule.id] + 1,)
-                                + counts[rule.id + 1 :]
-                            )
-                            candidates.setdefault(rule.lhs, []).append(
-                                _Hyp(
-                                    score_counts(g, counts),
-                                    (k, rule.id) + left.key + right.key,
-                                    counts,
-                                    (rule.id,) + left.rules + right.rules,
-                                )
-                            )
-            for lhs, hyps in candidates.items():
-                hyps.sort(key=_rank)
-                cells[(i, j, lhs)] = hyps[:n]
-    top = cells.get((0, length, g.start), [])
-    derivations = tuple(
-        Derivation(h.rules, length, h.score) for h in top[:n]
-    )
+
+    def leaf(rule) -> list[_Hyp]:
+        return [_Hyp(g.log_probs[rule.id], (rule.id,), count_vector(g, (rule.id,)), (rule.id,))]
+
+    def merge(cands) -> list[_Hyp]:
+        hyps = []
+        for k, rule, lefts, rights in cands:
+            for left in lefts:
+                for right in rights:
+                    counts = _joined_counts(rule, left.counts, right.counts)
+                    hyps.append(
+                        _Hyp(
+                            score_counts(g, counts),
+                            (k, rule.id) + left.key + right.key,
+                            counts,
+                            (rule.id,) + left.rules + right.rules,
+                        )
+                    )
+        hyps.sort(key=_rank)
+        return hyps[:n]
+
+    tokens, cells = _cky(g, sentence, brackets, leaf, merge)
+    top = cells.get((0, len(tokens), g.start), [])
+    derivations = tuple(Derivation(h.rules, len(tokens), h.score) for h in top)
     return KBestList(derivations, n, bool(derivations))
 
 

@@ -88,26 +88,59 @@ class TestRuleCounts:
             assert sum(counts.per_nonterminal.values()) == len(d.rules)
 
 
+# each public view of a rule sequence, called as walk(grammar, rules, n_tokens)
+WALKERS = {
+    "replay": lambda g, rules, n: replay_derivation(g, rules),
+    "spans": lambda g, rules, n: derivation_spans(g, Derivation(tuple(rules), n, 0.0)),
+    "tree": lambda g, rules, n: derivation_tree(g, Derivation(tuple(rules), n, 0.0)),
+}
+over_walkers = pytest.mark.parametrize("walk", WALKERS.values(), ids=WALKERS.keys())
+
+
 class TestReplay:
     def test_toy_replay(self):
         g = toy(0.5)
         assert replay_derivation(g, TOY_AA) == ["a", "a"]
         assert replay_derivation(g, TOY_AAAA_LEFT) == ["a"] * 4
 
-    def test_incomplete_derivation(self):
+    @over_walkers
+    def test_incomplete_derivation(self, walk):
         g = toy(0.5)
         with pytest.raises(ValueError, match="incomplete"):
-            replay_derivation(g, (0, 1))
+            walk(g, (0, 1), 1)
 
-    def test_wrong_nonterminal(self):
+    @over_walkers
+    def test_wrong_nonterminal(self, walk):
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
         with pytest.raises(ValueError, match="cannot rewrite"):
-            replay_derivation(g, (0, 2, 1))  # expands B where A is pending
+            walk(g, (0, 2, 1), 2)  # expands B where A is pending
 
-    def test_overrun(self):
+    @over_walkers
+    def test_overrun(self, walk):
         g = parse_grammar("S -> a 1.0")
         with pytest.raises(ValueError, match="completed"):
-            replay_derivation(g, (0, 0))
+            walk(g, (0, 0), 1)
+
+    @over_walkers
+    def test_negative_rule_id(self, walk):
+        g = toy(0.5)
+        with pytest.raises(ValueError, match="out of range"):
+            walk(g, (0, -1, 1), 2)  # -1 must not be read as the last rule
+
+    @over_walkers
+    def test_deep_right_branching(self, walk):
+        g = toy(0.5)
+        n = 1500
+        result = walk(g, (0, 1) * (n - 1) + (1,), n)
+        if isinstance(result, list):
+            assert result == ["a"] * n
+        elif isinstance(result, frozenset):
+            assert result == {(i, n) for i in range(n - 1)} | {(i, i + 1) for i in range(n)}
+        else:
+            for i in range(n - 1):  # iterative descent: the tree is 1,500 deep
+                label, (left, result) = result
+                assert label == "S" and left == ("S", ("a",))
+            assert result == ("S", ("a",))
 
 
 class TestSpansAndTrees:

@@ -52,8 +52,9 @@ class TestParseGrammar:
             parse_grammar("S -> a 0.0")
 
     def test_duplicate_rule(self):
-        with pytest.raises(GrammarFormatError, match="duplicate"):
+        with pytest.raises(GrammarFormatError, match="duplicate") as err:
             parse_grammar("S -> a 0.5\nS -> a 0.5\n")
+        assert err.value.line == 2
 
     def test_non_cnf_unary_nonterminal(self):
         with pytest.raises(GrammarFormatError, match="CNF"):

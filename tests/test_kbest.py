@@ -4,8 +4,31 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_grammar, sample_corpus, toy
-from pcfgtk import enumerate_derivations, nbest, parse_grammar, viterbi
+from conftest import random_grammar, sample_bracketing, sample_corpus, sample_rules, toy
+from pcfgtk import (
+    derivation_spans,
+    enumerate_derivations,
+    nbest,
+    parse_grammar,
+    replay_derivation,
+    viterbi,
+)
+
+
+def corpus_and_bracketed(g, rng):
+    """(tokens, brackets) cases: a sampled corpus without brackets, then one
+    sentence bracketed by a random subset of its own derivation's spans.
+
+    The bracketed sentence is the longest of 20 draws, since most single
+    draws are one token long and brackets then exclude nothing.
+    """
+    cases = [(tokens, None) for tokens in sample_corpus(g, rng, 2, max_len=6)]
+    draws = [r for r in (sample_rules(g, rng, 6) for _ in range(20)) if r is not None]
+    if draws:
+        rules = max(draws, key=len)
+        tokens = replay_derivation(g, rules)
+        cases.append((tokens, sample_bracketing(g, rng, rules, len(tokens))))
+    return cases
 
 
 class TestToyExamples:
@@ -64,21 +87,26 @@ class TestOrderingProperties:
         for seed in range(30):
             rng = np.random.default_rng(8500 + seed)
             g = random_grammar(rng)
-            for tokens in sample_corpus(g, rng, 2, max_len=6):
-                enum = enumerate_derivations(g, tokens)
-                result = nbest(g, tokens, len(enum))
-                assert [d.rules for d in result.derivations] == [
-                    d.rules for d in enum.derivations
-                ]
-                for got, want in zip(result.derivations, enum.derivations):
+            for tokens, brackets in corpus_and_bracketed(g, rng):
+                enum = enumerate_derivations(g, tokens).derivations
+                if brackets is not None:
+                    enum = [
+                        d
+                        for d in enum
+                        if all(brackets.compatible(i, j) for i, j in derivation_spans(g, d))
+                    ]
+                result = nbest(g, tokens, len(enum), brackets)
+                assert [d.rules for d in result.derivations] == [d.rules for d in enum]
+                for got, want in zip(result.derivations, enum):
                     assert got.log_prob == pytest.approx(want.log_prob, abs=1e-12)
 
     def test_n_one_equals_viterbi_random(self):
         for seed in range(30):
             rng = np.random.default_rng(9500 + seed)
             g = random_grammar(rng)
-            for tokens in sample_corpus(g, rng, 2, max_len=6):
-                assert nbest(g, tokens, 1).derivations[0] == viterbi(g, tokens)[0]
+            for tokens, brackets in corpus_and_bracketed(g, rng):
+                best = viterbi(g, tokens, brackets)[0]
+                assert nbest(g, tokens, 1, brackets).derivations[0] == best
 
     def test_no_duplicates_at_any_n(self):
         g = toy(0.4)
