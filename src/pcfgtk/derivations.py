@@ -143,7 +143,21 @@ def derivation_tree(g: Grammar, d: Derivation):
 
 
 def format_tree(tree) -> str:
-    """Render a ``(label, children)`` tree as a bracketed string."""
-    label, children = tree
-    parts = [format_tree(c) if isinstance(c, tuple) else c for c in children]
-    return f"({label} {' '.join(parts)})"
+    """Render a ``(label, children)`` tree as a bracketed string.
+
+    Iterative, so the depth of the tree is not bounded by the interpreter's
+    recursion limit.
+    """
+    parts: list[str] = []
+    stack = [tree]  # subtrees to render and literal text, next on top
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, tuple):
+            parts.append(item)
+            continue
+        label, children = item
+        parts.append(f"({label}")
+        stack.append(")")
+        for child in reversed(children):
+            stack += (child, " ")
+    return "".join(parts)

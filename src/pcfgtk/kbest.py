@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chart import _cky, _joined_counts
+from .chart import _cky
 from .corpus import Bracketing
 from .derivations import Derivation, count_vector, score_counts
 from .grammar import Grammar
@@ -77,10 +77,16 @@ def nbest(
         hyps.sort(key=_rank)
         return hyps[:n]
 
-    tokens, cells = _cky(g, sentence, brackets, leaf, merge)
-    top = cells.get((0, len(tokens), g.start), [])
+    tokens, chart = _cky(g, sentence, brackets, leaf, merge)
+    top = chart.get((0, len(tokens)), {}).get(g.start, [])
     derivations = tuple(Derivation(h.rules, len(tokens), h.score) for h in top)
     return KBestList(derivations, n, bool(derivations))
+
+
+def _joined_counts(rule, left_counts, right_counts) -> tuple[int, ...]:
+    """Rule-usage counts of ``rule`` over two subtrees with the given counts."""
+    counts = tuple(a + b for a, b in zip(left_counts, right_counts))
+    return counts[: rule.id] + (counts[rule.id] + 1,) + counts[rule.id + 1 :]
 
 
 def _rank(h: _Hyp):

@@ -78,19 +78,30 @@ def sample_rules(g: Grammar, rng: np.random.Generator, max_len: int, max_steps: 
     return rules
 
 
-def sample_sentence(g: Grammar, rng: np.random.Generator, max_len: int = 6, tries: int = 60):
-    """Tokens of a random in-language sentence, or None."""
+def sample_sentence(
+    g: Grammar, rng: np.random.Generator, max_len: int = 6, tries: int = 60, min_len: int = 1
+):
+    """Tokens of a random in-language sentence of min_len to max_len tokens, or None."""
     for _ in range(tries):
         rules = sample_rules(g, rng, max_len)
         if rules is not None:
-            return replay_derivation(g, rules)
+            tokens = replay_derivation(g, rules)
+            if len(tokens) >= min_len:
+                return tokens
     return None
 
 
-def sample_corpus(g: Grammar, rng: np.random.Generator, size: int, max_len: int = 6):
+def sample_corpus(
+    g: Grammar, rng: np.random.Generator, size: int, max_len: int = 6, min_len: int = 1
+):
+    """Up to ``size`` sampled sentences; fewer when sampling fails.
+
+    Most sampled sentences are one token long and so unambiguous; a
+    ``min_len`` of 3 makes most of them have several derivations.
+    """
     corpus = []
     for _ in range(size):
-        tokens = sample_sentence(g, rng, max_len)
+        tokens = sample_sentence(g, rng, max_len, min_len=min_len)
         if tokens is not None:
             corpus.append(tokens)
     return corpus

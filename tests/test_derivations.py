@@ -137,10 +137,18 @@ class TestReplay:
         elif isinstance(result, frozenset):
             assert result == {(i, n) for i in range(n - 1)} | {(i, i + 1) for i in range(n)}
         else:
+            assert format_tree(result) == "(S (S a) " * (n - 1) + "(S a)" + ")" * (n - 1)
             for i in range(n - 1):  # iterative descent: the tree is 1,500 deep
                 label, (left, result) = result
                 assert label == "S" and left == ("S", ("a",))
             assert result == ("S", ("a",))
+
+
+def render_recursively(tree) -> str:
+    """The bracketed rendering spelled recursively, to check format_tree by."""
+    label, children = tree
+    parts = [c if isinstance(c, str) else render_recursively(c) for c in children]
+    return f"({label} {' '.join(parts)})"
 
 
 class TestSpansAndTrees:
@@ -167,5 +175,7 @@ class TestSpansAndTrees:
             d = Derivation.build(g, rules, len(tokens))
             spans = derivation_spans(g, d)
             assert (0, len(tokens)) in spans
-            leaves = format_tree(derivation_tree(g, d)).replace("(", " ").replace(")", " ").split()
+            tree = derivation_tree(g, d)
+            leaves = format_tree(tree).replace("(", " ").replace(")", " ").split()
             assert [t for t in leaves if t not in g.nonterminals] == tokens
+            assert format_tree(tree) == render_recursively(tree)

@@ -16,13 +16,14 @@ from pcfgtk import (
 
 
 def corpus_and_bracketed(g, rng):
-    """(tokens, brackets) cases: a sampled corpus without brackets, then one
-    sentence bracketed by a random subset of its own derivation's spans.
+    """(tokens, brackets) cases: a sampled corpus of sentences of three or
+    more tokens (mostly ambiguous) without brackets, then one sentence
+    bracketed by a random subset of its own derivation's spans.
 
     The bracketed sentence is the longest of 20 draws, since most single
     draws are one token long and brackets then exclude nothing.
     """
-    cases = [(tokens, None) for tokens in sample_corpus(g, rng, 2, max_len=6)]
+    cases = [(tokens, None) for tokens in sample_corpus(g, rng, 2, max_len=6, min_len=3)]
     draws = [r for r in (sample_rules(g, rng, 6) for _ in range(20)) if r is not None]
     if draws:
         rules = max(draws, key=len)
@@ -69,7 +70,7 @@ class TestOrderingProperties:
         for seed in range(30):
             rng = np.random.default_rng(6500 + seed)
             g = random_grammar(rng)
-            for tokens in sample_corpus(g, rng, 2, max_len=6):
+            for tokens in sample_corpus(g, rng, 2, max_len=6, min_len=3):
                 lps = nbest(g, tokens, 10).log_probs()
                 assert all(a >= b for a, b in zip(lps, lps[1:]))
 
@@ -77,7 +78,7 @@ class TestOrderingProperties:
         for seed in range(30):
             rng = np.random.default_rng(7500 + seed)
             g = random_grammar(rng)
-            for tokens in sample_corpus(g, rng, 2, max_len=6):
+            for tokens in sample_corpus(g, rng, 2, max_len=6, min_len=3):
                 for n in (1, 2, 3, 5):
                     small = nbest(g, tokens, n).derivations
                     large = nbest(g, tokens, n + 1).derivations
