@@ -49,7 +49,8 @@ print("=" * 72)
 acc = accumulate(g, CORPUS, SPEC, eta=1.0)
 print(f"  D_ref [S->SS] = {acc.d_rule_ref[0]:.6f}   D_ref [S->a] = {acc.d_rule_ref[1]:.6f}")
 print(f"  D_comp[S->SS] = {acc.d_rule_comp[0]:.6f}   D_comp[S->a] = {acc.d_rule_comp[1]:.6f}")
-print(f"  D_ref [S]     = {acc.d_nt_ref['S']:.6f}   D_comp[S]    = {acc.d_nt_comp['S']:.6f}")
+s = g.nt_index["S"]
+print(f"  D_ref [S]     = {acc.d_nt_ref[s]:.6f}   D_comp[S]    = {acc.d_nt_comp[s]:.6f}")
 print("""
   The best derivations contribute integer counts (1+3 binary uses, 2+4
   lexical uses).  The competing sets contribute the same numbers here

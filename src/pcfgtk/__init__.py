@@ -37,7 +37,6 @@ from .estimator import (
     accumulate,
     compute_ctilde,
     growth_step,
-    growth_step_single_ref,
     objective,
     objective_over_sets,
     realize_delta_sets,
@@ -98,7 +97,6 @@ __all__ = [
     "expectation_matrix",
     "format_tree",
     "growth_step",
-    "growth_step_single_ref",
     "inside",
     "load_grammar",
     "nbest",

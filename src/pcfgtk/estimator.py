@@ -29,10 +29,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chart import viterbi
 from .consistency import check_consistency
 from .corpus import Sentence
-from .derivations import Derivation, derivation_probability, rule_counts
+from .derivations import Derivation, derivation_probability
 from .grammar import Grammar, exact_normalize
 from .kbest import nbest
 from .logmath import logsumexp, normalized_weights
@@ -104,30 +106,30 @@ class HParams:
 
 @dataclass
 class Accumulators:
-    """Sufficient statistics for one growth step; supports disjoint merging."""
+    """Sufficient statistics for one growth step; supports disjoint merging.
 
-    d_rule_ref: dict[int, float]
-    d_rule_comp: dict[int, float]
-    d_nt_ref: dict[str, float]
-    d_nt_comp: dict[str, float]
+    Float64 arrays: ``d_rule_*`` indexed by rule id, ``d_nt_*`` by
+    ``Grammar.nt_index``.
+    """
+
+    d_rule_ref: np.ndarray
+    d_rule_comp: np.ndarray
+    d_nt_ref: np.ndarray
+    d_nt_comp: np.ndarray
     skipped: int = 0
 
     @classmethod
     def zeros(cls, g: Grammar) -> "Accumulators":
-        return cls(
-            {r.id: 0.0 for r in g.rules},
-            {r.id: 0.0 for r in g.rules},
-            {nt: 0.0 for nt in g.nonterminals},
-            {nt: 0.0 for nt in g.nonterminals},
-        )
+        n_rules, n_nts = len(g.rules), len(g.nonterminals)
+        return cls(np.zeros(n_rules), np.zeros(n_rules), np.zeros(n_nts), np.zeros(n_nts))
 
     def merge(self, other: "Accumulators") -> "Accumulators":
         """Commutative, associative combination of partial accumulations."""
         return Accumulators(
-            {k: v + other.d_rule_ref[k] for k, v in self.d_rule_ref.items()},
-            {k: v + other.d_rule_comp[k] for k, v in self.d_rule_comp.items()},
-            {k: v + other.d_nt_ref[k] for k, v in self.d_nt_ref.items()},
-            {k: v + other.d_nt_comp[k] for k, v in self.d_nt_comp.items()},
+            self.d_rule_ref + other.d_rule_ref,
+            self.d_rule_comp + other.d_rule_comp,
+            self.d_nt_ref + other.d_nt_ref,
+            self.d_nt_comp + other.d_nt_comp,
             self.skipped + other.skipped,
         )
 
@@ -272,15 +274,15 @@ def accumulate_realized(g: Grammar, realized, eta: float = 1.0) -> Accumulators:
 
 
 def _add_set(g: Grammar, rule_acc, nt_acc, derivs, eta: float):
+    # Derivation by derivation, so every entry sees the same sequence of
+    # IEEE adds as a scalar loop would; adding w * 0 to an unused entry
+    # leaves it unchanged.
     weights = normalized_weights([eta * derivation_probability(g, d) for d in derivs])
+    n_rules, n_nts = len(g.rules), len(g.nonterminals)
     for d, w in zip(derivs, weights):
-        counts = rule_counts(g, d)
-        for rid, c in counts.per_rule.items():
-            if c:
-                rule_acc[rid] += w * c
-        for nt, c in counts.per_nonterminal.items():
-            if c:
-                nt_acc[nt] += w * c
+        counts = np.bincount(d.rules, minlength=n_rules)
+        rule_acc += w * counts
+        nt_acc += w * np.bincount(g.rule_lhs_index, counts, n_nts)
 
 
 def compute_ctilde(acc: Accumulators, g: Grammar, h: float, epsilon: float) -> float:
@@ -289,48 +291,40 @@ def compute_ctilde(acc: Accumulators, g: Grammar, h: float, epsilon: float) -> f
     Evaluated at the current probabilities: the largest value of
     -(D_ref[rule] - h * D_comp[rule]) / p(rule) across rules, clamped at 0.
     """
-    worst = 0.0
-    for rid in range(len(g.rules)):
-        num = acc.d_rule_ref[rid] - h * acc.d_rule_comp[rid]
-        worst = max(worst, -num / g.probs[rid])
-    return worst + epsilon
+    num = acc.d_rule_ref - h * acc.d_rule_comp
+    return float(np.max(-num / np.array(g.probs), initial=0.0)) + epsilon
 
 
 def _raw_transform(g: Grammar, acc: Accumulators, h: float, ctilde: float) -> list[float]:
-    raw = [0.0] * len(g.rules)
-    for nt in g.nonterminals:
-        rules = g.rules_by_lhs[nt]
-        if not rules:
-            continue
-        denom = acc.d_nt_ref[nt] - h * acc.d_nt_comp[nt] + ctilde
-        if denom <= 0.0:
-            raise EstimationError(
-                f"denominator for {nt} is {denom!r}; the offset constant is too small"
-            )
-        for rule in rules:
-            num = (
-                acc.d_rule_ref[rule.id]
-                - h * acc.d_rule_comp[rule.id]
-                + g.probs[rule.id] * ctilde
-            )
-            if num <= 0.0:
+    denom = acc.d_nt_ref - h * acc.d_nt_comp + ctilde
+    num = acc.d_rule_ref - h * acc.d_rule_comp + np.array(g.probs) * ctilde
+    lhs = g.rule_lhs_index
+    if (denom[lhs] <= 0.0).any() or (num <= 0.0).any():
+        # report the first offender: nonterminals in order, each block's
+        # denominator before its numerators
+        for i, nt in enumerate(g.nonterminals):
+            rules = g.rules_by_lhs[nt]
+            if rules and denom[i] <= 0.0:
                 raise EstimationError(
-                    f"numerator for {rule} is {num!r}; the offset constant is too small"
+                    f"denominator for {nt} is {float(denom[i])!r}; "
+                    "the offset constant is too small"
                 )
-            raw[rule.id] = num / denom
-    return raw
+            for rule in rules:
+                if num[rule.id] <= 0.0:
+                    raise EstimationError(
+                        f"numerator for {rule} is {float(num[rule.id])!r}; "
+                        "the offset constant is too small"
+                    )
+    return (num / denom[lhs]).tolist()
 
 
 def _finalize(g: Grammar, raw: list[float], min_prob: float) -> Grammar:
-    floored = [max(p, min_prob) for p in raw]
-    probs = list(floored)
-    for nt in g.nonterminals:
-        rids = [r.id for r in g.rules_by_lhs[nt]]
-        if not rids:
-            continue
-        group = exact_normalize([floored[r] for r in rids])
-        for rid, p in zip(rids, group):
-            probs[rid] = p
+    probs = [max(p, min_prob) for p in raw]
+    for rules in g.rules_by_lhs.values():
+        rids = [r.id for r in rules]
+        if rids:
+            for rid, p in zip(rids, exact_normalize([probs[r] for r in rids])):
+                probs[rid] = p
     return g.with_probs(probs)
 
 
@@ -346,39 +340,6 @@ def growth_step(
     training range can be examined directly.
     """
     return _finalize(g, _raw_transform(g, acc, h, ctilde), min_prob)
-
-
-def growth_step_single_ref(
-    g: Grammar, acc: Accumulators, h: float, ctilde: float, min_prob: float = 1e-12
-) -> Grammar:
-    """The single-best-reference form of the update, written out directly.
-
-    For a reference set holding one best derivation per sentence (and unit
-    eta), the general transformation specializes to reference counts minus
-    h-weighted competing expectations.  This is kept as an independent
-    spelling of that special case; on shared accumulators it must agree
-    with ``growth_step`` bit for bit.
-    """
-    raw = [0.0] * len(g.rules)
-    for nt in g.nonterminals:
-        rules = g.rules_by_lhs[nt]
-        if not rules:
-            continue
-        denom = acc.d_nt_ref[nt] - h * acc.d_nt_comp[nt] + ctilde
-        if denom <= 0.0:
-            raise EstimationError(
-                f"denominator for {nt} is {denom!r}; the offset constant is too small"
-            )
-        for rule in rules:
-            best_count = acc.d_rule_ref[rule.id]
-            competing = acc.d_rule_comp[rule.id]
-            num = best_count - h * competing + g.probs[rule.id] * ctilde
-            if num <= 0.0:
-                raise EstimationError(
-                    f"numerator for {rule} is {num!r}; the offset constant is too small"
-                )
-            raw[rule.id] = num / denom
-    return _finalize(g, raw, min_prob)
 
 
 def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:

@@ -10,8 +10,8 @@ One rule per line.  Symbols matching ``[A-Z][A-Za-z0-9_]*`` are
 nonterminals, anything else is a terminal.  Rules must be in Chomsky
 Normal Form: either ``A -> B C`` (both nonterminals) or ``A -> a``
 (a terminal).  For every nonterminal, rule probabilities must sum to 1
-(tolerance 1e-9); the grammar is renormalized to an exact float sum of
-1.0 on construction.
+(tolerance 1e-9, on the exactly rounded ``math.fsum`` of the block); the
+grammar is renormalized to an exact float sum of 1.0 on construction.
 """
 from __future__ import annotations
 
@@ -20,13 +20,19 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 NONTERMINAL_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
 PROPERNESS_TOL = 1e-9
 
 
 class GrammarError(ValueError):
-    """A grammar violates a structural or probabilistic invariant."""
+    """A grammar violates an invariant; ``nonterminal`` names an improper block."""
+
+    def __init__(self, message: str, nonterminal: str | None = None):
+        super().__init__(message)
+        self.nonterminal = nonterminal
 
 
 class GrammarFormatError(GrammarError):
@@ -130,7 +136,8 @@ class Grammar:
             total = math.fsum(probs[r] for r in rids)
             if abs(total - 1.0) > PROPERNESS_TOL:
                 raise GrammarError(
-                    f"probabilities for {nt} sum to {total!r}, expected 1 within {PROPERNESS_TOL}"
+                    f"probabilities for {nt} sum to {total!r}, expected 1 within {PROPERNESS_TOL}",
+                    nt,
                 )
             group = exact_normalize([probs[r] for r in rids])
             for r, p in zip(rids, group):
@@ -152,6 +159,13 @@ class Grammar:
     @cached_property
     def nt_index(self) -> dict[str, int]:
         return {nt: i for i, nt in enumerate(self.nonterminals)}
+
+    @cached_property
+    def rule_lhs_index(self) -> np.ndarray:
+        """``nt_index`` of every rule's LHS, indexed by rule id (read-only)."""
+        index = np.array([self.nt_index[r.lhs] for r in self.rules], dtype=np.intp)
+        index.flags.writeable = False
+        return index
 
     @cached_property
     def binary_rules(self) -> tuple[Rule, ...]:
@@ -262,17 +276,13 @@ def parse_grammar(text: str) -> Grammar:
     if not entries:
         raise GrammarFormatError("no rules found", 1)
 
-    nonterminals: list[str] = []
-    terminals: list[str] = []
+    # insertion-ordered dicts: first-appearance order with O(1) membership
+    nonterminals: dict[str, None] = {}
+    terminals: dict[str, None] = {}
     for _, lhs, rhs, _ in entries:
-        if lhs not in nonterminals:
-            nonterminals.append(lhs)
+        nonterminals[lhs] = None
         for s in rhs:
-            if is_nonterminal_symbol(s):
-                if s not in nonterminals:
-                    nonterminals.append(s)
-            elif s not in terminals:
-                terminals.append(s)
+            (nonterminals if is_nonterminal_symbol(s) else terminals)[s] = None
 
     if start_symbol is None:
         start_symbol = entries[0][1]
@@ -281,20 +291,14 @@ def parse_grammar(text: str) -> Grammar:
 
     rules = tuple(Rule(i, lhs, rhs) for i, (_, lhs, rhs, _) in enumerate(entries))
     probs = tuple(e[3] for e in entries)
-
-    # re-raise properness failures with the line of the offending block
-    sums: dict[str, float] = {}
-    first_line: dict[str, int] = {}
-    for line_no, lhs, _, prob in entries:
-        sums[lhs] = sums.get(lhs, 0.0) + prob
-        first_line.setdefault(lhs, line_no)
-    for lhs, total in sums.items():
-        if abs(total - 1.0) > PROPERNESS_TOL:
-            raise GrammarFormatError(
-                f"probabilities for {lhs} sum to {total!r}, expected 1", first_line[lhs]
-            )
-
-    return Grammar(tuple(nonterminals), tuple(terminals), start_symbol, rules, probs)
+    try:
+        return Grammar(tuple(nonterminals), tuple(terminals), start_symbol, rules, probs)
+    except GrammarError as exc:
+        if exc.nonterminal is None:
+            raise
+        # report a properness failure at the first rule of the offending block
+        line = next(line_no for line_no, lhs, _, _ in entries if lhs == exc.nonterminal)
+        raise GrammarFormatError(str(exc), line) from None
 
 
 def serialize_grammar(g: Grammar) -> str:

@@ -168,7 +168,39 @@ def _add_weighted(g: Grammar, rule_acc, nt_acc, records: list[_Record], eta: flo
         for rid, c in enumerate(count_vector(g, rec.rules)):
             if c:
                 rule_acc[rid] += w * c
-                nt_acc[g.rules[rid].lhs] += w * c
+                nt_acc[g.nt_index[g.rules[rid].lhs]] += w * c
+
+
+def growth_step_single_ref(g: Grammar, acc, h: float, ctilde: float, min_prob: float = 1e-12):
+    """The growth step as a scalar loop over nonterminals and their rules.
+
+    An independent spelling of ``estimator.growth_step`` (reference counts
+    minus h-weighted competing expectations, offset by ctilde); on shared
+    accumulators the two must agree bit for bit, error messages included.
+    """
+    from .estimator import EstimationError, _finalize  # local import: no cycle at load time
+
+    raw = [0.0] * len(g.rules)
+    for nt in g.nonterminals:
+        rules = g.rules_by_lhs[nt]
+        if not rules:
+            continue
+        i = g.nt_index[nt]
+        denom = float(acc.d_nt_ref[i]) - h * float(acc.d_nt_comp[i]) + ctilde
+        if denom <= 0.0:
+            raise EstimationError(
+                f"denominator for {nt} is {denom!r}; the offset constant is too small"
+            )
+        for rule in rules:
+            best_count = float(acc.d_rule_ref[rule.id])
+            competing = float(acc.d_rule_comp[rule.id])
+            num = best_count - h * competing + g.probs[rule.id] * ctilde
+            if num <= 0.0:
+                raise EstimationError(
+                    f"numerator for {rule} is {num!r}; the offset constant is too small"
+                )
+            raw[rule.id] = num / denom
+    return _finalize(g, raw, min_prob)
 
 
 def catalan(n: int) -> int:

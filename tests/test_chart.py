@@ -52,7 +52,7 @@ class TestInside:
         for seed in range(40):
             rng = np.random.default_rng(2500 + seed)
             g = random_grammar(rng)
-            for tokens in sample_corpus(g, rng, 2, max_len=6):
+            for tokens in sample_corpus(g, rng, 2, max_len=6, min_len=3):
                 enum = enumerate_derivations(g, tokens)
                 total = logsumexp([d.log_prob for d in enum.derivations])
                 got = inside(g, tokens).log_string_prob
@@ -122,7 +122,7 @@ class TestViterbi:
         for seed in range(30):
             rng = np.random.default_rng(4500 + seed)
             g = random_grammar(rng)
-            for tokens in sample_corpus(g, rng, 2, max_len=6):
+            for tokens in sample_corpus(g, rng, 2, max_len=6, min_len=3):
                 lp_best = viterbi(g, tokens)[1]
                 lp_total = inside(g, tokens).log_string_prob
                 assert lp_best <= lp_total + 1e-12

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_grammar, sample_corpus, toy
 from pcfgtk import (
+    Accumulators,
     Bracketing,
     DegenerateDeltaWarning,
     DeltaSpec,
@@ -17,7 +18,6 @@ from pcfgtk import (
     accumulate,
     compute_ctilde,
     growth_step,
-    growth_step_single_ref,
     nbest,
     objective,
     objective_over_sets,
@@ -30,6 +30,7 @@ from pcfgtk import (
     viterbi,
 )
 from pcfgtk.estimator import accumulate_realized
+from pcfgtk.oracle import growth_step_single_ref
 
 TOY_CORPUS = [["a", "a"], ["a", "a", "a", "a"]]
 VIT_ALL = DeltaSpec(ref_mode="viterbi", comp_mode="all")
@@ -95,13 +96,14 @@ class TestScaledSetLogprob:
 
 class TestAccumulate:
     def test_toy_viterbi_all(self):
-        acc = accumulate(toy(0.5), TOY_CORPUS, VIT_ALL, eta=1.0)
+        g = toy(0.5)
+        acc = accumulate(g, TOY_CORPUS, VIT_ALL, eta=1.0)
         assert acc.d_rule_ref[0] == pytest.approx(4.0, abs=1e-12)
         assert acc.d_rule_ref[1] == pytest.approx(6.0, abs=1e-12)
-        assert acc.d_nt_ref["S"] == pytest.approx(10.0, abs=1e-12)
+        assert acc.d_nt_ref[g.nt_index["S"]] == pytest.approx(10.0, abs=1e-12)
         assert acc.d_rule_comp[0] == pytest.approx(4.0, abs=1e-12)
         assert acc.d_rule_comp[1] == pytest.approx(6.0, abs=1e-12)
-        assert acc.d_nt_comp["S"] == pytest.approx(10.0, abs=1e-12)
+        assert acc.d_nt_comp[g.nt_index["S"]] == pytest.approx(10.0, abs=1e-12)
         assert acc.skipped == 0
 
     def test_single_rule_grammar(self):
@@ -145,8 +147,8 @@ class TestAccumulate:
                 rules_map, nt_map = which
                 for nt in g.nonterminals:
                     total = sum(rules_map[r.id] for r in g.rules_by_lhs[nt])
-                    assert nt_map[nt] == pytest.approx(total, rel=1e-9, abs=1e-12)
-                for value in (*rules_map.values(), *nt_map.values()):
+                    assert nt_map[g.nt_index[nt]] == pytest.approx(total, rel=1e-9, abs=1e-12)
+                for value in (*rules_map, *nt_map):
                     assert math.isfinite(value) and value >= 0.0
 
     @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
@@ -170,9 +172,9 @@ class TestAccumulate:
             for rid in range(len(g.rules)):
                 assert got.d_rule_ref[rid] == pytest.approx(want.d_rule_ref[rid], rel=1e-10, abs=1e-10)
                 assert got.d_rule_comp[rid] == pytest.approx(want.d_rule_comp[rid], rel=1e-10, abs=1e-10)
-            for nt in g.nonterminals:
-                assert got.d_nt_ref[nt] == pytest.approx(want.d_nt_ref[nt], rel=1e-10, abs=1e-10)
-                assert got.d_nt_comp[nt] == pytest.approx(want.d_nt_comp[nt], rel=1e-10, abs=1e-10)
+            for i in range(len(g.nonterminals)):
+                assert got.d_nt_ref[i] == pytest.approx(want.d_nt_ref[i], rel=1e-10, abs=1e-10)
+                assert got.d_nt_comp[i] == pytest.approx(want.d_nt_comp[i], rel=1e-10, abs=1e-10)
             done += 1
         assert done >= 40
 
@@ -276,8 +278,8 @@ class TestGrowthStep:
         acc = accumulate(g, [["a"]], VIT_ALL)
         acc.d_rule_ref[0] = 0.0
         acc.d_rule_comp[0] = 2.0
-        acc.d_nt_ref["S"] = 1.0
-        acc.d_nt_comp["S"] = 3.0
+        acc.d_nt_ref[g.nt_index["S"]] = 1.0
+        acc.d_nt_comp[g.nt_index["S"]] = 3.0
         with pytest.raises(EstimationError, match="too small"):
             growth_step(g, acc, 0.9, 0.05)
 
@@ -320,6 +322,27 @@ class TestGrowthStep:
             acc = accumulate(g, corpus, VIT_ALL)
             ct = compute_ctilde(acc, g, 0.6, 1.0)
             assert growth_step(g, acc, 0.6, ct).probs == growth_step_single_ref(g, acc, 0.6, ct).probs
+
+    def test_single_ref_form_raises_the_same_error(self):
+        # arbitrary statistics and offsets, so many steps have a nonpositive
+        # denominator or numerator; both spellings must name the same one
+        raised = 0
+        for seed in range(60):
+            rng = np.random.default_rng(14_500 + seed)
+            g = random_grammar(rng)
+            acc = Accumulators.zeros(g)
+            for stat in (acc.d_rule_ref, acc.d_rule_comp, acc.d_nt_ref, acc.d_nt_comp):
+                stat[:] = rng.uniform(-0.5, 3.0, size=len(stat))
+            h, ct = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 2.0))
+            outcomes = []
+            for step in (growth_step, growth_step_single_ref):
+                try:
+                    outcomes.append(step(g, acc, h, ct).probs)
+                except EstimationError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            raised += isinstance(outcomes[0], str)
+        assert 10 <= raised < 60
 
 
 class TestObjective:

@@ -1,12 +1,15 @@
 """Grammar parsing, validation, serialization, and the expectation matrix."""
 import math
+import time
 
 import numpy as np
 import pytest
 
 from conftest import random_grammar, toy
 from pcfgtk import (
+    Grammar,
     GrammarFormatError,
+    Rule,
     check_consistency,
     expectation_matrix,
     parse_grammar,
@@ -44,6 +47,37 @@ class TestParseGrammar:
     def test_properness_violation(self):
         with pytest.raises(GrammarFormatError, match="sum"):
             parse_grammar("S -> S S 0.3\nS -> a 0.6\n")
+
+    def test_properness_violation_reports_first_rule_of_block(self):
+        with pytest.raises(GrammarFormatError, match="probabilities for T sum") as err:
+            parse_grammar("S -> T T 0.5\n# T's block\nT -> T T 0.3\nS -> a 0.5\nT -> a 0.6\n")
+        assert err.value.line == 3
+
+    def test_properness_is_checked_on_the_exact_sum(self):
+        # the plain left-to-right float sum of this block is 0.9999999989999999,
+        # just outside the tolerance; the exactly rounded sum is inside it
+        probs = [
+            0.12703594457329337, 0.013775522071384117, 0.08669641327709167,
+            0.09968478134489238, 0.04082921328941026, 0.10237205470257953,
+            0.12336985170383401, 0.1340702160200477, 0.06898758620412021,
+            0.13323790351495607, 0.06994051229839075,
+        ]
+        assert abs(sum(probs) - 1.0) > 1e-9 >= abs(math.fsum(probs) - 1.0)
+        terminals = tuple(f"t{i}" for i in range(len(probs)))
+        loaded = parse_grammar("".join(f"S -> {t} {p!r}\n" for t, p in zip(terminals, probs)))
+        direct = Grammar(
+            ("S",), terminals, "S",
+            tuple(Rule(i, "S", (t,)) for i, t in enumerate(terminals)), tuple(probs),
+        )
+        assert loaded == direct
+
+    def test_many_terminals_load_in_linear_time(self):
+        n = 30_000
+        text = "".join(f"S -> w{i} {1 / n!r}\n" for i in range(n))
+        started = time.perf_counter()
+        g = parse_grammar(text)
+        assert time.perf_counter() - started < 3.0
+        assert g.terminals == tuple(f"w{i}" for i in range(n))
 
     def test_probability_out_of_range(self):
         with pytest.raises(GrammarFormatError, match="outside"):
