@@ -80,7 +80,7 @@ class DeltaSpec:
 
 @dataclass(frozen=True)
 class HParams:
-    """Training hyperparameters; h is the discrimination weight."""
+    """Training hyperparameters, all finite; h is the discrimination weight."""
 
     h: float = 0.0
     eta: float = 1.0
@@ -92,14 +92,14 @@ class HParams:
     def __post_init__(self):
         if not 0.0 <= self.h < 1.0:
             raise ValueError("h must lie in [0, 1)")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.rel_tol < 0.0:
-            raise ValueError("rel_tol must be nonnegative")
+        if not 0.0 <= self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be nonnegative and finite")
         if not 0.0 < self.min_prob < 1.0:
             raise ValueError("min_prob must lie in ]0, 1[")
 
@@ -209,24 +209,9 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
 
 
 def _realize_comp(g: Grammar, sent: Sentence, spec: DeltaSpec):
-    if spec.comp_mode == "all":
-        return _complete_set(g, sent, brackets=None)
-    if spec.comp_mode == "bracketed_all":
-        return _complete_set(g, sent, brackets=sent.brackets)
-    return nbest(g, sent.tokens, spec.n_comp).derivations
-
-
-def _realize_ref(g: Grammar, sent: Sentence, spec: DeltaSpec):
-    if spec.ref_mode == "viterbi":
-        hit = viterbi(g, sent.tokens)
-        return (hit[0],) if hit else ()
-    if spec.ref_mode == "bracketed_viterbi":
-        hit = viterbi(g, sent.tokens, sent.brackets)
-        return (hit[0],) if hit else ()
-    return nbest(g, sent.tokens, spec.n_ref).derivations
-
-
-def _complete_set(g: Grammar, sent: Sentence, brackets):
+    if spec.comp_mode == "nbest":
+        return nbest(g, sent.tokens, spec.n_comp).derivations
+    brackets = sent.brackets if spec.comp_mode == "bracketed_all" else None
     result = nbest(g, sent.tokens, ALL_DERIVATIONS_CAP, brackets).derivations
     if len(result) >= ALL_DERIVATIONS_CAP:
         raise EstimationError(
@@ -234,6 +219,13 @@ def _complete_set(g: Grammar, sent: Sentence, brackets):
             "a complete competing set is not tractable"
         )
     return result
+
+
+def _realize_ref(g: Grammar, sent: Sentence, spec: DeltaSpec):
+    if spec.ref_mode == "nbest":
+        return nbest(g, sent.tokens, spec.n_ref).derivations
+    hit = viterbi(g, sent.tokens, sent.brackets if spec.ref_mode == "bracketed_viterbi" else None)
+    return (hit[0],) if hit else ()
 
 
 def scaled_set_logprob(g: Grammar, x, delta, eta: float) -> float:
@@ -259,6 +251,7 @@ def accumulate(g: Grammar, corpus, spec: DeltaSpec, eta: float = 1.0) -> Accumul
 
 
 def accumulate_realized(g: Grammar, realized, eta: float = 1.0) -> Accumulators:
+    """Sums over realized sets, weighted by the stored ``log_prob`` (under ``g``)."""
     acc = Accumulators.zeros(g)
     effective = 0
     for rd in realized:
@@ -277,7 +270,7 @@ def _add_set(g: Grammar, rule_acc, nt_acc, derivs, eta: float):
     # Derivation by derivation, so every entry sees the same sequence of
     # IEEE adds as a scalar loop would; adding w * 0 to an unused entry
     # leaves it unchanged.
-    weights = normalized_weights([eta * derivation_probability(g, d) for d in derivs])
+    weights = normalized_weights([eta * d.log_prob for d in derivs])
     n_rules, n_nts = len(g.rules), len(g.nonterminals)
     for d, w in zip(derivs, weights):
         counts = np.bincount(d.rules, minlength=n_rules)
@@ -349,14 +342,20 @@ def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:
     and competing terms.  Derivation probabilities are re-evaluated under
     ``g``, so the same sets can be scored before and after a growth step.
     """
+    return _objective(realized, eta, h, lambda d: derivation_probability(g, d))
+
+
+def _objective(realized, eta: float, h: float, score) -> float:
     total = 0.0
     effective = 0
     for rd in realized:
         if rd is None:
             continue
+        if not rd.ref or not rd.comp:
+            raise EmptyDeltaError("derivation set is empty")
         effective += 1
-        total += scaled_set_logprob(g, None, rd.ref, eta)
-        total -= h * scaled_set_logprob(g, None, rd.comp, 1.0)
+        total += logsumexp([eta * score(d) for d in rd.ref])
+        total -= h * logsumexp([score(d) for d in rd.comp])
     if effective == 0:
         raise EstimationError("empty effective corpus")
     return total
@@ -372,7 +371,7 @@ def objective(g: Grammar, corpus, spec: DeltaSpec, params: HParams) -> float:
     if not corpus:
         raise EstimationError("corpus is empty")
     realized = [realize_delta_sets(g, s, spec) for s in corpus]
-    return objective_over_sets(g, realized, params.eta, params.h)
+    return _objective(realized, params.eta, params.h, lambda d: d.log_prob)
 
 
 def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
@@ -383,6 +382,8 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
     growth step, and records the post-step objective evaluated on that
     iteration's (frozen) sets.  Convergence is declared when one step
     changes the frozen-set objective by less than ``rel_tol`` (relative).
+    The parsers score every derivation under ``g``; only the post-step
+    objective scores the frozen sets again, under the new grammar.
     """
     corpus = list(corpus)
     if not corpus:
@@ -392,18 +393,17 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
     converged = False
     for iteration in range(1, params.max_iters + 1):
         realized = [realize_delta_sets(g, s, spec) for s in corpus]
-        skipped = sum(1 for rd in realized if rd is None)
         acc = accumulate_realized(g, realized, params.eta)
         ctilde = compute_ctilde(acc, g, params.h, params.epsilon)
         raw = _raw_transform(g, acc, params.h, ctilde)
         floored = sum(1 for p in raw if p < params.min_prob)
         g_new = _finalize(g, raw, params.min_prob)
-        f_before = objective_over_sets(g, realized, params.eta, params.h)
+        f_before = _objective(realized, params.eta, params.h, lambda d: d.log_prob)
         f_after = objective_over_sets(g_new, realized, params.eta, params.h)
         max_dp = max(abs(a - b) for a, b in zip(g.probs, g_new.probs))
         rho = check_consistency(g_new).spectral_radius
         records.append(
-            IterationRecord(iteration, f_after, ctilde, max_dp, rho, skipped, floored)
+            IterationRecord(iteration, f_after, ctilde, max_dp, rho, acc.skipped, floored)
         )
         g = g_new
         if abs(f_after - f_before) <= params.rel_tol * max(1.0, abs(f_before)):

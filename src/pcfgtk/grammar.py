@@ -11,7 +11,8 @@ nonterminals, anything else is a terminal.  Rules must be in Chomsky
 Normal Form: either ``A -> B C`` (both nonterminals) or ``A -> a``
 (a terminal).  For every nonterminal, rule probabilities must sum to 1
 (tolerance 1e-9, on the exactly rounded ``math.fsum`` of the block); the
-grammar is renormalized to an exact float sum of 1.0 on construction.
+grammar is renormalized on construction so that each block's ``math.fsum``
+is exactly 1.0.
 """
 from __future__ import annotations
 
@@ -73,8 +74,8 @@ class Grammar:
 
     Immutable after construction (safe to share across threads); rule ids
     are dense indices into ``rules`` and ``probs``.  Construction validates
-    all invariants and renormalizes each nonterminal's probabilities to an
-    exact float sum of 1.0.
+    all invariants and renormalizes each nonterminal's probabilities so that
+    their ``math.fsum`` is exactly 1.0.
     """
 
     nonterminals: tuple[str, ...]
@@ -201,12 +202,13 @@ class Grammar:
 
 
 def exact_normalize(probs: list[float]) -> list[float]:
-    """Scale a probability block so its plain float sum is exactly 1.0.
+    """Scale a probability block so its exactly rounded sum (``math.fsum``)
+    is 1.0; the plain left-to-right float sum may still be off by an ulp.
 
     After dividing by the total, the residual (at most a few ulps) is folded
     into the largest entry; this keeps serialize/parse round trips
-    bit-for-bit stable because a reloaded block sums to 1.0 exactly and is
-    left untouched.
+    bit-for-bit stable because a reloaded block's ``math.fsum`` is 1.0
+    exactly and the block is left untouched.
     """
     total = math.fsum(probs)
     if total != 1.0:

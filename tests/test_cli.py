@@ -165,6 +165,20 @@ class TestTrain:
         assert code == 1
         assert "bracketed" in err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--eta", "nan"), ("--eta", "inf"), ("--epsilon", "nan"),
+                       ("--epsilon", "inf"), ("--rel-tol", "nan")]
+    )
+    def test_non_finite_hyperparameter_is_rejected(self, toy_files, capsys, flag, value):
+        tmp_path, grammar, corpus, _ = toy_files
+        out_g = tmp_path / "o.g"
+        code, out, err = run(capsys, "train", grammar, corpus, "--out-grammar", str(out_g), flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
+        assert not out_g.exists()
+
     def test_deterministic_output(self, toy_files, capsys):
         tmp_path, grammar, corpus, _ = toy_files
         outputs = []

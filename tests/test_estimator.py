@@ -5,18 +5,21 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_grammar, sample_corpus, toy
+from conftest import random_grammar, sample_bracketing, sample_corpus, toy
 from pcfgtk import (
     Accumulators,
     Bracketing,
     DegenerateDeltaWarning,
     DeltaSpec,
+    Derivation,
     EmptyDeltaError,
     EstimationError,
     HParams,
+    RealizedDelta,
     Sentence,
     accumulate,
     compute_ctilde,
+    derivation_probability,
     growth_step,
     nbest,
     objective,
@@ -29,7 +32,7 @@ from pcfgtk import (
     train,
     viterbi,
 )
-from pcfgtk.estimator import accumulate_realized
+from pcfgtk.estimator import COMP_MODES, REF_MODES, accumulate_realized
 from pcfgtk.oracle import growth_step_single_ref
 
 TOY_CORPUS = [["a", "a"], ["a", "a", "a", "a"]]
@@ -61,6 +64,12 @@ class TestSpecsAndParams:
             HParams(max_iters=-1)
         HParams(h=0.0)
         HParams(h=0.99)
+
+    @pytest.mark.parametrize("field", ["h", "eta", "epsilon", "rel_tol", "min_prob"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_hparams_reject_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HParams(**{field: value})
 
 
 class TestScaledSetLogprob:
@@ -127,6 +136,15 @@ class TestAccumulate:
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
         with pytest.raises(EstimationError, match="skipped"):
             accumulate(g, [["b", "a"]], VIT_ALL)
+
+    @pytest.mark.parametrize("bad_id", [-1, 2, 7])
+    def test_bad_rule_id_in_hand_built_set_raises(self, bad_id):
+        g = toy(0.5)
+        good = nbest(g, ["a", "a"], 1).derivations[0]
+        bad = Derivation((0, bad_id, 1), 2, good.log_prob)
+        for rd in (RealizedDelta((bad,), (good,)), RealizedDelta((good,), (good, bad))):
+            with pytest.raises(ValueError):
+                accumulate_realized(g, [rd], 1.0)
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EstimationError, match="empty"):
@@ -223,6 +241,33 @@ class TestSubsetEnforcement:
     def test_unparseable_returns_none(self):
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
         assert realize_delta_sets(g, ["b", "a"], VIT_ALL) is None
+
+
+class TestStoredScores:
+    """The estimator weights derivations by their stored ``log_prob``; every
+    realized derivation must carry exactly its canonical score under g."""
+
+    @pytest.mark.parametrize("enforce", [True, False])
+    @pytest.mark.parametrize("comp_mode", COMP_MODES)
+    @pytest.mark.parametrize("ref_mode", REF_MODES)
+    def test_realized_log_probs_are_canonical(self, ref_mode, comp_mode, enforce):
+        spec = DeltaSpec(ref_mode, comp_mode, n_ref=2, n_comp=2, enforce_subset=enforce)
+        checked = 0
+        for seed in range(10):
+            rng = np.random.default_rng(7300 + seed)
+            g = random_grammar(rng, ensure_binary=True)
+            for tokens in sample_corpus(g, rng, 3, min_len=3):
+                # bracket each sentence by a derivation other than the best
+                rules = nbest(g, tokens, 3).derivations[-1].rules
+                brackets = sample_bracketing(g, rng, rules, len(tokens))
+                for sent in (Sentence(tuple(tokens)), Sentence(tuple(tokens), brackets)):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", DegenerateDeltaWarning)
+                        rd = realize_delta_sets(g, sent, spec)
+                    for d in rd.ref + rd.comp:
+                        assert d.log_prob == derivation_probability(g, d)
+                        checked += 1
+        assert checked > 100
 
 
 class TestComputeCtilde:

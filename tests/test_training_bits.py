@@ -1,15 +1,15 @@
 """Exact training outputs, pinned bit for bit.
 
 Short ``train`` runs whose final probabilities (as ``float.hex``) and CSV
-reports were recorded from the dict-accumulator estimator.  Refactors of the
-estimator must reproduce them exactly; a change that moves any of these bits
-changes what ``pcfgtk train`` writes.
+reports were recorded from earlier versions of the estimator.  Refactors of
+the estimator must reproduce them exactly; a change that moves any of these
+bits changes what ``pcfgtk train`` writes.
 """
 import numpy as np
 import pytest
 
 from conftest import random_grammar, sample_bracketing, sample_rules, toy
-from pcfgtk import DeltaSpec, HParams, Sentence, replay_derivation, train
+from pcfgtk import DeltaSpec, HParams, Sentence, realize_delta_sets, replay_derivation, train
 
 TOY_CORPUS = [["a"] * 2, ["a"] * 4, ["a"] * 5]
 
@@ -40,6 +40,12 @@ def case(name):
         g = random_grammar(rng, max_nts=3, max_rules=7, ensure_binary=True)
         spec = DeltaSpec("bracketed_viterbi", "bracketed_all")
         return g, bracketed_corpus(g, rng, 4), spec, HParams(h=0.3, eta=0.5, max_iters=3, rel_tol=0.0)
+    if name == "random-bracketed-converges":
+        # nbest(n=1) often misses the bracketed Viterbi derivation, so subset
+        # enforcement appends it; rel_tol > 0 stops the run on f_before
+        g, corpus, _, _ = case("random-bracketed")
+        spec = DeltaSpec("bracketed_viterbi", "nbest", n_comp=1)
+        return g, corpus, spec, HParams(h=0.3, eta=0.5, max_iters=12, rel_tol=1e-6)
     raise KeyError(name)
 
 
@@ -86,6 +92,24 @@ EXPECTED = {
             "3,-4.876111682367558,1.30211699104844,0.2636194927892128,0.811294566893004,0\n"
         ),
     ),
+    "random-bracketed-converges": (
+        (
+            "0x1.79435e50d7942p-2",
+            "0x1.af286bca1af2cp-3",
+            "0x1.79435e50d7943p-2",
+            "0x1.af286bca1af2cp-5",
+            "0x1.19799812dd6b9p-40",
+            "0x1.fffffffffdcd1p-1",
+        ),
+        (
+            "iter,log_objective,ctilde,max_delta_p,spectral_radius,skipped\n"
+            "1,-6.582199381191465,1e-06,0.1836719149564034,0.8456165522273329,0\n"
+            "2,-6.538798671248718,1e-06,0.15166513870632287,0.8303288033287592,0\n"
+            "3,-4.638785175729195,0.7906330081683349,0.2647668683200878,0.8118658937352339,0\n"
+            "4,-4.839228368751067,1e-06,0.021811518006982472,0.7894736858969871,0\n"
+            "5,-4.839228368751068,1e-06,1.6399636648678495e-09,0.7894736842133658,0\n"
+        ),
+    ),
 }
 
 
@@ -96,3 +120,12 @@ def test_train_output_is_pinned(name):
     probs, csv = EXPECTED[name]
     assert tuple(p.hex() for p in report.final_grammar.probs) == probs
     assert report.to_csv() == csv
+
+
+def test_converging_run_stops_early_and_appends_references():
+    g, corpus, spec, params = case("random-bracketed-converges")
+    realized = [realize_delta_sets(g, s, spec) for s in corpus]
+    assert any(len(rd.comp) > spec.n_comp for rd in realized)
+    report = train(g, corpus, spec, params)
+    assert report.converged
+    assert len(report.records) < params.max_iters
