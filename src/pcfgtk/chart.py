@@ -15,17 +15,20 @@ spans with at least one entry, so a split with an empty side costs one
 lookup; each call lists the binary rules once as ``(rule, lhs, B, C)``.
 
 ``inside`` combines by log-sum-exp, so its full-span start entry is the log
-string probability (the sum over all derivations); ``viterbi`` keeps the
-single highest-probability derivation, comparing candidates by an
-incremental score and falling back to the canonical count-ordered score
-only when two candidates lie within rounding distance; ``kbest.nbest``
-merges top-n lists.
+string probability (the sum over all derivations); ``expected_counts`` does
+the same over arbitrary rule weights, keeps each entry's candidates and
+walks them back top-down (the outside pass) for expected rule counts;
+``viterbi`` keeps the single highest-probability derivation, comparing
+candidates by an incremental score and falling back to the canonical
+count-ordered score only when two candidates lie within rounding distance;
+``kbest.nbest`` merges top-n lists.
 
 All functions are pure; one immutable grammar may be shared by concurrent
 calls over different sentences.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +140,75 @@ def inside(g: Grammar, sentence, brackets: Bracketing | None = None) -> InsideCh
         for lhs, mass in cell.items():
             table[i, j, g.nt_index[lhs]] = mass
     return InsideChart(g, tuple(tokens), table)
+
+
+class _Item:
+    """An ``expected_counts`` entry: its log inside mass, its scored
+    candidates (None for a lexical entry, which keeps its rule id instead),
+    and the posterior probability the outside pass pushes into it."""
+
+    __slots__ = ("inside", "rule_id", "cands", "flow")
+
+    def __init__(self, inside: float, rule_id: int = -1, cands=None):
+        self.inside = inside
+        self.rule_id = rule_id
+        self.cands = cands
+        self.flow = 0.0
+
+
+def expected_counts(
+    g: Grammar, sentence, weights, brackets: Bracketing | None = None
+) -> tuple[float, np.ndarray]:
+    """Log total mass and expected rule counts over the complete derivation set.
+
+    A derivation weighs the exp of its rules' ``weights`` (log weights
+    indexed by rule id; ``g.log_probs`` gives probabilities, ``eta *
+    g.log_probs`` gives ``p ** eta``).  With brackets, only derivations that
+    nest with every bracket count.  Returns log Z, the log of the summed
+    weights, and the float64 array of sum_d (w(d) / Z) N(rule, d) indexed by
+    rule id; ``(-inf, zeros)`` when the sentence has no (compatible)
+    derivation.
+
+    The inside pass is ``inside``'s log-sum-exp over the given weights, so
+    with ``g.log_probs`` its total is bit-identical to ``inside``'s.  The
+    outside pass is its backward pass (Eisner 2016): widest spans first,
+    each entry hands its posterior probability to its candidates in
+    proportion to exp(candidate score - entry mass), and each candidate
+    passes its share to its rule's count and to both children.
+    """
+
+    def leaf(rule) -> _Item:
+        return _Item(weights[rule.id], rule.id)
+
+    def combine(cands) -> _Item:
+        scored = [
+            (weights[rule.id] + left.inside + right.inside, rule.id, left, right)
+            for _, rule, left, right in cands
+        ]
+        return _Item(logsumexp([score for score, *_ in scored]), cands=scored)
+
+    tokens, chart = _cky(g, sentence, brackets, leaf, combine)
+    root = chart.get((0, len(tokens)), {}).get(g.start)
+    if root is None:
+        return NEG_INF, np.zeros(len(g.rules))
+    counts = [0.0] * len(g.rules)
+    root.flow = 1.0
+    # spans are stored narrowest first and every candidate's children are
+    # narrower than its entry, so each flow is complete before it is passed on
+    for cell in reversed(chart.values()):
+        for item in cell.values():
+            flow = item.flow
+            if not flow:
+                continue
+            if item.cands is None:
+                counts[item.rule_id] += flow
+                continue
+            for score, rule_id, left, right in item.cands:
+                share = flow * math.exp(score - item.inside)
+                counts[rule_id] += share
+                left.flow += share
+                right.flow += share
+    return root.inside, np.array(counts)
 
 
 # Two Viterbi candidates whose incremental scores differ by more than

@@ -23,23 +23,29 @@ The objective being climbed is, per sentence,
 summed over the corpus; with sets held fixed, one growth step never
 decreases it.  Sentences whose competing (or reference) set comes up empty
 are skipped for that iteration and counted.
+
+Listed sets (Viterbi and n-best) are summed derivation by derivation.  A
+complete competing set (``all``, or ``bracketed_all`` with the sentence's
+brackets) is never listed: its statistics are the expected rule counts from
+one inside and one outside pass (``chart.expected_counts``), and its mass
+in the objective is the inside total, so its cost is polynomial in the
+sentence length however many derivations it holds.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import viterbi
+from .chart import expected_counts, inside, viterbi
 from .consistency import check_consistency
 from .corpus import Sentence
-from .derivations import Derivation, derivation_probability
+from .derivations import Derivation, derivation_probability, derivation_spans
 from .grammar import Grammar, exact_normalize
 from .kbest import nbest
 from .logmath import logsumexp, normalized_weights
-
-ALL_DERIVATIONS_CAP = 100_000
 
 REF_MODES = ("viterbi", "nbest", "bracketed_viterbi")
 COMP_MODES = ("all", "nbest", "bracketed_all")
@@ -136,10 +142,19 @@ class Accumulators:
 
 @dataclass(frozen=True)
 class RealizedDelta:
-    """The per-sentence derivation sets one iteration actually used."""
+    """The per-sentence derivation sets one iteration actually used.
+
+    ``complete`` is set for the ``all`` and ``bracketed_all`` competing
+    modes.  The competing set is then every derivation of
+    ``complete.tokens`` that nests with ``complete.brackets`` (every one
+    when None), plus the derivations listed in ``comp``: under subset
+    enforcement, the reference derivations that cross a bracket.  When
+    ``complete`` is None, ``comp`` is the whole competing set.
+    """
 
     ref: tuple[Derivation, ...]
     comp: tuple[Derivation, ...]
+    complete: Sentence | None = None
 
 
 @dataclass(frozen=True)
@@ -185,47 +200,58 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
     sentences.  With ``enforce_subset`` the competing set is extended with
     any missing reference derivations.  Bracketed modes on a sentence that
     carries no bracketing behave as unconstrained (an empty bracketing
-    excludes nothing).
+    excludes nothing).  A complete competing set is not listed (see
+    ``RealizedDelta.complete``).
     """
     sent = Sentence.of(sentence)
-    comp = _realize_comp(g, sent, spec)
-    if not comp:
-        return None
-    ref = _realize_ref(g, sent, spec)
+    ref_brackets = sent.brackets if spec.ref_mode == "bracketed_viterbi" else None
+    complete = None
+    comp: tuple[Derivation, ...] = ()
+    if spec.comp_mode == "nbest":
+        comp = nbest(g, sent.tokens, spec.n_comp).derivations
+        if not comp:
+            return None
+    else:
+        brackets = sent.brackets if spec.comp_mode == "bracketed_all" else None
+        complete = Sentence(sent.tokens, brackets)
+        # under the reference set's own constraint the complete set is empty
+        # exactly when the reference set is, and parsing raises the same errors
+        if brackets != ref_brackets and not inside(g, sent.tokens, brackets).in_language:
+            return None
+    if spec.ref_mode == "nbest":
+        ref = nbest(g, sent.tokens, spec.n_ref).derivations
+    else:
+        hit = viterbi(g, sent.tokens, ref_brackets)
+        ref = (hit[0],) if hit else ()
     if not ref:
         return None
     if spec.enforce_subset:
-        present = {d.rules for d in comp}
-        missing = [d for d in ref if d.rules not in present]
+        if complete is None:
+            present = {d.rules for d in comp}
+            missing = [d for d in ref if d.rules not in present]
+        elif complete.brackets is None:
+            missing = []
+        else:
+            compatible = complete.brackets.compatible
+            missing = [
+                d for d in ref if not all(compatible(i, j) for i, j in derivation_spans(g, d))
+            ]
         if missing:
-            comp = tuple(comp) + tuple(missing)
-            if {d.rules for d in comp} == {d.rules for d in ref}:
+            comp += tuple(missing)
+            if complete is None:
+                degenerate = {d.rules for d in comp} == {d.rules for d in ref}
+            else:
+                # the union is the reference set when the complete set holds
+                # nothing but the k references that nest with the brackets
+                k = len(ref) - len(missing)
+                degenerate = len(nbest(g, sent.tokens, k + 1, complete.brackets)) <= k
+            if degenerate:
                 warnings.warn(
                     "competing set equals the reference set after subset enforcement",
                     DegenerateDeltaWarning,
                     stacklevel=2,
                 )
-    return RealizedDelta(tuple(ref), tuple(comp))
-
-
-def _realize_comp(g: Grammar, sent: Sentence, spec: DeltaSpec):
-    if spec.comp_mode == "nbest":
-        return nbest(g, sent.tokens, spec.n_comp).derivations
-    brackets = sent.brackets if spec.comp_mode == "bracketed_all" else None
-    result = nbest(g, sent.tokens, ALL_DERIVATIONS_CAP, brackets).derivations
-    if len(result) >= ALL_DERIVATIONS_CAP:
-        raise EstimationError(
-            f"sentence has {ALL_DERIVATIONS_CAP} or more derivations; "
-            "a complete competing set is not tractable"
-        )
-    return result
-
-
-def _realize_ref(g: Grammar, sent: Sentence, spec: DeltaSpec):
-    if spec.ref_mode == "nbest":
-        return nbest(g, sent.tokens, spec.n_ref).derivations
-    hit = viterbi(g, sent.tokens, sent.brackets if spec.ref_mode == "bracketed_viterbi" else None)
-    return (hit[0],) if hit else ()
+    return RealizedDelta(tuple(ref), comp, complete)
 
 
 def scaled_set_logprob(g: Grammar, x, delta, eta: float) -> float:
@@ -251,7 +277,8 @@ def accumulate(g: Grammar, corpus, spec: DeltaSpec, eta: float = 1.0) -> Accumul
 
 
 def accumulate_realized(g: Grammar, realized, eta: float = 1.0) -> Accumulators:
-    """Sums over realized sets, weighted by the stored ``log_prob`` (under ``g``)."""
+    """Sums over realized sets, weighted by the stored ``log_prob`` (under
+    ``g``); complete competing sets add their expected counts under ``g``."""
     acc = Accumulators.zeros(g)
     effective = 0
     for rd in realized:
@@ -260,20 +287,26 @@ def accumulate_realized(g: Grammar, realized, eta: float = 1.0) -> Accumulators:
             continue
         effective += 1
         _add_set(g, acc.d_rule_ref, acc.d_nt_ref, rd.ref, eta)
-        _add_set(g, acc.d_rule_comp, acc.d_nt_comp, rd.comp, eta)
+        _add_set(g, acc.d_rule_comp, acc.d_nt_comp, rd.comp, eta, rd.complete)
     if effective == 0:
         raise EstimationError("all sentences were skipped")
     return acc
 
 
-def _add_set(g: Grammar, rule_acc, nt_acc, derivs, eta: float):
+def _add_set(g: Grammar, rule_acc, nt_acc, derivs, eta: float, complete=None):
     # Derivation by derivation, so every entry sees the same sequence of
     # IEEE adds as a scalar loop would; adding w * 0 to an unused entry
-    # leaves it unchanged.
-    weights = normalized_weights([eta * d.log_prob for d in derivs])
+    # leaves it unchanged.  A complete set comes first, as one term: its
+    # log mass and expected counts under the weights p ** eta.
     n_rules, n_nts = len(g.rules), len(g.nonterminals)
-    for d, w in zip(derivs, weights):
-        counts = np.bincount(d.rules, minlength=n_rules)
+    logs = [eta * d.log_prob for d in derivs]
+    terms = [np.bincount(d.rules, minlength=n_rules) for d in derivs]
+    if complete is not None:
+        weights = [eta * lp for lp in g.log_probs]
+        mass, counts = expected_counts(g, complete.tokens, weights, complete.brackets)
+        logs.insert(0, mass)
+        terms.insert(0, counts)
+    for counts, w in zip(terms, normalized_weights(logs)):
         rule_acc += w * counts
         nt_acc += w * np.bincount(g.rule_lhs_index, counts, n_nts)
 
@@ -283,23 +316,39 @@ def compute_ctilde(acc: Accumulators, g: Grammar, h: float, epsilon: float) -> f
 
     Evaluated at the current probabilities: the largest value of
     -(D_ref[rule] - h * D_comp[rule]) / p(rule) across rules, clamped at 0.
+    The numerator of the rule that sets it keeps only the margin
+    p(rule) * epsilon, which rounds away when that probability is tiny (a
+    rule at the ``min_prob`` floor, say).  Only then, when some numerator or
+    denominator of the growth step would not be positive, the epsilon term
+    is doubled until all of them are.
     """
     num = acc.d_rule_ref - h * acc.d_rule_comp
-    return float(np.max(-num / np.array(g.probs), initial=0.0)) + epsilon
+    base = float(np.max(-num / np.array(g.probs), initial=0.0))
+    ctilde = base + epsilon
+    while math.isfinite(ctilde) and not _step_terms(g, acc, h, ctilde)[2]:
+        epsilon *= 2.0
+        ctilde = base + epsilon
+    return ctilde
+
+
+def _step_terms(g: Grammar, acc: Accumulators, h: float, ctilde: float):
+    """The growth step's numerators and denominators, both indexed by rule
+    id, and whether none of them is zero or negative."""
+    num = acc.d_rule_ref - h * acc.d_rule_comp + np.array(g.probs) * ctilde
+    den = (acc.d_nt_ref - h * acc.d_nt_comp + ctilde)[g.rule_lhs_index]
+    return num, den, not ((den <= 0.0).any() or (num <= 0.0).any())
 
 
 def _raw_transform(g: Grammar, acc: Accumulators, h: float, ctilde: float) -> list[float]:
-    denom = acc.d_nt_ref - h * acc.d_nt_comp + ctilde
-    num = acc.d_rule_ref - h * acc.d_rule_comp + np.array(g.probs) * ctilde
-    lhs = g.rule_lhs_index
-    if (denom[lhs] <= 0.0).any() or (num <= 0.0).any():
+    num, den, positive = _step_terms(g, acc, h, ctilde)
+    if not positive:
         # report the first offender: nonterminals in order, each block's
         # denominator before its numerators
-        for i, nt in enumerate(g.nonterminals):
+        for nt in g.nonterminals:
             rules = g.rules_by_lhs[nt]
-            if rules and denom[i] <= 0.0:
+            if rules and den[rules[0].id] <= 0.0:
                 raise EstimationError(
-                    f"denominator for {nt} is {float(denom[i])!r}; "
+                    f"denominator for {nt} is {float(den[rules[0].id])!r}; "
                     "the offset constant is too small"
                 )
             for rule in rules:
@@ -308,7 +357,7 @@ def _raw_transform(g: Grammar, acc: Accumulators, h: float, ctilde: float) -> li
                         f"numerator for {rule} is {float(num[rule.id])!r}; "
                         "the offset constant is too small"
                     )
-    return (num / denom[lhs]).tolist()
+    return (num / den).tolist()
 
 
 def _finalize(g: Grammar, raw: list[float], min_prob: float) -> Grammar:
@@ -340,22 +389,28 @@ def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:
 
     Skipped sentences (None entries) are excluded from both the reference
     and competing terms.  Derivation probabilities are re-evaluated under
-    ``g``, so the same sets can be scored before and after a growth step.
+    ``g``, so the same sets can be scored before and after a growth step;
+    a complete competing set contributes its inside total under ``g``.
     """
-    return _objective(realized, eta, h, lambda d: derivation_probability(g, d))
+    return _objective(g, realized, eta, h, lambda d: derivation_probability(g, d))
 
 
-def _objective(realized, eta: float, h: float, score) -> float:
+def _objective(g: Grammar, realized, eta: float, h: float, score) -> float:
+    """The objective with listed derivations scored by ``score`` and complete
+    sets by their inside totals under ``g``."""
     total = 0.0
     effective = 0
     for rd in realized:
         if rd is None:
             continue
-        if not rd.ref or not rd.comp:
+        if not rd.ref or (not rd.comp and rd.complete is None):
             raise EmptyDeltaError("derivation set is empty")
         effective += 1
         total += logsumexp([eta * score(d) for d in rd.ref])
-        total -= h * logsumexp([score(d) for d in rd.comp])
+        comp = [score(d) for d in rd.comp]
+        if rd.complete is not None:
+            comp.insert(0, inside(g, rd.complete.tokens, rd.complete.brackets).log_string_prob)
+        total -= h * logsumexp(comp)
     if effective == 0:
         raise EstimationError("empty effective corpus")
     return total
@@ -371,7 +426,7 @@ def objective(g: Grammar, corpus, spec: DeltaSpec, params: HParams) -> float:
     if not corpus:
         raise EstimationError("corpus is empty")
     realized = [realize_delta_sets(g, s, spec) for s in corpus]
-    return _objective(realized, params.eta, params.h, lambda d: d.log_prob)
+    return _objective(g, realized, params.eta, params.h, lambda d: d.log_prob)
 
 
 def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
@@ -382,8 +437,10 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
     growth step, and records the post-step objective evaluated on that
     iteration's (frozen) sets.  Convergence is declared when one step
     changes the frozen-set objective by less than ``rel_tol`` (relative).
-    The parsers score every derivation under ``g``; only the post-step
-    objective scores the frozen sets again, under the new grammar.
+    The parsers score every listed derivation under ``g``; only the
+    post-step objective scores the frozen sets again, under the new
+    grammar.  Complete competing sets are scored by inside passes, under
+    ``g`` before the step and under the new grammar after it.
     """
     corpus = list(corpus)
     if not corpus:
@@ -398,7 +455,7 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
         raw = _raw_transform(g, acc, params.h, ctilde)
         floored = sum(1 for p in raw if p < params.min_prob)
         g_new = _finalize(g, raw, params.min_prob)
-        f_before = _objective(realized, params.eta, params.h, lambda d: d.log_prob)
+        f_before = _objective(g, realized, params.eta, params.h, lambda d: d.log_prob)
         f_after = objective_over_sets(g_new, realized, params.eta, params.h)
         max_dp = max(abs(a - b) for a, b in zip(g.probs, g_new.probs))
         rho = check_consistency(g_new).spectral_radius

@@ -9,8 +9,7 @@ probability with the backpointer key as secondary criterion: the
 flattened (split, rule id) tuples of the hypothesis tree, compared
 lexicographically.  That secondary key agrees with the Viterbi tie-break,
 so ``nbest(..., 1)`` returns exactly the Viterbi derivation.  With a large
-enough n the result is the complete derivation set, which is how the
-estimator realizes "all derivations".
+enough n the result is the complete derivation set.
 """
 from __future__ import annotations
 

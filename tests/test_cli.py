@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 import math
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,11 @@ from pcfgtk import load_grammar
 from pcfgtk.cli import main
 
 TOY = "S -> S S 0.4\nS -> a 0.6\n"
+# perfbench's generator at seed 0: ``g100(random.Random(0))``, then one
+# bracketed block of lengths 2-5, ``corpus_lines(rng, g, range(2, 6), 1,
+# bracketed=True)``, from the same stream
+G100 = Path(__file__).parent / "data" / "g100-seed0.g"
+G100_BLOCK = Path(__file__).parent / "data" / "g100-seed0-block.txt"
 
 
 @pytest.fixture
@@ -144,6 +150,25 @@ class TestTrain:
         assert lines[0] == "iter,log_objective,ctilde,max_delta_p,spectral_radius,skipped"
         assert len(lines) == 2
         assert out.splitlines()[0].startswith("1\t")
+
+    @pytest.mark.parametrize("h", ["0.3", "0.6"])
+    def test_offset_constant_survives_a_floored_rule(self, tmp_path, capsys, h):
+        # by iteration 3 the rule that sets the offset constant sits at the
+        # min_prob floor, so the plain constant leaves its numerator at 0.0
+        report = tmp_path / "report.csv"
+        code, out, err = run(
+            capsys,
+            "train", str(G100),
+            "--bracketed-corpus", str(G100_BLOCK),
+            "--out-grammar", str(tmp_path / "out.g"),
+            "--report", str(report),
+            "--ref-mode", "viterbi", "--comp-mode", "bracketed_all",
+            "--no-enforce-subset", "--iters", "3", "--h", h,
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 3
+        ctilde = float(report.read_text().splitlines()[3].split(",")[2])
+        assert ctilde > 1e11
 
     def test_zero_iterations_round_trips_grammar(self, toy_files, capsys):
         tmp_path, grammar, corpus, _ = toy_files

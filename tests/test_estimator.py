@@ -20,6 +20,8 @@ from pcfgtk import (
     accumulate,
     compute_ctilde,
     derivation_probability,
+    derivation_spans,
+    enumerate_derivations,
     growth_step,
     nbest,
     objective,
@@ -33,7 +35,7 @@ from pcfgtk import (
     viterbi,
 )
 from pcfgtk.estimator import COMP_MODES, REF_MODES, accumulate_realized
-from pcfgtk.oracle import growth_step_single_ref
+from pcfgtk.oracle import catalan, growth_step_single_ref
 
 TOY_CORPUS = [["a", "a"], ["a", "a", "a", "a"]]
 VIT_ALL = DeltaSpec(ref_mode="viterbi", comp_mode="all")
@@ -176,16 +178,29 @@ class TestAccumulate:
             DeltaSpec("nbest", "all", n_ref=2),
             DeltaSpec("viterbi", "nbest", n_comp=3),
             DeltaSpec("nbest", "nbest", n_ref=2, n_comp=4),
+            DeltaSpec("viterbi", "bracketed_all"),
+            DeltaSpec("viterbi", "bracketed_all", enforce_subset=False),
+            DeltaSpec("nbest", "bracketed_all", n_ref=2),
         ]
-        done = 0
-        for seed in range(60):
+        done = appended = 0
+        for seed in range(70):
             rng = np.random.default_rng(12_000 + seed)
             g = random_grammar(rng, ensure_binary=True)
-            corpus = sample_corpus(g, rng, 2, max_len=5)
+            corpus = []
+            for tokens in sample_corpus(g, rng, 2, max_len=5, min_len=3):
+                # bracket by a derivation other than the best, so that the
+                # Viterbi reference often crosses a bracket
+                rules = nbest(g, tokens, 3).derivations[-1].rules
+                brackets = sample_bracketing(g, rng, rules, len(tokens))
+                corpus += [tokens, Sentence(tuple(tokens), brackets)]
             if not corpus:
                 continue
             spec = specs[seed % len(specs)]
-            got = accumulate(g, corpus, spec, eta)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateDeltaWarning)
+                realized = [realize_delta_sets(g, s, spec) for s in corpus]
+            appended += sum(rd is not None and rd.complete is not None and bool(rd.comp) for rd in realized)
+            got = accumulate_realized(g, realized, eta)
             want = oracle_accumulate(g, corpus, spec, eta)
             for rid in range(len(g.rules)):
                 assert got.d_rule_ref[rid] == pytest.approx(want.d_rule_ref[rid], rel=1e-10, abs=1e-10)
@@ -195,6 +210,27 @@ class TestAccumulate:
                 assert got.d_nt_comp[i] == pytest.approx(want.d_nt_comp[i], rel=1e-10, abs=1e-10)
             done += 1
         assert done >= 40
+        assert appended >= 10
+
+    @pytest.mark.parametrize("q", [0.3, 0.7])
+    @pytest.mark.parametrize("n", [13, 40])
+    def test_complete_set_in_closed_form(self, n, q):
+        # every derivation of a^n under toy(q) has probability
+        # q^(n-1) (1-q)^n, so the expected counts are (n-1, n) and the
+        # competing mass is Catalan(n-1) times that probability; a^13 alone
+        # has 208,012 derivations
+        g = toy(q)
+        sent = ["a"] * n
+        acc = accumulate(g, [sent], VIT_ALL)
+        assert acc.d_rule_comp[0] == pytest.approx(n - 1, abs=1e-12)
+        assert acc.d_rule_comp[1] == pytest.approx(n, abs=1e-12)
+        realized = [realize_delta_sets(g, sent, VIT_ALL)]
+        h = 0.5
+        ref_term = objective_over_sets(g, realized, 1.0, 0.0)
+        comp_term = (ref_term - objective_over_sets(g, realized, 1.0, h)) / h
+        p, r = g.probs
+        want = math.log(catalan(n - 1)) + (n - 1) * math.log(p) + n * math.log(r)
+        assert comp_term == pytest.approx(want, rel=1e-12)
 
     def test_merge_is_commutative_and_matches_joint(self):
         g = toy(0.5)
@@ -208,35 +244,96 @@ class TestAccumulate:
             assert merged.d_rule_ref[rid] == flipped.d_rule_ref[rid]
 
 
+def competing_rules(g, rd):
+    """Rule sequences of a realized delta's whole competing set: the listed
+    derivations plus, for a complete set, the bracket-compatible ones the
+    enumeration oracle finds."""
+    rules = {d.rules for d in rd.comp}
+    if rd.complete is not None:
+        brackets = rd.complete.brackets or Bracketing()
+        rules |= {
+            d.rules
+            for d in enumerate_derivations(g, rd.complete.tokens).derivations
+            if all(brackets.compatible(i, j) for i, j in derivation_spans(g, d))
+        }
+    return rules
+
+
 class TestSubsetEnforcement:
     def test_reference_joins_competing_set(self):
         # brackets exclude the left-branching tree; unbracketed 1-best ref may
-        # fall outside a bracketed competing set, so the union must add it
+        # fall outside a bracketed competing set, so the union must add it;
+        # the complete set itself is not listed, only the crossing reference
         g = toy(0.5)
         sent = Sentence(("a",) * 4, Bracketing(frozenset({(1, 3)})))
         spec = DeltaSpec(ref_mode="viterbi", comp_mode="bracketed_all")
         rd = realize_delta_sets(g, sent, spec)
-        comp_seqs = {d.rules for d in rd.comp}
-        assert {d.rules for d in rd.ref} <= comp_seqs
-        bracketed = nbest(g, sent.tokens, 100, sent.brackets)
-        assert len(rd.comp) == len(bracketed.derivations) + 1
+        assert rd.complete == sent
+        assert rd.comp == rd.ref
+        bracketed = {d.rules for d in nbest(g, sent.tokens, 100, sent.brackets).derivations}
+        assert not {d.rules for d in rd.ref} & bracketed
+        assert competing_rules(g, rd) == bracketed | {d.rules for d in rd.ref}
+        assert len(competing_rules(g, rd)) == len(bracketed) + 1
 
     def test_without_enforcement_sets_stay_disjoint(self):
         g = toy(0.5)
         sent = Sentence(("a",) * 4, Bracketing(frozenset({(1, 3)})))
         spec = DeltaSpec(ref_mode="viterbi", comp_mode="bracketed_all", enforce_subset=False)
         rd = realize_delta_sets(g, sent, spec)
-        assert {d.rules for d in rd.ref} & {d.rules for d in rd.comp} == set()
+        assert rd.comp == ()
+        assert {d.rules for d in rd.ref} & competing_rules(g, rd) == set()
+
+    def test_complete_set_never_misses_a_reference_derivation(self):
+        g = toy(0.5)
+        sent = Sentence(("a",) * 5, Bracketing(frozenset({(1, 3)})))
+        for spec in (
+            DeltaSpec("nbest", "all", n_ref=3),
+            DeltaSpec("bracketed_viterbi", "bracketed_all"),
+            DeltaSpec("bracketed_viterbi", "all"),
+        ):
+            rd = realize_delta_sets(g, sent, spec)
+            assert rd.comp == ()
+            assert {d.rules for d in rd.ref} <= competing_rules(g, rd)
 
     def test_degenerate_union_warns(self):
         g = toy(0.5)
-        sent = Sentence(("a",) * 4, Bracketing(frozenset({(0, 2), (2, 4)})))
-        spec = DeltaSpec(ref_mode="nbest", comp_mode="bracketed_all", n_ref=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rd = realize_delta_sets(g, sent, spec)
-        if {d.rules for d in rd.comp} == {d.rules for d in rd.ref}:
-            assert any(issubclass(w.category, DegenerateDeltaWarning) for w in caught)
+        warned = quiet = 0
+        for n in (3, 4, 5):
+            spans = [(i, j) for i in range(n) for j in range(i + 2, n + 1) if j - i < n]
+            bracketings = [frozenset()] + [frozenset({s}) for s in spans]
+            bracketings += [frozenset({(0, 2), (2, 4)}), frozenset({(0, 2), (0, 3)})]
+            for spans_kept in bracketings:
+                if any(j > n for _, j in spans_kept):
+                    continue
+                sent = Sentence(("a",) * n, Bracketing(spans_kept))
+                for spec in (
+                    DeltaSpec("viterbi", "bracketed_all"),
+                    DeltaSpec("nbest", "bracketed_all", n_ref=2),
+                    DeltaSpec("nbest", "bracketed_all", n_ref=5),
+                    DeltaSpec("nbest", "all", n_ref=14),
+                ):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        rd = realize_delta_sets(g, sent, spec)
+                    warns = any(issubclass(w.category, DegenerateDeltaWarning) for w in caught)
+                    # only a union that appended references can coincide anew
+                    coincide = competing_rules(g, rd) == {d.rules for d in rd.ref}
+                    assert warns == (bool(rd.comp) and coincide)
+                    warned += warns
+                    quiet += not warns
+        assert warned >= 5 and quiet >= 5
+
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_no_compatible_derivation_returns_none(self, enforce):
+        # "a b b" has one derivation, with a constituent over (1, 3), so the
+        # bracket (0, 2) leaves the bracketed competing set empty even though
+        # the unbracketed Viterbi reference exists
+        g = parse_grammar("S -> A B 1.0\nB -> C C 1.0\nA -> a 1.0\nC -> b 1.0\n")
+        sent = Sentence(("a", "b", "b"), Bracketing(frozenset({(0, 2)})))
+        spec = DeltaSpec("viterbi", "bracketed_all", enforce_subset=enforce)
+        assert viterbi(g, sent.tokens) is not None
+        assert realize_delta_sets(g, sent, spec) is None
+        assert accumulate(g, [sent, ["a", "b", "b"]], spec).skipped == 1
 
     def test_unparseable_returns_none(self):
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
@@ -252,7 +349,7 @@ class TestStoredScores:
     @pytest.mark.parametrize("ref_mode", REF_MODES)
     def test_realized_log_probs_are_canonical(self, ref_mode, comp_mode, enforce):
         spec = DeltaSpec(ref_mode, comp_mode, n_ref=2, n_comp=2, enforce_subset=enforce)
-        checked = 0
+        checked = sentences = 0
         for seed in range(10):
             rng = np.random.default_rng(7300 + seed)
             g = random_grammar(rng, ensure_binary=True)
@@ -267,7 +364,14 @@ class TestStoredScores:
                     for d in rd.ref + rd.comp:
                         assert d.log_prob == derivation_probability(g, d)
                         checked += 1
-        assert checked > 100
+                    # a complete competing set is realized as its sentence
+                    if comp_mode == "nbest":
+                        assert rd.complete is None
+                    else:
+                        bracketed = comp_mode == "bracketed_all"
+                        assert rd.complete == Sentence(sent.tokens, sent.brackets if bracketed else None)
+                    sentences += 1
+        assert sentences > 40 and checked >= sentences
 
 
 class TestComputeCtilde:
@@ -279,6 +383,45 @@ class TestComputeCtilde:
         g = toy(0.5)
         acc = accumulate(g, TOY_CORPUS, VIT_ALL)
         assert compute_ctilde(acc, g, 1.0, 1e-6) == pytest.approx(1e-6, abs=1e-12)
+
+    def test_floored_rule_setting_the_constant_keeps_its_numerator_positive(self):
+        # S -> S S sits at the min_prob floor and sets the constant; its
+        # margin p * epsilon (1e-18) is below the rounding unit of
+        # -h * D_comp = -0.21, so the plain constant leaves its numerator at 0.0
+        g = parse_grammar("S -> S S 1e-12\nS -> a 0.999999999999\n")
+        acc = Accumulators.zeros(g)
+        acc.d_rule_ref[:] = [0.0, 1.0]
+        acc.d_rule_comp[:] = [0.7, 1.0]
+        acc.d_nt_ref[:] = [1.0]
+        acc.d_nt_comp[:] = [1.7]
+        h, epsilon = 0.3, 1e-6
+        plain = h * 0.7 / g.probs[0] + epsilon
+        with pytest.raises(EstimationError, match="numerator for S -> S S is 0.0"):
+            growth_step(g, acc, h, plain)
+        ct = compute_ctilde(acc, g, h, epsilon)
+        assert plain < ct < plain * (1 + 1e-12)
+        assert all(p > 0.0 for p in growth_step(g, acc, h, ct).probs)
+
+    def test_constant_is_plain_wherever_the_step_accepts_it(self):
+        accepted = 0
+        for seed in range(60):
+            rng = np.random.default_rng(13_500 + seed)
+            g = random_grammar(rng)
+            acc = Accumulators.zeros(g)
+            for stat in (acc.d_rule_ref, acc.d_rule_comp):
+                stat[:] = rng.uniform(0.0, 3.0, size=len(stat))
+            acc.d_nt_ref[:] = np.bincount(g.rule_lhs_index, acc.d_rule_ref, len(g.nonterminals))
+            acc.d_nt_comp[:] = np.bincount(g.rule_lhs_index, acc.d_rule_comp, len(g.nonterminals))
+            h, epsilon = float(rng.uniform(0.0, 1.0)), float(10.0 ** rng.uniform(-8, 0))
+            num = acc.d_rule_ref - h * acc.d_rule_comp
+            plain = max(0.0, max(-num[r] / g.probs[r] for r in range(len(g.rules)))) + epsilon
+            try:
+                growth_step(g, acc, h, plain)
+            except EstimationError:
+                continue
+            assert compute_ctilde(acc, g, h, epsilon) == plain
+            accepted += 1
+        assert accepted >= 50
 
     def test_negative_term_dominates(self):
         g = parse_grammar("S -> S S 0.25\nS -> a 0.75\n")
@@ -406,6 +549,34 @@ class TestObjective:
         spec = DeltaSpec(ref_mode="nbest", comp_mode="all", n_ref=100, n_comp=100)
         got = objective(g, TOY_CORPUS, spec, HParams(h=0.0))
         assert got == pytest.approx(math.log((1 / 8) * (5 / 128)), abs=1e-12)
+
+    @pytest.mark.parametrize("h", [0.3, 0.9])
+    def test_complete_sets_match_enumeration(self, h):
+        specs = [
+            VIT_ALL,
+            DeltaSpec("bracketed_viterbi", "bracketed_all"),
+            DeltaSpec("nbest", "bracketed_all", n_ref=2),
+            DeltaSpec("viterbi", "bracketed_all", enforce_subset=False),
+        ]
+        done = 0
+        for seed in range(40):
+            rng = np.random.default_rng(12_500 + seed)
+            g = random_grammar(rng, ensure_binary=True)
+            spec = specs[seed % len(specs)]
+            for tokens in sample_corpus(g, rng, 2, max_len=5, min_len=3):
+                rules = nbest(g, tokens, 3).derivations[-1].rules
+                sent = Sentence(tuple(tokens), sample_bracketing(g, rng, rules, len(tokens)))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateDeltaWarning)
+                    rd = realize_delta_sets(g, sent, spec)
+                if rd is None:
+                    continue
+                scores = {d.rules: d.log_prob for d in enumerate_derivations(g, tokens).derivations}
+                want = math.log(math.fsum(math.exp(0.5 * d.log_prob) for d in rd.ref))
+                want -= h * math.log(math.fsum(math.exp(scores[r]) for r in competing_rules(g, rd)))
+                assert objective_over_sets(g, [rd], 0.5, h) == pytest.approx(want, rel=1e-10)
+                done += 1
+        assert done >= 40
 
     def test_skipped_sentences_excluded(self):
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
