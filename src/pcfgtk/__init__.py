@@ -16,13 +16,11 @@ from .corpus import (
 )
 from .derivations import (
     Derivation,
-    RuleCounts,
     derivation_probability,
     derivation_spans,
     derivation_tree,
     format_tree,
     replay_derivation,
-    rule_counts,
 )
 from .estimator import (
     Accumulators,
@@ -83,7 +81,6 @@ __all__ = [
     "KBestList",
     "RealizedDelta",
     "Rule",
-    "RuleCounts",
     "Sentence",
     "TrainReport",
     "UnknownTokenError",
@@ -109,7 +106,6 @@ __all__ = [
     "read_corpus",
     "realize_delta_sets",
     "replay_derivation",
-    "rule_counts",
     "save_grammar",
     "scaled_set_logprob",
     "serialize_grammar",

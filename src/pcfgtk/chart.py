@@ -21,7 +21,8 @@ walks them back top-down (the outside pass) for expected rule counts;
 ``viterbi`` keeps the single highest-probability derivation, comparing
 candidates by an incremental score and falling back to the canonical
 count-ordered score only when two candidates lie within rounding distance;
-``kbest.nbest`` merges top-n lists.
+``kbest.nbest`` keeps the top n of the same incremental-score cells, ranking
+them canonically only within rounding distance of each other.
 
 All functions are pure; one immutable grammar may be shared by concurrent
 calls over different sentences.
@@ -225,6 +226,17 @@ def expected_counts(
 # candidates, a margin that also covers the rounding of the difference and
 # of the slack themselves.  Beyond it the incremental order is the
 # canonical one; within it ``viterbi`` compares canonical scores.
+#
+# ``kbest.nbest`` sorts a cell's hypotheses by incremental score and cuts the
+# list wherever two neighbours a, b lie more than _SLACK * m (|s_a| + |s_b|)
+# apart.  In CNF every hypothesis of a cell over width w has the same rule
+# count m = 2w - 1, so this is the bound above.  A cut also separates every
+# pair x, y that straddles it (s_x >= s_a > s_b >= s_y, all <= 0): s_x - s_y
+# exceeds the gap s_a - s_b by (s_x - s_a) + (s_b - s_y), while the pair's
+# slack exceeds the neighbours' by _SLACK * m ((s_b - s_y) - (s_x - s_a)),
+# which is less because _SLACK * m < 1.  So the canonical order agrees with
+# the incremental one across every cut, and only the windows between cuts
+# need canonical ranking.
 _SLACK = 4 * 2.0**-53
 
 
@@ -249,6 +261,11 @@ def _preorder(cell: _Cell) -> list[int]:
     return rules
 
 
+def _canonical(g: Grammar, cell: _Cell) -> float:
+    """Canonical (count-ordered) log probability of a cell's subtree."""
+    return score_counts(g, count_vector(g, _preorder(cell)))
+
+
 def viterbi(
     g: Grammar, sentence, brackets: Bracketing | None = None
 ) -> tuple[Derivation, float] | None:
@@ -267,9 +284,6 @@ def viterbi(
     """
     lp = g.log_probs
 
-    def canonical(cell: _Cell) -> float:
-        return score_counts(g, count_vector(g, _preorder(cell)))
-
     def best(cands) -> _Cell:
         # candidates arrive in ascending (split, rule id) order, so replacing
         # the top only on a strictly higher score is the documented tie-break
@@ -286,8 +300,8 @@ def viterbi(
                 if diff <= slack:
                     cell = _Cell(score, size, rule.id, left, right)
                     if top_canonical is None:
-                        top_canonical = canonical(top)
-                    cell_canonical = canonical(cell)
+                        top_canonical = _canonical(g, top)
+                    cell_canonical = _canonical(g, cell)
                     if cell_canonical > top_canonical:
                         top, top_canonical = cell, cell_canonical
                     continue

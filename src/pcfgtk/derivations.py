@@ -38,14 +38,6 @@ class Derivation:
         return len(self.rules)
 
 
-@dataclass(frozen=True)
-class RuleCounts:
-    """Usage counts N(rule, d) and N(nonterminal, d) for one derivation."""
-
-    per_rule: dict[int, int]
-    per_nonterminal: dict[str, int]
-
-
 def count_vector(g: Grammar, rules) -> tuple[int, ...]:
     counts = [0] * len(g.rules)
     for rid in rules:
@@ -64,14 +56,6 @@ def score_counts(g: Grammar, counts) -> float:
 def derivation_probability(g: Grammar, d: Derivation) -> float:
     """Log probability of a derivation: sum of N(rule, d) * log p(rule)."""
     return score_counts(g, count_vector(g, d.rules))
-
-
-def rule_counts(g: Grammar, d: Derivation) -> RuleCounts:
-    counts = count_vector(g, d.rules)
-    per_nt = {nt: 0 for nt in g.nonterminals}
-    for rule, c in zip(g.rules, counts):
-        per_nt[rule.lhs] += c
-    return RuleCounts({rid: c for rid, c in enumerate(counts)}, per_nt)
 
 
 def _walk(g: Grammar, rules):

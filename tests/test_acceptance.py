@@ -24,9 +24,9 @@ from pcfgtk import (
     objective_over_sets,
     oracle_accumulate,
     realize_delta_sets,
-    rule_counts,
     viterbi,
 )
+from pcfgtk.derivations import count_vector
 from pcfgtk.estimator import _raw_transform, accumulate_realized
 from pcfgtk.oracle import growth_step_single_ref
 
@@ -228,22 +228,20 @@ def test_criterion_8_specializations():
         if not corpus:
             continue
         # (a) independent relative-frequency target from integer counts
-        num = {rid: 0 for rid in range(len(g.rules))}
-        den = {nt: 0 for nt in g.nonterminals}
+        num = np.zeros(len(g.rules))
+        den = np.zeros(len(g.nonterminals))
         for tokens in corpus:
             d, _ = viterbi(g, tokens)
-            counts = rule_counts(g, d)
-            for rid, c in counts.per_rule.items():
-                num[rid] += c
-            for nt, c in counts.per_nonterminal.items():
-                den[nt] += c
+            counts = count_vector(g, d.rules)
+            num += counts
+            den += np.bincount(g.rule_lhs_index, counts, len(den))
         acc = accumulate(g, corpus, VIT_ALL, eta=1.0)
         stepped = growth_step(g, acc, 0.0, 1e-9)
         for rule in g.rules:
-            if den[rule.lhs] == 0:
+            if den[g.nt_index[rule.lhs]] == 0:
                 expected = g.probs[rule.id]
             else:
-                expected = num[rule.id] / den[rule.lhs]
+                expected = num[rule.id] / den[g.nt_index[rule.lhs]]
             assert abs(stepped.probs[rule.id] - expected) <= 1e-6, rule
             checked_rules += 1
         # (b) shared accumulators, both spellings, exact equality

@@ -1,5 +1,8 @@
 """Command-line interface: outputs, exit codes, determinism."""
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,6 +101,22 @@ class TestParsingCommands:
         # one derivation for the first sentence, three for the second
         assert [l.split("\t")[0] for l in lines] == ["0", "1", "1", "1"]
         assert [l.split("\t")[1] for l in lines] == ["1", "1", "2", "3"]
+
+    def test_runs_as_a_module(self, toy_files, capsys):
+        _, grammar, corpus, _ = toy_files
+        _, want, _ = run(capsys, "nbest", grammar, corpus, "--n", "3")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcfgtk", "nbest", grammar, corpus, "--n", "3"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want
 
     def test_bracketed_corpus_constrains(self, toy_files, capsys):
         _, grammar, _, bracketed = toy_files

@@ -13,8 +13,8 @@ from pcfgtk import (
     format_tree,
     parse_grammar,
     replay_derivation,
-    rule_counts,
 )
+from pcfgtk.derivations import count_vector
 
 TOY_AA = (0, 1, 1)  # S -> S S, then two S -> a
 TOY_AAAA_LEFT = (0, 0, 0, 1, 1, 1, 1)  # fully left-branching tree over four tokens
@@ -54,24 +54,29 @@ class TestDerivationProbability:
             assert abs(d.log_prob - math.log(product)) <= 1e-12 * max(1.0, abs(d.log_prob))
 
 
+def nonterminal_counts(g, counts):
+    """N(nonterminal, d) from the rule counts N(rule, d), by ``nt_index``."""
+    return np.bincount(g.rule_lhs_index, counts, len(g.nonterminals)).tolist()
+
+
 class TestRuleCounts:
     def test_toy_aaaa_counts(self):
         g = toy(0.5)
-        counts = rule_counts(g, Derivation.build(g, TOY_AAAA_LEFT, 4))
-        assert counts.per_rule == {0: 3, 1: 4}
-        assert counts.per_nonterminal == {"S": 7}
+        counts = count_vector(g, TOY_AAAA_LEFT)
+        assert counts == (3, 4)
+        assert nonterminal_counts(g, counts) == [7]
 
     def test_toy_aa_counts(self):
         g = toy(0.5)
-        counts = rule_counts(g, Derivation.build(g, TOY_AA, 2))
-        assert counts.per_rule == {0: 1, 1: 2}
-        assert counts.per_nonterminal == {"S": 3}
+        counts = count_vector(g, TOY_AA)
+        assert counts == (1, 2)
+        assert nonterminal_counts(g, counts) == [3]
 
     def test_single_rule_counts(self):
         g = parse_grammar("S -> a 1.0")
-        counts = rule_counts(g, Derivation.build(g, (0,), 1))
-        assert counts.per_rule == {0: 1}
-        assert counts.per_nonterminal == {"S": 1}
+        counts = count_vector(g, (0,))
+        assert counts == (1,)
+        assert nonterminal_counts(g, counts) == [1]
 
     def test_nonterminal_totals_match_rule_sums(self):
         for seed in range(30):
@@ -80,12 +85,12 @@ class TestRuleCounts:
             rules = sample_rules(g, rng, 6)
             if rules is None:
                 continue
-            d = Derivation.build(g, rules, len(replay_derivation(g, rules)))
-            counts = rule_counts(g, d)
+            counts = count_vector(g, rules)
+            per_nt = nonterminal_counts(g, counts)
             for nt in g.nonterminals:
-                total = sum(counts.per_rule[r.id] for r in g.rules_by_lhs[nt])
-                assert counts.per_nonterminal[nt] == total
-            assert sum(counts.per_nonterminal.values()) == len(d.rules)
+                total = sum(counts[r.id] for r in g.rules_by_lhs[nt])
+                assert per_nt[g.nt_index[nt]] == total
+            assert sum(per_nt) == len(rules)
 
 
 # each public view of a rule sequence, called as walk(grammar, rules, n_tokens)

@@ -29,11 +29,11 @@ from pcfgtk import (
     oracle_accumulate,
     parse_grammar,
     realize_delta_sets,
-    rule_counts,
     scaled_set_logprob,
     train,
     viterbi,
 )
+from pcfgtk.derivations import count_vector
 from pcfgtk.estimator import COMP_MODES, REF_MODES, accumulate_realized
 from pcfgtk.oracle import catalan, growth_step_single_ref
 
@@ -636,18 +636,16 @@ class TestTrain:
         params = HParams(h=0.0, epsilon=1e-6, max_iters=4, rel_tol=0.0)
         trained = g
         for _ in range(params.max_iters):
-            num = {rid: 0 for rid in range(len(trained.rules))}
-            den = {nt: 0 for nt in trained.nonterminals}
+            num = np.zeros(len(trained.rules))
+            den = np.zeros(len(trained.nonterminals))
             for tokens in TOY_CORPUS:
                 d, _ = viterbi(trained, tokens)
-                counts = rule_counts(trained, d)
-                for rid, c in counts.per_rule.items():
-                    num[rid] += c
-                for nt, c in counts.per_nonterminal.items():
-                    den[nt] += c
+                counts = count_vector(trained, d.rules)
+                num += counts
+                den += np.bincount(trained.rule_lhs_index, counts, len(den))
             step = train(trained, TOY_CORPUS, VIT_ALL, HParams(h=0.0, epsilon=1e-6, max_iters=1))
             for rule in trained.rules:
-                expected = num[rule.id] / den[rule.lhs]
+                expected = num[rule.id] / den[trained.nt_index[rule.lhs]]
                 assert step.final_grammar.probs[rule.id] == pytest.approx(expected, abs=1e-4)
             trained = step.final_grammar
 

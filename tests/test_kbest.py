@@ -1,5 +1,7 @@
 """n-best lists versus Viterbi and the full enumeration."""
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,120 @@ from conftest import random_grammar, sample_bracketing, sample_corpus, sample_ru
 from pcfgtk import (
     derivation_spans,
     enumerate_derivations,
+    load_grammar,
     nbest,
     parse_grammar,
+    read_bracketed_corpus,
     replay_derivation,
     viterbi,
 )
+
+# perfbench's seed-0 G100 grammar (10 nonterminals, 100 rules) and its
+# bracketed block of four short sentences; the longer sentences below were
+# sampled from the grammar
+G100 = Path(__file__).parent / "data" / "g100-seed0.g"
+G100_BLOCK = Path(__file__).parent / "data" / "g100-seed0-block.txt"
+TWELVE_TOKENS = "t10 t7 t0 t4 t12 t5 t9 t6 t7 t7 t1 t5".split()
+SIXTEEN_TOKENS = "t5 t13 t5 t0 t11 t3 t3 t3 t5 t5 t12 t10 t10 t4 t3 t6".split()
+
+# ``(rules, log_prob.hex())`` of ``nbest(g, tokens, 10, brackets)`` for each
+# of ``g100_cases()``, recorded from a merge that scored every hypothesis
+# canonically from its own count vector, so they check the incremental
+# ranking against an independent one
+G100_NBEST_10 = [
+    [  # block line 1, bracketed
+        ((1, 58, 80, 57, 78), "-0x1.45d11d980619cp+3"),
+        ((5, 58, 5, 57, 8), "-0x1.75ef22b2ce21ap+3"),
+        ((5, 52, 38, 57, 8), "-0x1.9279f31d677edp+3"),
+    ],
+    [  # block line 2, bracketed
+        ((0, 10, 47, 49, 81, 84, 79, 97, 18), "-0x1.3f34b6308b8d4p+4"),
+        ((0, 10, 47, 49, 84, 79, 93, 97, 18), "-0x1.432d727d4307fp+4"),
+        ((1, 53, 41, 47, 49, 84, 79, 97, 88), "-0x1.4c4d06cfed4a6p+4"),
+        ((0, 10, 47, 49, 85, 79, 2, 97, 88), "-0x1.50e53a37cf6cdp+4"),
+    ],
+    [  # block line 3, bracketed
+        ((5, 57, 9), "-0x1.beadff35d727bp+2"),
+    ],
+    [  # block line 4, bracketed
+        ((0, 19, 82, 41, 47, 49, 98), "-0x1.df2024156a27ep+3"),
+    ],
+    [  # block line 1, plain
+        ((1, 58, 80, 57, 78), "-0x1.45d11d980619cp+3"),
+        ((5, 58, 5, 57, 8), "-0x1.75ef22b2ce21ap+3"),
+        ((5, 52, 38, 57, 8), "-0x1.9279f31d677edp+3"),
+    ],
+    [  # block line 2, plain
+        ((0, 10, 47, 42, 42, 49, 79, 77, 88), "-0x1.15bae897bc80ap+4"),
+        ((0, 10, 47, 42, 45, 27, 68, 77, 88), "-0x1.251e67f1dee29p+4"),
+        ((0, 10, 47, 45, 27, 63, 79, 77, 88), "-0x1.270e782b32750p+4"),
+        ((6, 98, 31, 27, 93, 91, 79, 77, 18), "-0x1.34b631b1bd160p+4"),
+        ((1, 53, 47, 82, 49, 91, 79, 77, 88), "-0x1.35d6f97716c30p+4"),
+        ((2, 98, 81, 82, 49, 91, 79, 77, 18), "-0x1.38a2d59463924p+4"),
+        ((2, 98, 82, 49, 93, 91, 79, 77, 18), "-0x1.3c9b91e11b0d0p+4"),
+        ((0, 10, 47, 49, 81, 84, 79, 97, 18), "-0x1.3f34b6308b8d4p+4"),
+        ((0, 10, 47, 49, 84, 79, 93, 97, 18), "-0x1.432d727d4307fp+4"),
+        ((1, 53, 47, 82, 42, 49, 79, 97, 88), "-0x1.4833839410171p+4"),
+    ],
+    [  # block line 3, plain
+        ((5, 57, 9), "-0x1.beadff35d727bp+2"),
+    ],
+    [  # block line 4, plain
+        ((0, 13, 19, 47, 82, 49, 98), "-0x1.dd9a97cb4b462p+3"),
+        ((0, 19, 82, 41, 47, 49, 98), "-0x1.df2024156a27ep+3"),
+    ],
+    [  # TWELVE_TOKENS
+        (
+            (1, 58, 81, 80, 51, 77, 10, 42, 49, 78, 42, 42, 45, 29, 62, 7, 6, 99, 39, 77, 77, 79, 17),
+            "-0x1.71ae3200d841ep+5",
+        ),
+        (
+            (1, 58, 81, 80, 51, 77, 10, 42, 49, 78, 42, 42, 45, 29, 65, 17, 86, 99, 67, 77, 77, 79, 17),
+            "-0x1.76459b138ebf7p+5",
+        ),
+        (
+            (1, 58, 81, 80, 50, 51, 77, 10, 42, 49, 78, 45, 29, 62, 7, 6, 99, 39, 91, 77, 77, 79, 17),
+            "-0x1.776e0652f2bf0p+5",
+        ),
+        (
+            (5, 55, 80, 58, 77, 30, 42, 49, 78, 29, 0, 16, 17, 6, 99, 39, 81, 84, 77, 91, 77, 79, 17),
+            "-0x1.792700bf589cap+5",
+        ),
+        (
+            (5, 55, 80, 58, 77, 30, 42, 49, 78, 29, 0, 17, 81, 86, 90, 6, 99, 39, 63, 77, 77, 68, 17),
+            "-0x1.793de3c1c864ep+5",
+        ),
+        (
+            (1, 58, 81, 80, 51, 77, 10, 42, 49, 78, 42, 42, 43, 81, 89, 17, 6, 99, 39, 77, 77, 79, 17),
+            "-0x1.79830341c6228p+5",
+        ),
+        (
+            (1, 58, 81, 80, 50, 55, 84, 77, 95, 92, 30, 42, 49, 78, 29, 17, 99, 39, 91, 77, 77, 79, 17),
+            "-0x1.798463166c2a9p+5",
+        ),
+        (
+            (1, 55, 80, 58, 77, 30, 42, 49, 78, 29, 81, 80, 50, 55, 83, 17, 69, 39, 91, 77, 77, 79, 17),
+            "-0x1.798e23251f8a4p+5",
+        ),
+        (
+            (1, 54, 24, 80, 58, 77, 42, 42, 49, 78, 73, 29, 17, 6, 99, 39, 81, 84, 77, 91, 77, 79, 17),
+            "-0x1.79c233bb5e7bcp+5",
+        ),
+        (
+            (1, 58, 81, 80, 51, 77, 10, 42, 49, 78, 45, 22, 31, 29, 90, 7, 69, 39, 63, 77, 77, 79, 17),
+            "-0x1.79c86b0258e59p+5",
+        ),
+    ],
+]
+
+
+def g100_cases():
+    """G100 and (tokens, brackets): the block bracketed, the block plain,
+    then ``TWELVE_TOKENS`` plain."""
+    g = load_grammar(G100)
+    block = read_bracketed_corpus(G100_BLOCK)
+    cases = [(s.tokens, s.brackets) for s in block] + [(s.tokens, None) for s in block]
+    return g, cases + [(TWELVE_TOKENS, None)]
 
 
 def corpus_and_bracketed(g, rng):
@@ -53,6 +164,20 @@ class TestToyExamples:
                 lst = nbest(g, ["a"] * n_tokens, 1)
                 d, lp = viterbi(g, ["a"] * n_tokens)
                 assert lst.derivations == (d,)
+
+    def test_rounding_near_tie_follows_canonical_scores(self):
+        # 0.64 * 0.3**2 == 0.36 * 0.4**2, so the two derivations of "a a" tie
+        # in exact arithmetic and their incremental scores are equal; their
+        # canonical scores differ by one unit in the last place, in the
+        # opposite order to their backpointer keys
+        g = parse_grammar(
+            "S -> A A 0.64\nS -> B B 0.36\nA -> a 0.3\nA -> b 0.7\nB -> a 0.4\nB -> b 0.6\n"
+        )
+        result = nbest(g, ["a", "a"], 2)
+        assert [d.rules for d in result.derivations] == [(1, 4, 4), (0, 2, 2)]
+        assert result.derivations[0].log_prob > result.derivations[1].log_prob
+        assert result.derivations == enumerate_derivations(g, ["a", "a"]).derivations
+        assert result.derivations[0] == viterbi(g, ["a", "a"])[0]
 
     def test_not_in_language(self):
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
@@ -115,3 +240,24 @@ class TestOrderingProperties:
             result = nbest(g, ["a"] * n_tokens, 1000)
             seqs = [d.rules for d in result.derivations]
             assert len(seqs) == len(set(seqs))
+
+
+class TestG100:
+    def test_lists_are_pinned(self):
+        g, cases = g100_cases()
+        for (tokens, brackets), want in zip(cases, G100_NBEST_10, strict=True):
+            got = [(d.rules, d.log_prob.hex()) for d in nbest(g, tokens, 10, brackets).derivations]
+            assert got == want
+
+    def test_n_one_equals_bracketed_viterbi(self):
+        g, cases = g100_cases()
+        for tokens, brackets in cases:
+            best = viterbi(g, tokens, brackets)[0]
+            assert nbest(g, tokens, 1, brackets).derivations == (best,)
+
+    def test_sixteen_tokens_in_polynomial_time(self):
+        g = load_grammar(G100)
+        started = time.perf_counter()
+        result = nbest(g, SIXTEEN_TOKENS, 10)
+        assert time.perf_counter() - started < 5.0
+        assert len(result) == 10
