@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def spans_cross(i: int, j: int, a: int, b: int) -> bool:
     """True when half-open spans (i, j) and (a, b) overlap without nesting."""
@@ -34,6 +36,14 @@ class Bracketing:
     def compatible(self, i: int, j: int) -> bool:
         """A chart span is compatible when it crosses no bracket."""
         return not any(spans_cross(i, j, a, b) for a, b in self.spans)
+
+    def compatible_spans(self, n: int) -> np.ndarray:
+        """``compatible(i, j)`` for every 0 <= i, j <= n as a boolean matrix."""
+        ok = np.ones((n + 1, n + 1), dtype=bool)
+        for a, b in self.spans:
+            ok[:a, a + 1 : b] = False  # i < a < j < b
+            ok[a + 1 : b, b + 1 :] = False  # a < i < b < j
+        return ok
 
     def max_position(self) -> int:
         return max((j for _, j in self.spans), default=0)

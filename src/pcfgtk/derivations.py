@@ -5,9 +5,11 @@ derivation from the start symbol; for context-free grammars this is in
 bijection with parse trees.  All log probabilities in the package are
 computed by one canonical formula, ``score_counts``: the dot product of
 rule-usage counts with rule log probabilities, summed in ascending rule-id
-order.  Because that sum is independent of tree shape, derivations that use
-the same multiset of rules receive bit-identical scores, which makes the
-deterministic tie-breaking in the parsers reproducible.
+order (``score_rules`` adds the same terms in the same order straight from
+a rule sequence).  Because that sum is independent of tree shape,
+derivations that use the same multiset of rules receive bit-identical
+scores, which makes the deterministic tie-breaking in the parsers
+reproducible.
 
 One iterative walker, ``_walk``, validates a rule sequence and reads off its
 tokens, constituent spans and tree in a single left-to-right pass;
@@ -32,7 +34,7 @@ class Derivation:
     @classmethod
     def build(cls, g: Grammar, rules, sentence_len: int) -> "Derivation":
         rules = tuple(rules)
-        return cls(rules, sentence_len, score_counts(g, count_vector(g, rules)))
+        return cls(rules, sentence_len, score_rules(g, rules))
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -53,9 +55,27 @@ def score_counts(g: Grammar, counts) -> float:
     return sum(c * lp[i] for i, c in enumerate(counts) if c)
 
 
+def score_rules(g: Grammar, rules) -> float:
+    """``score_counts(g, count_vector(g, rules))`` without the count vector:
+    the same products N(rule) * log p(rule), added in the same ascending
+    rule-id order, in time that does not grow with the grammar."""
+    ids = sorted(rules)
+    if ids and not (0 <= ids[0] and ids[-1] < len(g.rules)):
+        rid = ids[0] if ids[0] < 0 else ids[-1]
+        raise ValueError(f"rule id {rid} out of range for grammar with {len(g.rules)} rules")
+    lp = g.log_probs
+    total = 0
+    start = 0
+    for end in range(1, len(ids) + 1):
+        if end == len(ids) or ids[end] != ids[start]:
+            total += (end - start) * lp[ids[start]]
+            start = end
+    return total
+
+
 def derivation_probability(g: Grammar, d: Derivation) -> float:
     """Log probability of a derivation: sum of N(rule, d) * log p(rule)."""
-    return score_counts(g, count_vector(g, d.rules))
+    return score_rules(g, d.rules)
 
 
 def _walk(g: Grammar, rules):

@@ -169,6 +169,50 @@ class Grammar:
         return index
 
     @cached_property
+    def _binary_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lhs, rows = [], []
+        for a, nt in enumerate(self.nonterminals):
+            ids = [r.id for r in self.rules_by_lhs[nt] if len(r.rhs) == 2]
+            if ids:
+                lhs.append(a)
+                rows.append(ids)
+        width = max(map(len, rows), default=0)
+        table = [ids + [-1] * (width - len(ids)) for ids in rows]
+        rhs = [
+            [[self.nt_index[self.rules[r].rhs[side]] if r >= 0 else 0 for r in row] for row in table]
+            for side in (0, 1)
+        ]
+        arrays = (
+            np.array(table, dtype=np.intp).reshape(len(rows), width),
+            np.array(lhs, dtype=np.intp),
+            np.array(rhs, dtype=np.intp).reshape(2, len(rows), width),
+        )
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
+    @property
+    def binary_rule_table(self) -> np.ndarray:
+        """Binary rule ids by left-hand side (read-only).
+
+        One row per nonterminal with binary rules, in ``nt_index`` order
+        (see ``binary_table_lhs``); each row lists that nonterminal's binary
+        rule ids in ascending order, padded with -1 to the longest row.
+        """
+        return self._binary_tables[0]
+
+    @property
+    def binary_table_lhs(self) -> np.ndarray:
+        """``nt_index`` of the left-hand side of each ``binary_rule_table`` row (read-only)."""
+        return self._binary_tables[1]
+
+    @property
+    def binary_table_rhs(self) -> np.ndarray:
+        """``nt_index`` of the left and right child of each ``binary_rule_table``
+        entry, shape ``(2,) + binary_rule_table.shape``; 0 at padding (read-only)."""
+        return self._binary_tables[2]
+
+    @cached_property
     def binary_rules(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if not r.is_lexical)
 
@@ -194,11 +238,30 @@ class Grammar:
         return self._lexical_index.get(token, ())
 
     def with_probs(self, probs) -> "Grammar":
-        """A grammar over the same rule set with new probabilities."""
-        return Grammar(self.nonterminals, self.terminals, self.start, self.rules, tuple(probs))
+        """A grammar over the same rule set with new probabilities.
+
+        The indexes derived from the rule set alone carry over unchanged.
+        """
+        g = Grammar(self.nonterminals, self.terminals, self.start, self.rules, tuple(probs))
+        for name in _RULE_SET_INDEXES:
+            if name in self.__dict__:
+                g.__dict__[name] = self.__dict__[name]
+        return g
 
     def __str__(self) -> str:
         return serialize_grammar(self)
+
+
+# the cached properties of a Grammar that depend on its rule set only
+_RULE_SET_INDEXES = (
+    "nt_index",
+    "rule_lhs_index",
+    "_binary_tables",
+    "binary_rules",
+    "lexical_rules",
+    "rules_by_lhs",
+    "_lexical_index",
+)
 
 
 def exact_normalize(probs: list[float]) -> list[float]:

@@ -1,12 +1,12 @@
 """Exact n-best derivations via per-cell hypothesis lists.
 
-The chart's shared CKY pass builds each cell's top-n list: a lexical cell
-holds its one hypothesis, and a span's hypotheses join every left
-hypothesis with every right one, for each (split, rule) candidate.  A
-hypothesis is a Viterbi cell (``chart._Cell``): an incremental score, the
-rule's log probability plus the two children's scores, with its rule id
-and its two children, so building one costs two float additions and no
-count vector.
+The chart's shared CKY layout lists each width's candidates, read here as
+per-(span, lhs) candidate lists, and each entry keeps its top-n list: a
+lexical entry holds its one hypothesis, and a span's hypotheses join every
+left hypothesis with every right one, for each (split, rule) candidate.  A
+hypothesis is a ``_Cell``: an incremental score, the rule's log
+probability plus the two children's scores, with its rule id and its two
+children, so building one costs two float additions and no count vector.
 
 Ordering is by descending canonical log probability (``score_counts`` of
 the subtree's rule counts) with the backpointer key as secondary
@@ -27,10 +27,33 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 
-from .chart import _SLACK, _canonical, _Cell, _cky, _preorder
+import numpy as np
+
+from .chart import _SLACK, _candidate_lists, _cky
 from .corpus import Bracketing
-from .derivations import Derivation
+from .derivations import Derivation, score_rules
 from .grammar import Grammar
+
+
+@dataclass(frozen=True, slots=True)
+class _Cell:
+    score: float  # incremental: lp[rule] + left.score + right.score
+    size: int  # number of rules in the subtree
+    rule_id: int
+    left: _Cell | None = None  # children; None for lexical entries
+    right: _Cell | None = None
+
+
+def _preorder(cell: _Cell) -> list[int]:
+    """Rule ids of a cell's subtree in leftmost-derivation order."""
+    rules = []
+    stack = [cell]
+    while stack:
+        cell = stack.pop()
+        rules.append(cell.rule_id)
+        if cell.left is not None:
+            stack += (cell.right, cell.left)
+    return rules
 
 
 @dataclass(frozen=True)
@@ -60,28 +83,33 @@ def nbest(
     if n < 1:
         raise ValueError("n must be at least 1")
     lp = g.log_probs
+    trav = _cky(g, sentence, brackets)
+    n1, _, n_nt = trav.shape
+    chart: dict[int, list[_Cell]] = {}
+    for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
+        chart[entry] = [_Cell(lp[rule], 1, rule)]
+    present = np.zeros(trav.size, dtype=bool)
+    present[trav.leaf_entry] = True
 
-    def top(cands) -> list[_Cell]:
-        # every hypothesis of a span has the same size, 2 * width - 1
-        split, _, lefts, rights = cands[0]
-        size = lefts[0].size + rights[0].size + 1
-        start = split - (lefts[0].size + 1) // 2
+    def top(entry: int, cands) -> list[_Cell]:
+        start, end = divmod(entry // n_nt, n1)
+        size = 2 * (end - start) - 1  # rules in every hypothesis of the span
         scores: list[float] = []
         ends = []  # hypotheses listed up to and including each candidate
-        for _, rule, lefts, rights in cands:
-            base = lp[rule.id]
+        for rule, lefts, rights in cands:
+            base = lp[rule]
             pairs = product([left.score for left in lefts], [right.score for right in rights])
             scores += [base + left + right for left, right in pairs]
             ends.append(len(scores))
 
         def hyp(index: int) -> _Cell:
             c = bisect_right(ends, index)
-            _, rule, lefts, rights = cands[c]
+            rule, lefts, rights = cands[c]
             li, ri = divmod(index - (ends[c - 1] if c else 0), len(rights))
-            return _Cell(scores[index], size, rule.id, lefts[li], rights[ri])
+            return _Cell(scores[index], size, rule, lefts[li], rights[ri])
 
         def rank(cell: _Cell):
-            return (-_canonical(g, cell), _backpointer_key(cell, start))
+            return (-score_rules(g, _preorder(cell)), _backpointer_key(cell, start))
 
         kept: list[_Cell] = []
         for window in _windows(scores, _SLACK * size):
@@ -93,9 +121,11 @@ def nbest(
                 break
         return kept[:n]
 
-    tokens, chart = _cky(g, sentence, brackets, lambda rule: [_Cell(lp[rule.id], 1, rule.id)], top)
-    cells = chart.get((0, len(tokens)), {}).get(g.start, [])
-    derivations = tuple(Derivation.build(g, _preorder(cell), len(tokens)) for cell in cells)
+    for width in trav.widths():
+        for entry, cands in _candidate_lists(g, width, present, chart):
+            chart[entry] = top(entry, cands)
+    cells = chart.get(trav.root, [])
+    derivations = tuple(Derivation.build(g, _preorder(cell), len(trav.tokens)) for cell in cells)
     return KBestList(derivations, n, bool(derivations))
 
 

@@ -7,11 +7,19 @@ NEG_INF = float("-inf")
 
 
 def logsumexp(values) -> float:
-    """log(sum(exp(v))) over a sequence, stable for widely scaled values."""
+    """log(sum(exp(v))) over a sequence, stable for widely scaled values.
+
+    The exponentials are added left to right, one rounding each, as the
+    chart's array pass adds them (the built-in ``sum`` compensates its
+    rounding from Python 3.12 on).
+    """
     m = max(values, default=NEG_INF)
     if m == NEG_INF:
         return NEG_INF
-    return m + math.log(sum(math.exp(v - m) for v in values))
+    total = 0.0
+    for v in values:
+        total += math.exp(v - m)
+    return m + math.log(total)
 
 
 def normalized_weights(log_values) -> list[float]:

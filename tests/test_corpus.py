@@ -1,4 +1,5 @@
 """Bracketings and corpus readers."""
+import numpy as np
 import pytest
 
 from pcfgtk import Bracketing, parse_bracketed_sentence, read_bracketed_corpus, read_corpus
@@ -30,6 +31,19 @@ class TestBracketing:
     def test_empty_is_always_compatible(self):
         b = Bracketing()
         assert b.compatible(3, 17)
+
+    def test_compatible_spans_matches_compatible(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            spans = set()
+            for _ in range(int(rng.integers(0, 6))):
+                i, j = sorted(int(x) for x in rng.choice(n + 1, 2, replace=False))
+                if not any(spans_cross(i, j, a, b) for a, b in spans):
+                    spans.add((i, j))
+            b = Bracketing(frozenset(spans))
+            want = [[b.compatible(i, j) for j in range(n + 1)] for i in range(n + 1)]
+            assert b.compatible_spans(n).tolist() == want
 
     def test_rejects_crossing_spans(self):
         with pytest.raises(ValueError, match="crossing"):

@@ -1,5 +1,6 @@
 """Derivation records: probability, counts, replay, spans, rendering."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from pcfgtk import (
     derivation_spans,
     derivation_tree,
     format_tree,
+    load_grammar,
     parse_grammar,
     replay_derivation,
 )
-from pcfgtk.derivations import count_vector
+from pcfgtk.derivations import count_vector, score_counts, score_rules
 
 TOY_AA = (0, 1, 1)  # S -> S S, then two S -> a
 TOY_AAAA_LEFT = (0, 0, 0, 1, 1, 1, 1)  # fully left-branching tree over four tokens
@@ -39,8 +41,17 @@ class TestDerivationProbability:
 
     def test_out_of_range_rule_id(self):
         g = toy(0.5)
-        with pytest.raises(ValueError, match="out of range"):
-            derivation_probability(g, Derivation((0, 5), 2, 0.0))
+        for rules in ((0, 5), (0, -1, 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                derivation_probability(g, Derivation(rules, 2, 0.0))
+
+    def test_score_rules_is_score_counts_bit_for_bit(self):
+        g = load_grammar(Path(__file__).parent / "data" / "g100-seed0.g")
+        rng = np.random.default_rng(17)
+        for size in list(range(1, 40)) * 5:
+            rules = rng.integers(0, len(g.rules), size).tolist()
+            want = score_counts(g, count_vector(g, rules))
+            assert score_rules(g, rules).hex() == want.hex()
 
     def test_matches_product_form(self):
         for seed in range(30):

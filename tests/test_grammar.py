@@ -125,6 +125,36 @@ class TestParseGrammar:
         g = parse_grammar("S -> S B 0.4\nS -> a 0.6\n")
         assert "B" in g.nonterminals
         assert g.rules_by_lhs["B"] == ()
+        assert g.binary_rule_table.tolist() == [[0]]  # no row for B
+
+
+class TestBinaryRuleTable:
+    def test_rows_by_lhs_padded(self):
+        g = parse_grammar(
+            "S -> A B 0.5\nS -> a 0.5\nA -> a 1.0\n"
+            "B -> B C 0.2\nB -> C C 0.3\nB -> S B 0.1\nB -> b 0.4\nC -> b 1.0\n"
+        )
+        assert g.binary_rule_table.tolist() == [[0, -1, -1], [3, 4, 5]]
+        assert g.binary_table_lhs.tolist() == [g.nt_index["S"], g.nt_index["B"]]
+        left, right = g.binary_table_rhs.tolist()
+        nt = g.nt_index
+        assert left == [[nt["A"], 0, 0], [nt["B"], nt["C"], nt["S"]]]
+        assert right == [[nt["B"], 0, 0], [nt["C"], nt["C"], nt["B"]]]
+        for table in (g.binary_rule_table, g.binary_table_lhs, g.binary_table_rhs):
+            assert not table.flags.writeable
+
+    def test_no_binary_rules(self):
+        g = parse_grammar("S -> a 0.6\nS -> b 0.4\n")
+        assert g.binary_rule_table.shape == (0, 0)
+        assert g.binary_table_rhs.shape == (2, 0, 0)
+
+    def test_with_probs_keeps_the_rule_set_indexes(self):
+        g = toy(0.3)
+        table = g.binary_rule_table
+        h = g.with_probs([0.6, 0.4])
+        assert h.binary_rule_table is table
+        assert h.log_probs == (math.log(0.6), math.log(0.4))
+        assert h.binary_table_rhs.tolist() == g.binary_table_rhs.tolist()
 
 
 class TestRoundTrip:
