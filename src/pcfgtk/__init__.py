@@ -38,7 +38,6 @@ from .estimator import (
     objective,
     objective_over_sets,
     realize_delta_sets,
-    scaled_set_logprob,
     train,
 )
 from .grammar import (
@@ -107,7 +106,6 @@ __all__ = [
     "realize_delta_sets",
     "replay_derivation",
     "save_grammar",
-    "scaled_set_logprob",
     "serialize_grammar",
     "train",
     "viterbi",

@@ -17,7 +17,7 @@ from .chart import inside, viterbi
 from .consistency import check_consistency
 from .corpus import read_bracketed_corpus, read_corpus
 from .derivations import derivation_tree, format_tree
-from .estimator import DeltaSpec, EstimationError, HParams, train
+from .estimator import COMP_MODES, REF_MODES, DeltaSpec, EstimationError, HParams, train
 from .grammar import GrammarError, load_grammar, save_grammar
 from .kbest import nbest
 from .oracle import EnumerationLimitError, enumerate_derivations
@@ -70,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracketed-corpus")
     p.add_argument("--out-grammar", required=True, help="path for the final grammar")
     p.add_argument("--report", help="path for the per-iteration CSV report")
-    p.add_argument("--ref-mode", choices=("viterbi", "nbest", "bracketed_viterbi"), default="viterbi")
-    p.add_argument("--comp-mode", choices=("all", "nbest", "bracketed_all"), default="all")
+    p.add_argument("--ref-mode", choices=REF_MODES, default="viterbi")
+    p.add_argument("--comp-mode", choices=COMP_MODES, default="all")
     p.add_argument("--n-ref", type=int, default=1)
     p.add_argument("--n-comp", type=int, default=1)
     p.add_argument("--no-enforce-subset", action="store_true")

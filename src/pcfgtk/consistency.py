@@ -8,6 +8,7 @@ number of B symbols produced by one rewrite of A, is below 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
@@ -46,30 +47,11 @@ def _has_cycle(m: np.ndarray) -> bool:
     """Cycle in the nonzero-pattern digraph; for nonnegative M this is
     exactly the condition for a positive spectral radius (else M is
     nilpotent and the radius is 0)."""
-    n = m.shape[0]
-    color = [0] * n  # 0 new, 1 on stack, 2 done
-    for root in range(n):
-        if color[root]:
-            continue
-        stack = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, child = stack[-1]
-            advanced = False
-            for nxt in range(child, n):
-                if m[node, nxt] == 0.0:
-                    continue
-                stack[-1] = (node, nxt + 1)
-                if color[nxt] == 1:
-                    return True
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, 0))
-                advanced = True
-                break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+    graph = {a: np.flatnonzero(row).tolist() for a, row in enumerate(m)}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError:
+        return True
     return False
 
 

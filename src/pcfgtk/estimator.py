@@ -12,24 +12,27 @@ where the offset constant C is chosen so every numerator stays positive.
 The discrimination weight h in [0, 1) scales how strongly competing
 derivations push against the reference mass; h = 0 with a single best
 reference derivation reduces to Viterbi-score relative-frequency
-reestimation.  The exponent eta rescales per-derivation probabilities
-inside the weighted sums.
+reestimation.
 
 The objective being climbed is, per sentence,
 
-    eta-scaled log mass of the reference set
-    - h * log mass of the competing set
+    log M_eta(reference set) - h * log M_eta(competing set),
+    M_eta(set) = sum over d in the set of p(d) ** eta,
 
-summed over the corpus; with sets held fixed, one growth step never
-decreases it.  Sentences whose competing (or reference) set comes up empty
-are skipped for that iteration and counted.
+summed over the corpus.  One definition of a set's mass serves both sides:
+the weights of the statistics D are p(d) ** eta / M_eta(set), so D_ref -
+h * D_comp is the gradient of the objective times p / eta, and with sets
+held fixed one growth step never decreases it.  Sentences whose competing
+(or reference) set comes up empty are skipped for that iteration and
+counted.
 
 Listed sets (Viterbi and n-best) are summed derivation by derivation.  A
 complete competing set (``all``, or ``bracketed_all`` with the sentence's
 brackets) is never listed: its statistics are the expected rule counts from
 one inside and one outside pass (``chart.expected_counts``), and its mass
-in the objective is the inside total, so its cost is polynomial in the
-sentence length however many derivations it holds.
+in the objective is the inside total over the weights ``eta * log p``, so
+its cost is polynomial in the sentence length however many derivations it
+holds.
 """
 from __future__ import annotations
 
@@ -254,19 +257,6 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
     return RealizedDelta(tuple(ref), comp, complete)
 
 
-def scaled_set_logprob(g: Grammar, x, delta, eta: float) -> float:
-    """log of the eta-scaled mass sum(P(x, d) ** eta) over a derivation set."""
-    derivs = tuple(delta)
-    if not derivs:
-        raise EmptyDeltaError("derivation set is empty")
-    if x is not None:
-        n = len(list(x))
-        for d in derivs:
-            if d.sentence_len != n:
-                raise ValueError("derivation does not match the sentence length")
-    return logsumexp([eta * derivation_probability(g, d) for d in derivs])
-
-
 def accumulate(g: Grammar, corpus, spec: DeltaSpec, eta: float = 1.0) -> Accumulators:
     """Posterior-weighted rule-usage sums over realized sets for a corpus."""
     corpus = list(corpus)
@@ -279,25 +269,33 @@ def accumulate(g: Grammar, corpus, spec: DeltaSpec, eta: float = 1.0) -> Accumul
 def accumulate_realized(g: Grammar, realized, eta: float = 1.0) -> Accumulators:
     """Sums over realized sets, weighted by the stored ``log_prob`` (under
     ``g``); complete competing sets add their expected counts under ``g``."""
+    return _accumulate(g, realized, eta, 0.0)[0]
+
+
+def _accumulate(g: Grammar, realized, eta: float, h: float) -> tuple[Accumulators, float]:
+    """The accumulators, and the objective under ``g`` of the sets they sum
+    over: the log masses that normalize their weights."""
     acc = Accumulators.zeros(g)
+    total = 0.0
     effective = 0
     for rd in realized:
         if rd is None:
             acc.skipped += 1
             continue
         effective += 1
-        _add_set(g, acc.d_rule_ref, acc.d_nt_ref, rd.ref, eta)
-        _add_set(g, acc.d_rule_comp, acc.d_nt_comp, rd.comp, eta, rd.complete)
+        total += _add_set(g, acc.d_rule_ref, acc.d_nt_ref, rd.ref, eta)
+        total -= h * _add_set(g, acc.d_rule_comp, acc.d_nt_comp, rd.comp, eta, rd.complete)
     if effective == 0:
         raise EstimationError("all sentences were skipped")
-    return acc
+    return acc, total
 
 
-def _add_set(g: Grammar, rule_acc, nt_acc, derivs, eta: float, complete=None):
+def _add_set(g: Grammar, rule_acc, nt_acc, derivs, eta: float, complete=None) -> float:
     # Derivation by derivation, so every entry sees the same sequence of
     # IEEE adds as a scalar loop would; adding w * 0 to an unused entry
     # leaves it unchanged.  A complete set comes first, as one term: its
-    # log mass and expected counts under the weights p ** eta.
+    # log mass and expected counts under the weights p ** eta.  Returns the
+    # set's log mass, the log of its summed p ** eta.
     n_rules, n_nts = len(g.rules), len(g.nonterminals)
     logs = [eta * d.log_prob for d in derivs]
     terms = [np.bincount(d.rules, minlength=n_rules) for d in derivs]
@@ -309,6 +307,7 @@ def _add_set(g: Grammar, rule_acc, nt_acc, derivs, eta: float, complete=None):
     for counts, w in zip(terms, normalized_weights(logs)):
         rule_acc += w * counts
         nt_acc += w * np.bincount(g.rule_lhs_index, counts, n_nts)
+    return logsumexp(logs)
 
 
 def compute_ctilde(acc: Accumulators, g: Grammar, h: float, epsilon: float) -> float:
@@ -387,17 +386,14 @@ def growth_step(
 def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:
     """The training objective evaluated on fixed realized sets.
 
-    Skipped sentences (None entries) are excluded from both the reference
-    and competing terms.  Derivation probabilities are re-evaluated under
-    ``g``, so the same sets can be scored before and after a growth step;
-    a complete competing set contributes its inside total under ``g``.
+    Per sentence, the log of the summed ``p(d) ** eta`` over the reference
+    set minus h times the same over the competing set.  Skipped sentences
+    (None entries) are excluded.  Derivation probabilities are re-evaluated
+    under ``g``, so the same sets can be scored before and after a growth
+    step; a complete competing set contributes its inside total over the
+    weights ``eta * log p`` under ``g``.
     """
-    return _objective(g, realized, eta, h, lambda d: derivation_probability(g, d))
-
-
-def _objective(g: Grammar, realized, eta: float, h: float, score) -> float:
-    """The objective with listed derivations scored by ``score`` and complete
-    sets by their inside totals under ``g``."""
+    weights = [eta * lp for lp in g.log_probs]
     total = 0.0
     effective = 0
     for rd in realized:
@@ -406,10 +402,10 @@ def _objective(g: Grammar, realized, eta: float, h: float, score) -> float:
         if not rd.ref or (not rd.comp and rd.complete is None):
             raise EmptyDeltaError("derivation set is empty")
         effective += 1
-        total += logsumexp([eta * score(d) for d in rd.ref])
-        comp = [score(d) for d in rd.comp]
+        total += logsumexp([eta * derivation_probability(g, d) for d in rd.ref])
+        comp = [eta * derivation_probability(g, d) for d in rd.comp]
         if rd.complete is not None:
-            comp.insert(0, inside(g, rd.complete.tokens, rd.complete.brackets).log_string_prob)
+            comp.insert(0, expected_counts(g, rd.complete.tokens, weights, rd.complete.brackets)[0])
         total -= h * logsumexp(comp)
     if effective == 0:
         raise EstimationError("empty effective corpus")
@@ -419,14 +415,15 @@ def _objective(g: Grammar, realized, eta: float, h: float, score) -> float:
 def objective(g: Grammar, corpus, spec: DeltaSpec, params: HParams) -> float:
     """Corpus log objective under freshly realized derivation sets.
 
-    The competing mass is taken at unit exponent and weighted by h; the
-    reference mass is eta-scaled.
+    Both set masses are eta-scaled, the log of the summed ``p(d) ** eta``;
+    the competing mass is weighted by h.  This is ``objective_over_sets``
+    on the sets ``g`` realizes.
     """
     corpus = list(corpus)
     if not corpus:
         raise EstimationError("corpus is empty")
     realized = [realize_delta_sets(g, s, spec) for s in corpus]
-    return _objective(g, realized, params.eta, params.h, lambda d: d.log_prob)
+    return objective_over_sets(g, realized, params.eta, params.h)
 
 
 def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
@@ -437,10 +434,13 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
     growth step, and records the post-step objective evaluated on that
     iteration's (frozen) sets.  Convergence is declared when one step
     changes the frozen-set objective by less than ``rel_tol`` (relative).
-    The parsers score every listed derivation under ``g``; only the
-    post-step objective scores the frozen sets again, under the new
-    grammar.  Complete competing sets are scored by inside passes, under
-    ``g`` before the step and under the new grammar after it.
+    The objective is ``objective_over_sets``: per sentence, the log of the
+    summed ``p(d) ** eta`` over the reference set minus h times that over
+    the competing set.  The pre-step objective is the sum of the log
+    masses that normalize the accumulated weights, so it costs no pass of
+    its own; only the post-step objective scores the frozen sets again,
+    under the new grammar (a complete set by ``chart.expected_counts``,
+    whose log total is that of an inside pass).
     """
     corpus = list(corpus)
     if not corpus:
@@ -450,12 +450,11 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
     converged = False
     for iteration in range(1, params.max_iters + 1):
         realized = [realize_delta_sets(g, s, spec) for s in corpus]
-        acc = accumulate_realized(g, realized, params.eta)
+        acc, f_before = _accumulate(g, realized, params.eta, params.h)
         ctilde = compute_ctilde(acc, g, params.h, params.epsilon)
         raw = _raw_transform(g, acc, params.h, ctilde)
         floored = sum(1 for p in raw if p < params.min_prob)
         g_new = _finalize(g, raw, params.min_prob)
-        f_before = _objective(g, realized, params.eta, params.h, lambda d: d.log_prob)
         f_after = objective_over_sets(g_new, realized, params.eta, params.h)
         max_dp = max(abs(a - b) for a, b in zip(g.probs, g_new.probs))
         rho = check_consistency(g_new).spectral_radius

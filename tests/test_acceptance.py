@@ -160,47 +160,49 @@ def frozen_set_trials():
     trials = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for h in (0.0, 0.3, 0.6, 0.9):
-            done = 0
-            seed = 0
-            while done < 30:
-                seed += 1
-                assert seed < 1000
-                rng = np.random.default_rng(50_000 + seed)
-                g = random_grammar(rng, ensure_binary=True)
-                corpus = sample_corpus(g, rng, int(rng.integers(1, 4)), max_len=5)
-                if not corpus:
-                    continue
-                spec = TRIAL_SPECS[seed % len(TRIAL_SPECS)]
-                realized = [realize_delta_sets(g, s, spec) for s in corpus]
-                if all(r is None for r in realized):
-                    continue
-                acc = accumulate_realized(g, realized, 1.0)
-                ct = compute_ctilde(acc, g, h, 1.0)
-                raw = _raw_transform(g, acc, h, ct)
-                g2 = growth_step(g, acc, h, ct)
-                before = objective_over_sets(g, realized, 1.0, h)
-                after = objective_over_sets(g2, realized, 1.0, h)
-                trials.append((h, g, raw, g2, before, after))
-                done += 1
+        for eta in (0.5, 1.0, 2.0):
+            for h in (0.0, 0.3, 0.6, 0.9):
+                done = 0
+                seed = 0
+                while done < 30:
+                    seed += 1
+                    assert seed < 1000
+                    rng = np.random.default_rng(50_000 + seed)
+                    g = random_grammar(rng, ensure_binary=True)
+                    corpus = sample_corpus(g, rng, int(rng.integers(1, 4)), max_len=5)
+                    if not corpus:
+                        continue
+                    spec = TRIAL_SPECS[seed % len(TRIAL_SPECS)]
+                    realized = [realize_delta_sets(g, s, spec) for s in corpus]
+                    if all(r is None for r in realized):
+                        continue
+                    acc = accumulate_realized(g, realized, eta)
+                    ct = compute_ctilde(acc, g, h, 1.0)
+                    raw = _raw_transform(g, acc, h, ct)
+                    g2 = growth_step(g, acc, h, ct)
+                    before = objective_over_sets(g, realized, eta, h)
+                    after = objective_over_sets(g2, realized, eta, h)
+                    trials.append((eta, h, g, raw, g2, before, after))
+                    done += 1
     return trials
 
 
 def test_criterion_6_monotone_objective(frozen_set_trials):
     """The frozen-set objective never decreases across a growth step."""
-    assert len(frozen_set_trials) >= 100
-    for h, _, _, _, before, after in frozen_set_trials:
-        assert after >= before - 1e-9, h
-    by_h = sorted({h for h, *_ in frozen_set_trials})
+    assert len(frozen_set_trials) >= 300
+    for eta, h, _, _, _, before, after in frozen_set_trials:
+        assert after >= before - 1e-9, (eta, h)
+    by_eta = sorted({eta for eta, *_ in frozen_set_trials})
+    by_h = sorted({h for _, h, *_ in frozen_set_trials})
     print(
         f"PASS criterion 6: objective non-decreasing on {len(frozen_set_trials)} "
-        f"frozen-set trials, h in {by_h}"
+        f"frozen-set trials, eta in {by_eta}, h in {by_h}"
     )
 
 
 def test_criterion_7_normalization_and_positivity(frozen_set_trials):
     """Raw step output is near-normalized; final probabilities are positive."""
-    for _, g, raw, g2, _, _ in frozen_set_trials:
+    for _, _, g, raw, g2, _, _ in frozen_set_trials:
         for nt in g.nonterminals:
             rids = [r.id for r in g.rules_by_lhs[nt]]
             if not rids:

@@ -29,12 +29,11 @@ from pcfgtk import (
     oracle_accumulate,
     parse_grammar,
     realize_delta_sets,
-    scaled_set_logprob,
     train,
     viterbi,
 )
 from pcfgtk.derivations import count_vector
-from pcfgtk.estimator import COMP_MODES, REF_MODES, accumulate_realized
+from pcfgtk.estimator import COMP_MODES, REF_MODES, _accumulate, accumulate_realized
 from pcfgtk.oracle import catalan, growth_step_single_ref
 
 TOY_CORPUS = [["a", "a"], ["a", "a", "a", "a"]]
@@ -75,34 +74,34 @@ class TestSpecsAndParams:
 
 
 class TestScaledSetLogprob:
+    """A set's eta-scaled log mass, the log of its summed p(d) ** eta: at
+    h = 0 the objective of one sentence is its reference set's."""
+
     def test_full_set_eta_one(self):
         g = toy(0.5)
         delta = nbest(g, ["a"] * 4, 5).derivations
-        got = scaled_set_logprob(g, ["a"] * 4, delta, 1.0)
+        got = objective_over_sets(g, [RealizedDelta(delta, delta)], 1.0, 0.0)
         assert got == pytest.approx(math.log(5 / 128), abs=1e-12)
 
     def test_full_set_eta_two(self):
         g = toy(0.5)
         delta = nbest(g, ["a"] * 4, 5).derivations
-        got = scaled_set_logprob(g, ["a"] * 4, delta, 2.0)
+        got = objective_over_sets(g, [RealizedDelta(delta, delta)], 2.0, 0.0)
         assert got == pytest.approx(math.log(5 * (1 / 128) ** 2), abs=1e-12)
 
     def test_singleton(self):
         g = toy(0.3)
-        (d,), _ = nbest(g, ["a"] * 3, 1).derivations, None
+        (d,) = nbest(g, ["a"] * 3, 1).derivations
         for eta in (0.5, 1.0, 3.0):
-            got = scaled_set_logprob(g, ["a"] * 3, [d], eta)
+            got = objective_over_sets(g, [RealizedDelta((d,), (d,))], eta, 0.0)
             assert got == pytest.approx(eta * d.log_prob, abs=1e-12)
 
     def test_empty_set_is_distinguished(self):
-        with pytest.raises(EmptyDeltaError):
-            scaled_set_logprob(toy(0.5), ["a"], [], 1.0)
-
-    def test_sentence_length_mismatch(self):
         g = toy(0.5)
-        d = nbest(g, ["a", "a"], 1).derivations[0]
-        with pytest.raises(ValueError, match="length"):
-            scaled_set_logprob(g, ["a"] * 3, [d], 1.0)
+        d = nbest(g, ["a"], 1).derivations
+        for rd in (RealizedDelta((), d), RealizedDelta(d, ())):
+            with pytest.raises(EmptyDeltaError):
+                objective_over_sets(g, [rd], 1.0, 0.0)
 
 
 class TestAccumulate:
@@ -573,10 +572,25 @@ class TestObjective:
                     continue
                 scores = {d.rules: d.log_prob for d in enumerate_derivations(g, tokens).derivations}
                 want = math.log(math.fsum(math.exp(0.5 * d.log_prob) for d in rd.ref))
-                want -= h * math.log(math.fsum(math.exp(scores[r]) for r in competing_rules(g, rd)))
+                comp = competing_rules(g, rd)
+                want -= h * math.log(math.fsum(math.exp(0.5 * scores[r]) for r in comp))
                 assert objective_over_sets(g, [rd], 0.5, h) == pytest.approx(want, rel=1e-10)
                 done += 1
         assert done >= 40
+
+    def test_pre_step_objective_is_read_from_the_accumulation(self):
+        # train's f_before: the log masses that normalize the weights
+        specs = [VIT_ALL, DeltaSpec("nbest", "nbest", n_ref=2, n_comp=3)]
+        for seed in range(20):
+            rng = np.random.default_rng(18_000 + seed)
+            g = random_grammar(rng, ensure_binary=True)
+            corpus = sample_corpus(g, rng, 3, max_len=5)
+            realized = [realize_delta_sets(g, s, specs[seed % 2]) for s in corpus] + [None]
+            if all(r is None for r in realized):
+                continue
+            for eta in (0.5, 1.0, 2.0):
+                _, f_before = _accumulate(g, realized, eta, 0.6)
+                assert f_before == objective_over_sets(g, realized, eta, 0.6)
 
     def test_skipped_sentences_excluded(self):
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
@@ -599,26 +613,71 @@ class TestMonotonicity:
             DeltaSpec("viterbi", "nbest", n_comp=3),
             DeltaSpec("nbest", "nbest", n_ref=2, n_comp=4),
         ]
-        for h in (0.0, 0.3, 0.6, 0.9):
-            done = 0
-            for seed in range(80):
-                rng = np.random.default_rng(15_000 + seed)
-                g = random_grammar(rng, ensure_binary=True)
-                corpus = sample_corpus(g, rng, int(rng.integers(1, 4)), max_len=5)
-                if not corpus:
-                    continue
-                spec = specs[seed % len(specs)]
+        for eta in (0.5, 1.0, 2.0):
+            for h in (0.0, 0.3, 0.6, 0.9):
+                done = 0
+                for seed in range(80):
+                    rng = np.random.default_rng(15_000 + seed)
+                    g = random_grammar(rng, ensure_binary=True)
+                    corpus = sample_corpus(g, rng, int(rng.integers(1, 4)), max_len=5)
+                    if not corpus:
+                        continue
+                    spec = specs[seed % len(specs)]
+                    realized = [realize_delta_sets(g, s, spec) for s in corpus]
+                    if all(r is None for r in realized):
+                        continue
+                    acc = accumulate_realized(g, realized, eta)
+                    ct = compute_ctilde(acc, g, h, 1.0)
+                    g2 = growth_step(g, acc, h, ct)
+                    before = objective_over_sets(g, realized, eta, h)
+                    after = objective_over_sets(g2, realized, eta, h)
+                    assert after >= before - 1e-9, f"eta={eta} h={h} seed={seed}"
+                    done += 1
+                assert done >= 40
+
+    def test_statistics_are_the_objective_gradient(self):
+        # d objective / d p(rule) = eta * (D_ref - h * D_comp) / p, checked by
+        # a central difference along a zero-sum direction in one rule block
+        specs = [
+            VIT_ALL,
+            DeltaSpec("nbest", "all", n_ref=2),
+            DeltaSpec("viterbi", "nbest", n_comp=3),
+            DeltaSpec("bracketed_viterbi", "bracketed_all"),
+        ]
+        step = 1e-6
+        done = 0
+        for seed in range(120):
+            rng = np.random.default_rng(17_000 + seed)
+            g = random_grammar(rng, ensure_binary=True)
+            blocks = [[r.id for r in rules] for rules in g.rules_by_lhs.values() if len(rules) > 1]
+            corpus = []
+            for tokens in sample_corpus(g, rng, 2, max_len=5, min_len=3):
+                rules = nbest(g, tokens, 2).derivations[-1].rules
+                corpus.append(Sentence(tuple(tokens), sample_bracketing(g, rng, rules, len(tokens))))
+            spec = specs[seed % len(specs)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateDeltaWarning)
                 realized = [realize_delta_sets(g, s, spec) for s in corpus]
-                if all(r is None for r in realized):
-                    continue
-                acc = accumulate_realized(g, realized, 1.0)
-                ct = compute_ctilde(acc, g, h, 1.0)
-                g2 = growth_step(g, acc, h, ct)
-                before = objective_over_sets(g, realized, 1.0, h)
-                after = objective_over_sets(g2, realized, 1.0, h)
-                assert after >= before - 1e-9, f"h={h} seed={seed}"
-                done += 1
-            assert done >= 40
+            if not blocks or all(r is None for r in realized):
+                continue
+            eta = (0.5, 1.0, 2.0)[seed % 3]
+            h = (0.0, 0.3, 0.9)[seed // 3 % 3]
+            acc = accumulate_realized(g, realized, eta)
+            rids = blocks[int(rng.integers(len(blocks)))]
+            direction = rng.normal(size=len(rids))
+            direction -= direction.mean()
+            grad = eta * (acc.d_rule_ref - h * acc.d_rule_comp) / np.array(g.probs)
+            want = float(grad[rids] @ direction)
+
+            def shifted(sign):
+                probs = np.array(g.probs)
+                probs[rids] += sign * step * direction
+                return objective_over_sets(g.with_probs(probs.tolist()), realized, eta, h)
+
+            got = (shifted(1.0) - shifted(-1.0)) / (2.0 * step)
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-7), f"eta={eta} h={h} seed={seed}"
+            done += 1
+        assert done >= 60
 
 
 class TestTrain:

@@ -221,6 +221,12 @@ class TestExpectationMatrix:
                 assert np.all(row <= 2.0 * binary_mass + 1e-12)
 
 
+# A and B feed each other through one binary rule each: radius sqrt(0.6 * 0.5)
+TWO_CYCLE = "S -> A X 1.0\nA -> B X 0.6\nA -> a 0.4\nB -> A X 0.5\nB -> b 0.5\nX -> x 1.0\n"
+# S reaches C along two paths and nothing returns: radius 0
+DIAMOND = "S -> A B 1.0\nA -> C C 0.5\nA -> a 0.5\nB -> C C 0.3\nB -> b 0.7\nC -> c 1.0\n"
+
+
 class TestConsistency:
     @pytest.mark.parametrize("q", [0.05, 0.25, 0.45])
     def test_subcritical_toy_is_consistent(self, q):
@@ -241,11 +247,12 @@ class TestConsistency:
         assert report.converged
 
     def test_branching_two_nonterminal_chain(self):
-        # S -> A A with certainty, A always lexical: radius 0 via nilpotence
-        g = parse_grammar("S -> A A 1.0\nA -> a 1.0\n")
-        report = check_consistency(g)
-        assert report.verdict == "consistent"
-        assert abs(report.spectral_radius) < 1e-9
+        # acyclic dependencies (S -> A A with A always lexical, and the
+        # diamond): radius 0 via nilpotence
+        for text in ("S -> A A 1.0\nA -> a 1.0\n", DIAMOND):
+            report = check_consistency(parse_grammar(text))
+            assert report.verdict == "consistent"
+            assert abs(report.spectral_radius) < 1e-9
 
     def test_periodic_structure_converges(self):
         # A and B feed each other; the expectation matrix is cyclic
@@ -259,8 +266,9 @@ class TestConsistency:
         assert abs(report.spectral_radius - rho_direct) < 1e-9
 
     def test_estimated_radius_matches_eigvals_on_random_grammars(self):
-        for seed in range(60):
-            g = random_grammar(np.random.default_rng(4000 + seed))
+        grammars = [random_grammar(np.random.default_rng(4000 + seed)) for seed in range(60)]
+        grammars += [parse_grammar(TWO_CYCLE), parse_grammar(DIAMOND)]
+        for g in grammars:
             report = check_consistency(g)
             rho_direct = max(abs(np.linalg.eigvals(expectation_matrix(g))))
             if report.converged:
