@@ -67,8 +67,8 @@ def check_consistency(g: Grammar, tol: float = 1e-9) -> ConsistencyReport:
     subtracted off the estimate.  A run that fails to settle within the cap
     yields a borderline verdict with ``converged=False``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     base = expectation_matrix(g)
     if not _has_cycle(base):
         return ConsistencyReport(0.0, "consistent", 0, True)

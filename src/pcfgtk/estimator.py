@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import expected_counts, inside, viterbi
+from .chart import _cky, _inside_pass, expected_counts, inside, viterbi
 from .consistency import check_consistency
 from .corpus import Sentence
 from .derivations import Derivation, derivation_probability, derivation_spans
@@ -405,7 +405,8 @@ def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:
         total += logsumexp([eta * derivation_probability(g, d) for d in rd.ref])
         comp = [eta * derivation_probability(g, d) for d in rd.comp]
         if rd.complete is not None:
-            comp.insert(0, expected_counts(g, rd.complete.tokens, weights, rd.complete.brackets)[0])
+            trav = _cky(g, rd.complete.tokens, rd.complete.brackets)
+            comp.insert(0, float(_inside_pass(g, trav, weights)[trav.root]))
         total -= h * logsumexp(comp)
     if effective == 0:
         raise EstimationError("empty effective corpus")
@@ -439,8 +440,8 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
     the competing set.  The pre-step objective is the sum of the log
     masses that normalize the accumulated weights, so it costs no pass of
     its own; only the post-step objective scores the frozen sets again,
-    under the new grammar (a complete set by ``chart.expected_counts``,
-    whose log total is that of an inside pass).
+    under the new grammar (a complete set by an inside pass alone, over
+    the weights ``eta * log p``).
     """
     corpus = list(corpus)
     if not corpus:

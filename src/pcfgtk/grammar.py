@@ -13,6 +13,12 @@ Normal Form: either ``A -> B C`` (both nonterminals) or ``A -> a``
 (tolerance 1e-9, on the exactly rounded ``math.fsum`` of the block); the
 grammar is renormalized on construction so that each block's ``math.fsum``
 is exactly 1.0.
+
+Checks are split in two layers.  ``parse_grammar`` reads the file format
+only (line shape, symbol naming, numbers, ``%start``).  ``Grammar``
+checks every rule invariant, on every grammar however it is built: the
+CNF shape, duplicate rules, probabilities in ]0, 1] and properness.  An
+error in a file names its line in either case.
 """
 from __future__ import annotations
 
@@ -29,11 +35,13 @@ PROPERNESS_TOL = 1e-9
 
 
 class GrammarError(ValueError):
-    """A grammar violates an invariant; ``nonterminal`` names an improper block."""
+    """A grammar violates an invariant; ``nonterminal`` names an improper
+    block and ``rule`` the id of an invalid rule."""
 
-    def __init__(self, message: str, nonterminal: str | None = None):
+    def __init__(self, message: str, nonterminal: str | None = None, rule: int | None = None):
         super().__init__(message)
         self.nonterminal = nonterminal
+        self.rule = rule
 
 
 class GrammarFormatError(GrammarError):
@@ -108,48 +116,41 @@ class Grammar:
         nts = set(self.nonterminals)
         ts = set(self.terminals)
         seen = set()
-        for i, rule in enumerate(self.rules):
+        for i, (rule, p) in enumerate(zip(self.rules, self.probs)):
             if rule.id != i:
                 raise GrammarError(f"rule ids must be dense and contiguous, got {rule.id} at {i}")
             if rule.lhs not in nts:
-                raise GrammarError(f"rule {rule}: LHS is not a nonterminal")
-            if len(rule.rhs) == 2:
-                if not all(s in nts for s in rule.rhs):
-                    raise GrammarError(f"rule {rule}: binary RHS symbols must be nonterminals")
-            elif len(rule.rhs) == 1:
-                if rule.rhs[0] not in ts:
-                    raise GrammarError(f"rule {rule}: lexical RHS must be a terminal")
+                fault = "LHS is not a nonterminal"
+            elif len(rule.rhs) == 1 and rule.rhs[0] not in ts:
+                fault = f"unary RHS {rule.rhs[0]!r} is not a terminal, not CNF"
+            elif len(rule.rhs) == 2 and not nts.issuperset(rule.rhs):
+                fault = "binary RHS symbols must be nonterminals, not CNF"
+            elif len(rule.rhs) not in (1, 2):
+                fault = f"{len(rule.rhs)} RHS symbols, not CNF"
+            elif (rule.lhs, rule.rhs) in seen:
+                fault = "duplicate of an earlier rule"
+            elif not 0.0 < p <= 1.0:
+                fault = f"probability {p!r} outside ]0, 1]"
             else:
-                raise GrammarError(f"rule {rule}: not in CNF")
-            key = (rule.lhs, rule.rhs)
-            if key in seen:
-                raise GrammarError(f"duplicate rule {rule}")
-            seen.add(key)
-        for rid, p in enumerate(self.probs):
-            if not (0.0 < p <= 1.0) or math.isnan(p):
-                raise GrammarError(
-                    f"rule {self.rules[rid]}: probability {p!r} outside ]0, 1]"
-                )
+                seen.add((rule.lhs, rule.rhs))
+                continue
+            raise GrammarError(f"rule {rule}: {fault}", rule=i)
 
     def _normalized_probs(self) -> tuple[float, ...]:
         probs = list(self.probs)
-        for nt, rids in self._lhs_groups().items():
+        # blocks in the order of their first rules, so a file's first
+        # improper block is the one reported
+        for nt in dict.fromkeys(rule.lhs for rule in self.rules):
+            rids = [r.id for r in self.rules_by_lhs[nt]]
             total = math.fsum(probs[r] for r in rids)
             if abs(total - 1.0) > PROPERNESS_TOL:
                 raise GrammarError(
                     f"probabilities for {nt} sum to {total!r}, expected 1 within {PROPERNESS_TOL}",
                     nt,
                 )
-            group = exact_normalize([probs[r] for r in rids])
-            for r, p in zip(rids, group):
+            for r, p in zip(rids, exact_normalize([probs[r] for r in rids])):
                 probs[r] = p
         return tuple(probs)
-
-    def _lhs_groups(self) -> dict[str, list[int]]:
-        groups: dict[str, list[int]] = {}
-        for rule in self.rules:
-            groups.setdefault(rule.lhs, []).append(rule.id)
-        return groups
 
     # -- derived indexes (computed once; the grammar itself never mutates) --
 
@@ -288,13 +289,15 @@ def exact_normalize(probs: list[float]) -> list[float]:
 def parse_grammar(text: str) -> Grammar:
     """Parse the grammar file format described in the module docstring.
 
-    Raises GrammarFormatError with a line number on malformed input,
-    non-CNF rules, duplicate rules, probabilities outside ]0, 1], or a
-    nonterminal whose probabilities do not sum to 1.
+    This layer reads the format only: comments, ``%start``, line shape, LHS
+    naming, numbers, symbol classification, an empty file and a start
+    symbol without rules.  The rule invariants (CNF shape, duplicates,
+    probabilities in ]0, 1], properness) are ``Grammar``'s to check.  Either
+    way the error is a GrammarFormatError naming a line: a bad rule's own
+    line, or the first rule of an improper block.
     """
     start_symbol: str | None = None
     entries: list[tuple[int, str, tuple[str, ...], float]] = []
-    seen: set[tuple[str, tuple[str, ...]]] = set()
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -317,26 +320,7 @@ def parse_grammar(text: str) -> Grammar:
             prob = float(parts[-1])
         except ValueError:
             raise GrammarFormatError(f"probability {parts[-1]!r} is not a number", line_no) from None
-        if not (0.0 < prob <= 1.0) or math.isnan(prob):
-            raise GrammarFormatError(f"probability {prob!r} outside ]0, 1]", line_no)
-        rhs = tuple(parts[2:-1])
-        if len(rhs) == 1:
-            if is_nonterminal_symbol(rhs[0]):
-                raise GrammarFormatError(
-                    f"unary rule over nonterminal {rhs[0]!r} is not CNF", line_no
-                )
-        elif len(rhs) == 2:
-            for s in rhs:
-                if not is_nonterminal_symbol(s):
-                    raise GrammarFormatError(
-                        f"binary rule with terminal {s!r} is not CNF", line_no
-                    )
-        else:
-            raise GrammarFormatError(f"{len(rhs)} RHS symbols is not CNF", line_no)
-        if (lhs, rhs) in seen:
-            raise GrammarFormatError(f"duplicate rule {lhs} -> {' '.join(rhs)}", line_no)
-        seen.add((lhs, rhs))
-        entries.append((line_no, lhs, rhs, prob))
+        entries.append((line_no, lhs, tuple(parts[2:-1]), prob))
 
     if not entries:
         raise GrammarFormatError("no rules found", 1)
@@ -351,7 +335,7 @@ def parse_grammar(text: str) -> Grammar:
 
     if start_symbol is None:
         start_symbol = entries[0][1]
-    elif start_symbol not in nonterminals:
+    elif start_symbol not in {lhs for _, lhs, _, _ in entries}:
         raise GrammarFormatError(f"start symbol {start_symbol!r} has no rules", 1)
 
     rules = tuple(Rule(i, lhs, rhs) for i, (_, lhs, rhs, _) in enumerate(entries))
@@ -359,11 +343,15 @@ def parse_grammar(text: str) -> Grammar:
     try:
         return Grammar(tuple(nonterminals), tuple(terminals), start_symbol, rules, probs)
     except GrammarError as exc:
-        if exc.nonterminal is None:
+        if exc.rule is not None:
+            line = entries[exc.rule][0]
+        elif exc.nonterminal is not None:
+            line = next(line_no for line_no, lhs, _, _ in entries if lhs == exc.nonterminal)
+        else:
             raise
-        # report a properness failure at the first rule of the offending block
-        line = next(line_no for line_no, lhs, _, _ in entries if lhs == exc.nonterminal)
-        raise GrammarFormatError(str(exc), line) from None
+        err = GrammarFormatError(str(exc), line)
+        err.nonterminal, err.rule = exc.nonterminal, exc.rule
+        raise err from None
 
 
 def serialize_grammar(g: Grammar) -> str:

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_grammar, toy
 from pcfgtk import (
     Grammar,
+    GrammarError,
     GrammarFormatError,
     Rule,
     check_consistency,
@@ -52,6 +53,13 @@ class TestParseGrammar:
         with pytest.raises(GrammarFormatError, match="probabilities for T sum") as err:
             parse_grammar("S -> T T 0.5\n# T's block\nT -> T T 0.3\nS -> a 0.5\nT -> a 0.6\n")
         assert err.value.line == 3
+
+    def test_first_improper_block_in_the_file_is_reported(self):
+        # B precedes A in nonterminal order, but A's block comes first
+        with pytest.raises(GrammarFormatError, match="probabilities for A sum") as err:
+            parse_grammar("S -> B A 0.5\nA -> a 0.3\nB -> b 0.3\nS -> a 0.5\n")
+        assert err.value.line == 2
+        assert err.value.nonterminal == "A"
 
     def test_properness_is_checked_on_the_exact_sum(self):
         # the plain left-to-right float sum of this block is 0.9999999989999999,
@@ -118,6 +126,15 @@ class TestParseGrammar:
     def test_unknown_start(self):
         with pytest.raises(GrammarFormatError, match="no rules"):
             parse_grammar("%start X\nS -> a 1.0\n")
+        # B is a nonterminal, but only on a right-hand side
+        with pytest.raises(GrammarFormatError, match="start symbol 'B' has no rules"):
+            parse_grammar("%start B\nS -> S B 0.4\nS -> a 0.6\n")
+
+    def test_rule_error_reports_its_own_line(self):
+        with pytest.raises(GrammarFormatError, match="CNF") as err:
+            parse_grammar("# header\n\nS -> S S 0.4\n# note\nS -> a 0.6\nS -> S a 1.0\n")
+        assert err.value.line == 6
+        assert err.value.rule == 2
 
     def test_nonterminal_without_rules_is_allowed(self):
         # B appears only on a right-hand side; derivations through it are
@@ -126,6 +143,51 @@ class TestParseGrammar:
         assert "B" in g.nonterminals
         assert g.rules_by_lhs["B"] == ()
         assert g.binary_rule_table.tolist() == [[0]]  # no row for B
+
+
+# S -> S S | a, with one field replaced by each case below
+VALID = dict(
+    nonterminals=("S",), terminals=("a",), start="S",
+    rules=(Rule(0, "S", ("S", "S")), Rule(1, "S", ("a",))), probs=(0.4, 0.6),
+)
+
+
+def _rules(*rhss):
+    return tuple(Rule(i, "S", rhs) for i, rhs in enumerate(rhss))
+
+
+# (field overrides, message pattern, expected `rule` and `nonterminal`)
+INVALID_GRAMMARS = {
+    "duplicate nonterminal": (dict(nonterminals=("S", "S")), "duplicate nonterminal", None, None),
+    "duplicate terminal": (dict(terminals=("a", "a")), "duplicate terminal", None, None),
+    "symbol in both sets": (dict(terminals=("a", "S")), "both nonterminal and terminal", None, None),
+    "start not a nonterminal": (dict(start="a"), "start symbol 'a' is not a nonterminal", None, None),
+    "misaligned probabilities": (dict(probs=(1.0,)), "misaligned", None, None),
+    "ids not dense": (
+        dict(rules=(Rule(0, "S", ("S", "S")), Rule(2, "S", ("a",)))), "dense", None, None
+    ),
+    "LHS not a nonterminal": (
+        dict(rules=(Rule(0, "S", ("S", "S")), Rule(1, "T", ("a",)))), "LHS", 1, None
+    ),
+    "unary over a nonterminal": (dict(rules=_rules(("S", "S"), ("S",))), "CNF", 1, None),
+    "unary over an unknown symbol": (dict(rules=_rules(("S", "S"), ("b",))), "CNF", 1, None),
+    "binary with a terminal": (dict(rules=_rules(("S", "a"), ("a",))), "CNF", 0, None),
+    "ternary": (dict(rules=_rules(("S", "S", "S"), ("a",))), "CNF", 0, None),
+    "empty RHS": (dict(rules=_rules(("a",), ())), "CNF", 1, None),
+    "duplicate rule": (dict(rules=_rules(("a",), ("a",)), probs=(0.5, 0.5)), "duplicate", 1, None),
+    "probability 0": (dict(probs=(0.0, 1.0)), "outside", 0, None),
+    "probability 1.5": (dict(probs=(0.4, 1.5)), "outside", 1, None),
+    "probability NaN": (dict(probs=(math.nan, 0.6)), "outside", 0, None),
+    "improper block": (dict(probs=(0.3, 0.6)), "sum", None, "S"),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_GRAMMARS))
+def test_grammar_rejects_invalid_input(case):
+    overrides, pattern, rule, nonterminal = INVALID_GRAMMARS[case]
+    with pytest.raises(GrammarError, match=pattern) as err:
+        Grammar(**{**VALID, **overrides})
+    assert (err.value.rule, err.value.nonterminal) == (rule, nonterminal)
 
 
 class TestBinaryRuleTable:
@@ -275,5 +337,6 @@ class TestConsistency:
                 assert abs(report.spectral_radius - rho_direct) < 1e-8
 
     def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            check_consistency(toy(0.4), tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                check_consistency(toy(0.6), tol=tol)
