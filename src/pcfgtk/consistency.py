@@ -16,6 +16,7 @@ from .grammar import Grammar
 
 POWER_ITERATION_CAP = 10_000
 POWER_ITERATION_TOL = 1e-12
+DEFAULT_TOL = 1e-9  # half-width of the borderline band around radius 1
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def _has_cycle(m: np.ndarray) -> bool:
     return False
 
 
-def check_consistency(g: Grammar, tol: float = 1e-9) -> ConsistencyReport:
+def check_consistency(g: Grammar, tol: float = DEFAULT_TOL) -> ConsistencyReport:
     """Classify a grammar as consistent, borderline, or inconsistent.
 
     A grammar whose nonterminal dependencies are acyclic has a nilpotent

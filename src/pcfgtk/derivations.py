@@ -4,12 +4,12 @@ A derivation is stored as the sequence of rule ids applied by a leftmost
 derivation from the start symbol; for context-free grammars this is in
 bijection with parse trees.  All log probabilities in the package are
 computed by one canonical formula, ``score_counts``: the dot product of
-rule-usage counts with rule log probabilities, summed in ascending rule-id
-order (``score_rules`` adds the same terms in the same order straight from
-a rule sequence).  Because that sum is independent of tree shape,
-derivations that use the same multiset of rules receive bit-identical
-scores, which makes the deterministic tie-breaking in the parsers
-reproducible.
+rule-usage counts with rule log probabilities, added one at a time in
+ascending rule-id order on every Python (``score_rules`` adds the same
+terms in the same order straight from a rule sequence).  Because that sum
+is independent of tree shape, derivations that use the same multiset of
+rules receive bit-identical scores, which makes the deterministic
+tie-breaking in the parsers reproducible.
 
 One iterative walker, ``_walk``, validates a rule sequence and reads off its
 tokens, constituent spans and tree in a single left-to-right pass;
@@ -51,8 +51,11 @@ def count_vector(g: Grammar, rules) -> tuple[int, ...]:
 
 def score_counts(g: Grammar, counts) -> float:
     """Canonical log probability of a (partial) derivation from its counts."""
-    lp = g.log_probs
-    return sum(c * lp[i] for i, c in enumerate(counts) if c)
+    total = 0
+    for c, lp in zip(counts, g.log_probs):
+        if c:
+            total += c * lp
+    return total
 
 
 def score_rules(g: Grammar, rules) -> float:

@@ -37,6 +37,7 @@ holds.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -52,6 +53,7 @@ from .logmath import logsumexp, normalized_weights
 
 REF_MODES = ("viterbi", "nbest", "bracketed_viterbi")
 COMP_MODES = ("all", "nbest", "bracketed_all")
+BRACKETED_MODES = frozenset({"bracketed_viterbi", "bracketed_all"})  # sets nest with the brackets
 
 
 class EstimationError(RuntimeError):
@@ -59,7 +61,7 @@ class EstimationError(RuntimeError):
 
 
 class EmptyDeltaError(ValueError):
-    """A derivation-set operation received an empty set."""
+    """A realized reference or competing derivation set is empty."""
 
 
 class DegenerateDeltaWarning(UserWarning):
@@ -81,6 +83,8 @@ class DeltaSpec:
             raise ValueError(f"ref_mode must be one of {REF_MODES}")
         if self.comp_mode not in COMP_MODES:
             raise ValueError(f"comp_mode must be one of {COMP_MODES}")
+        if not all(isinstance(n, numbers.Integral) for n in (self.n_ref, self.n_comp)):
+            raise ValueError("n_ref and n_comp must be integers")
         if self.n_ref < 1 or self.n_comp < 1:
             raise ValueError("n_ref and n_comp must be at least 1")
         if self.ref_mode == "nbest" and self.comp_mode == "nbest" and self.n_ref > self.n_comp:
@@ -105,6 +109,8 @@ class HParams:
             raise ValueError("eta must be positive and finite")
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError("max_iters must be an integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if not 0.0 <= self.rel_tol < np.inf:
@@ -159,6 +165,10 @@ class RealizedDelta:
     comp: tuple[Derivation, ...]
     complete: Sentence | None = None
 
+    def __post_init__(self):
+        if not self.ref or (not self.comp and self.complete is None):
+            raise EmptyDeltaError("derivation set is empty")
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -207,7 +217,7 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
     ``RealizedDelta.complete``).
     """
     sent = Sentence.of(sentence)
-    ref_brackets = sent.brackets if spec.ref_mode == "bracketed_viterbi" else None
+    ref_brackets = sent.brackets if spec.ref_mode in BRACKETED_MODES else None
     complete = None
     comp: tuple[Derivation, ...] = ()
     if spec.comp_mode == "nbest":
@@ -215,7 +225,7 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
         if not comp:
             return None
     else:
-        brackets = sent.brackets if spec.comp_mode == "bracketed_all" else None
+        brackets = sent.brackets if spec.comp_mode in BRACKETED_MODES else None
         complete = Sentence(sent.tokens, brackets)
         # under the reference set's own constraint the complete set is empty
         # exactly when the reference set is, and parsing raises the same errors
@@ -245,9 +255,10 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
                 degenerate = {d.rules for d in comp} == {d.rules for d in ref}
             else:
                 # the union is the reference set when the complete set holds
-                # nothing but the k references that nest with the brackets
+                # nothing but the k references that nest with the brackets; at
+                # k = 0 it holds more, as the inside check above showed
                 k = len(ref) - len(missing)
-                degenerate = len(nbest(g, sent.tokens, k + 1, complete.brackets)) <= k
+                degenerate = k > 0 and len(nbest(g, sent.tokens, k + 1, complete.brackets)) <= k
             if degenerate:
                 warnings.warn(
                     "competing set equals the reference set after subset enforcement",
@@ -257,16 +268,21 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
     return RealizedDelta(tuple(ref), comp, complete)
 
 
-def accumulate(g: Grammar, corpus, spec: DeltaSpec, eta: float = 1.0) -> Accumulators:
-    """Posterior-weighted rule-usage sums over realized sets for a corpus."""
+def _nonempty(corpus) -> list:
+    """The corpus as a list; an empty one raises ``EstimationError``."""
     corpus = list(corpus)
     if not corpus:
         raise EstimationError("corpus is empty")
-    realized = [realize_delta_sets(g, s, spec) for s in corpus]
+    return corpus
+
+
+def accumulate(g: Grammar, corpus, spec: DeltaSpec, eta: float = HParams.eta) -> Accumulators:
+    """Posterior-weighted rule-usage sums over realized sets for a corpus."""
+    realized = [realize_delta_sets(g, s, spec) for s in _nonempty(corpus)]
     return accumulate_realized(g, realized, eta)
 
 
-def accumulate_realized(g: Grammar, realized, eta: float = 1.0) -> Accumulators:
+def accumulate_realized(g: Grammar, realized, eta: float = HParams.eta) -> Accumulators:
     """Sums over realized sets, weighted by the stored ``log_prob`` (under
     ``g``); complete competing sets add their expected counts under ``g``."""
     return _accumulate(g, realized, eta, 0.0)[0]
@@ -275,18 +291,16 @@ def accumulate_realized(g: Grammar, realized, eta: float = 1.0) -> Accumulators:
 def _accumulate(g: Grammar, realized, eta: float, h: float) -> tuple[Accumulators, float]:
     """The accumulators, and the objective under ``g`` of the sets they sum
     over: the log masses that normalize their weights."""
+    realized = list(realized)
+    kept = [rd for rd in realized if rd is not None]
+    if not kept:
+        raise EstimationError("all sentences were skipped")
     acc = Accumulators.zeros(g)
+    acc.skipped = len(realized) - len(kept)
     total = 0.0
-    effective = 0
-    for rd in realized:
-        if rd is None:
-            acc.skipped += 1
-            continue
-        effective += 1
+    for rd in kept:
         total += _add_set(g, acc.d_rule_ref, acc.d_nt_ref, rd.ref, eta)
         total -= h * _add_set(g, acc.d_rule_comp, acc.d_nt_comp, rd.comp, eta, rd.complete)
-    if effective == 0:
-        raise EstimationError("all sentences were skipped")
     return acc, total
 
 
@@ -370,7 +384,7 @@ def _finalize(g: Grammar, raw: list[float], min_prob: float) -> Grammar:
 
 
 def growth_step(
-    g: Grammar, acc: Accumulators, h: float, ctilde: float, min_prob: float = 1e-12
+    g: Grammar, acc: Accumulators, h: float, ctilde: float, min_prob: float = HParams.min_prob
 ) -> Grammar:
     """One growth-transformation update of the rule probabilities.
 
@@ -393,37 +407,24 @@ def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:
     step; a complete competing set contributes its inside total over the
     weights ``eta * log p`` under ``g``.
     """
+    kept = [rd for rd in realized if rd is not None]
+    if not kept:
+        raise EstimationError("empty effective corpus")
     weights = [eta * lp for lp in g.log_probs]
     total = 0.0
-    effective = 0
-    for rd in realized:
-        if rd is None:
-            continue
-        if not rd.ref or (not rd.comp and rd.complete is None):
-            raise EmptyDeltaError("derivation set is empty")
-        effective += 1
+    for rd in kept:
         total += logsumexp([eta * derivation_probability(g, d) for d in rd.ref])
         comp = [eta * derivation_probability(g, d) for d in rd.comp]
         if rd.complete is not None:
             trav = _cky(g, rd.complete.tokens, rd.complete.brackets)
             comp.insert(0, float(_inside_pass(g, trav, weights)[trav.root]))
         total -= h * logsumexp(comp)
-    if effective == 0:
-        raise EstimationError("empty effective corpus")
     return total
 
 
 def objective(g: Grammar, corpus, spec: DeltaSpec, params: HParams) -> float:
-    """Corpus log objective under freshly realized derivation sets.
-
-    Both set masses are eta-scaled, the log of the summed ``p(d) ** eta``;
-    the competing mass is weighted by h.  This is ``objective_over_sets``
-    on the sets ``g`` realizes.
-    """
-    corpus = list(corpus)
-    if not corpus:
-        raise EstimationError("corpus is empty")
-    realized = [realize_delta_sets(g, s, spec) for s in corpus]
+    """Corpus log objective, ``objective_over_sets`` on the sets ``g`` realizes."""
+    realized = [realize_delta_sets(g, s, spec) for s in _nonempty(corpus)]
     return objective_over_sets(g, realized, params.eta, params.h)
 
 
@@ -434,18 +435,14 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
     grammar, accumulates, picks the offset constant fresh, applies one
     growth step, and records the post-step objective evaluated on that
     iteration's (frozen) sets.  Convergence is declared when one step
-    changes the frozen-set objective by less than ``rel_tol`` (relative).
-    The objective is ``objective_over_sets``: per sentence, the log of the
-    summed ``p(d) ** eta`` over the reference set minus h times that over
-    the competing set.  The pre-step objective is the sum of the log
+    changes the frozen-set objective, ``objective_over_sets``, by less than
+    ``rel_tol`` (relative).  The pre-step objective is the sum of the log
     masses that normalize the accumulated weights, so it costs no pass of
     its own; only the post-step objective scores the frozen sets again,
     under the new grammar (a complete set by an inside pass alone, over
     the weights ``eta * log p``).
     """
-    corpus = list(corpus)
-    if not corpus:
-        raise EstimationError("corpus is empty")
+    corpus = _nonempty(corpus)
     g = g0
     records: list[IterationRecord] = []
     converged = False

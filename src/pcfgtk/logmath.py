@@ -23,8 +23,11 @@ def logsumexp(values) -> float:
 
 
 def normalized_weights(log_values) -> list[float]:
-    """exp(v) / sum(exp(v)) in division form, so exact ties stay exact."""
+    """exp(v) / sum(exp(v)) in division form, so exact ties stay exact; the
+    sum runs left to right, as in ``logsumexp``."""
     m = max(log_values)
     ws = [math.exp(v - m) for v in log_values]
-    total = sum(ws)
+    total = 0.0
+    for w in ws:
+        total += w
     return [w / total for w in ws]

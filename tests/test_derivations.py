@@ -1,6 +1,7 @@
 """Derivation records: probability, counts, replay, spans, rendering."""
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pcfgtk import (
     replay_derivation,
 )
 from pcfgtk.derivations import count_vector, score_counts, score_rules
+from pcfgtk.logmath import logsumexp, normalized_weights
 
 TOY_AA = (0, 1, 1)  # S -> S S, then two S -> a
 TOY_AAAA_LEFT = (0, 0, 0, 1, 1, 1, 1)  # fully left-branching tree over four tokens
@@ -52,6 +54,17 @@ class TestDerivationProbability:
             rules = rng.integers(0, len(g.rules), size).tolist()
             want = score_counts(g, count_vector(g, rules))
             assert score_rules(g, rules).hex() == want.hex()
+
+    def test_sums_run_left_to_right_on_every_python(self):
+        # 1 + 1e-16 + 1e-16 is 1.0 left to right but 1.0000000000000002
+        # compensated, as the built-in sum adds floats from Python 3.12 on
+        assert math.fsum([1.0, 1e-16, 1e-16]) == 1.0000000000000002
+        stub = SimpleNamespace(rules=(None,) * 3, log_probs=(-1.0, -1e-16, -1e-16))
+        assert score_counts(stub, (1, 1, 1)) == score_rules(stub, (0, 1, 2)) == -1.0
+        tiny = math.log(1e-16)
+        assert math.fsum([1.0, math.exp(tiny), math.exp(tiny)]) == 1.0000000000000002
+        assert normalized_weights([0.0, tiny, tiny])[0] == 1.0
+        assert logsumexp([0.0, tiny, tiny]) == 0.0
 
     def test_matches_product_form(self):
         for seed in range(30):

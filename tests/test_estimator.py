@@ -32,6 +32,7 @@ from pcfgtk import (
     train,
     viterbi,
 )
+from pcfgtk import estimator
 from pcfgtk.derivations import count_vector
 from pcfgtk.estimator import COMP_MODES, REF_MODES, _accumulate, accumulate_realized
 from pcfgtk.oracle import catalan, growth_step_single_ref
@@ -50,7 +51,11 @@ class TestSpecsAndParams:
             DeltaSpec(n_ref=0)
         with pytest.raises(ValueError):
             DeltaSpec(ref_mode="nbest", comp_mode="nbest", n_ref=3, n_comp=2)
+        for counts in ({"n_comp": 2.5}, {"n_comp": 2.0}, {"n_ref": 1.0}, {"n_ref": "1"}):
+            with pytest.raises(ValueError, match="integers"):
+                DeltaSpec("viterbi", "nbest", **counts)
         DeltaSpec(ref_mode="nbest", comp_mode="nbest", n_ref=2, n_comp=2)
+        DeltaSpec("viterbi", "nbest", n_comp=np.int64(3))
 
     def test_hparams_validation(self):
         with pytest.raises(ValueError):
@@ -63,6 +68,10 @@ class TestSpecsAndParams:
             HParams(epsilon=0.0)
         with pytest.raises(ValueError):
             HParams(max_iters=-1)
+        for iters in (1.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="integer"):
+                HParams(max_iters=iters)
+        HParams(max_iters=np.int64(3))
         HParams(h=0.0)
         HParams(h=0.99)
 
@@ -99,9 +108,14 @@ class TestScaledSetLogprob:
     def test_empty_set_is_distinguished(self):
         g = toy(0.5)
         d = nbest(g, ["a"], 1).derivations
-        for rd in (RealizedDelta((), d), RealizedDelta(d, ())):
+        complete = Sentence(("a",))
+        for ref, comp, whole in (((), d, None), (d, (), None), ((), (), complete)):
             with pytest.raises(EmptyDeltaError):
-                objective_over_sets(g, [rd], 1.0, 0.0)
+                RealizedDelta(ref, comp, whole)
+        # a complete set needs no listed competitors
+        rd = RealizedDelta(d, (), complete)
+        assert objective_over_sets(g, [rd], 1.0, 0.0) == d[0].log_prob
+        assert accumulate_realized(g, [rd]).d_rule_comp[1] == 1.0
 
 
 class TestAccumulate:
@@ -321,6 +335,29 @@ class TestSubsetEnforcement:
                     warned += warns
                     quiet += not warns
         assert warned >= 5 and quiet >= 5
+
+    def test_single_crossing_reference_runs_no_degeneracy_parse(self, monkeypatch):
+        # with k = 0 nesting references the inside check has already shown
+        # the complete set non-empty, so no n-best parse is needed to rule
+        # out a degenerate union
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return nbest(*args)
+
+        monkeypatch.setattr(estimator, "nbest", spy)
+        g = toy(0.5)
+        spec = DeltaSpec("viterbi", "bracketed_all")
+        crossed = 0
+        for n in (3, 4, 5):
+            for i in range(n):
+                for j in range(i + 2, min(n, i + n - 1) + 1):
+                    rd = realize_delta_sets(g, Sentence(("a",) * n, Bracketing({(i, j)})), spec)
+                    crossed += bool(rd.comp)
+                    assert {d.rules for d in rd.ref} <= competing_rules(g, rd)
+        assert crossed >= 5
+        assert calls == []
 
     @pytest.mark.parametrize("enforce", [True, False])
     def test_no_compatible_derivation_returns_none(self, enforce):
