@@ -276,6 +276,14 @@ def _nonempty(corpus) -> list:
     return corpus
 
 
+def _kept(realized) -> list[RealizedDelta]:
+    """The realized sets that are not None; raises if every sentence was skipped."""
+    kept = [rd for rd in realized if rd is not None]
+    if not kept:
+        raise EstimationError("all sentences were skipped")
+    return kept
+
+
 def accumulate(g: Grammar, corpus, spec: DeltaSpec, eta: float = HParams.eta) -> Accumulators:
     """Posterior-weighted rule-usage sums over realized sets for a corpus."""
     realized = [realize_delta_sets(g, s, spec) for s in _nonempty(corpus)]
@@ -292,9 +300,7 @@ def _accumulate(g: Grammar, realized, eta: float, h: float) -> tuple[Accumulator
     """The accumulators, and the objective under ``g`` of the sets they sum
     over: the log masses that normalize their weights."""
     realized = list(realized)
-    kept = [rd for rd in realized if rd is not None]
-    if not kept:
-        raise EstimationError("all sentences were skipped")
+    kept = _kept(realized)
     acc = Accumulators.zeros(g)
     acc.skipped = len(realized) - len(kept)
     total = 0.0
@@ -375,11 +381,9 @@ def _raw_transform(g: Grammar, acc: Accumulators, h: float, ctilde: float) -> li
 
 def _finalize(g: Grammar, raw: list[float], min_prob: float) -> Grammar:
     probs = [max(p, min_prob) for p in raw]
-    for rules in g.rules_by_lhs.values():
-        rids = [r.id for r in rules]
-        if rids:
-            for rid, p in zip(rids, exact_normalize([probs[r] for r in rids])):
-                probs[rid] = p
+    for _, rids in g._blocks:
+        for rid, p in zip(rids, exact_normalize([probs[r] for r in rids])):
+            probs[rid] = p
     return g.with_probs(probs)
 
 
@@ -402,17 +406,15 @@ def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:
 
     Per sentence, the log of the summed ``p(d) ** eta`` over the reference
     set minus h times the same over the competing set.  Skipped sentences
-    (None entries) are excluded.  Derivation probabilities are re-evaluated
-    under ``g``, so the same sets can be scored before and after a growth
-    step; a complete competing set contributes its inside total over the
-    weights ``eta * log p`` under ``g``.
+    (None entries) are excluded, and a corpus of skipped sentences raises.
+    Derivation probabilities are re-evaluated under ``g``, so the same sets
+    can be scored before and after a growth step; a complete competing set
+    contributes its inside total over the weights ``eta * log p`` under
+    ``g``.
     """
-    kept = [rd for rd in realized if rd is not None]
-    if not kept:
-        raise EstimationError("empty effective corpus")
     weights = [eta * lp for lp in g.log_probs]
     total = 0.0
-    for rd in kept:
+    for rd in _kept(realized):
         total += logsumexp([eta * derivation_probability(g, d) for d in rd.ref])
         comp = [eta * derivation_probability(g, d) for d in rd.comp]
         if rd.complete is not None:

@@ -14,17 +14,21 @@ Normal Form: either ``A -> B C`` (both nonterminals) or ``A -> a``
 grammar is renormalized on construction so that each block's ``math.fsum``
 is exactly 1.0.
 
-Checks are split in two layers.  ``parse_grammar`` reads the file format
-only (line shape, symbol naming, numbers, ``%start``).  ``Grammar``
-checks every rule invariant, on every grammar however it is built: the
-CNF shape, duplicate rules, probabilities in ]0, 1] and properness.  An
-error in a file names its line in either case.
+Checks come in three layers.  ``parse_grammar`` reads the file format only
+(line shape, symbol naming, numbers, ``%start``).  Constructing a
+``Grammar`` checks its rule set once (symbols, dense ids, LHS, CNF shape,
+duplicates); every cached index depends on the rule set alone.  Every
+probability vector, the constructor's or one given to ``with_probs``, is
+then checked (alignment, range ]0, 1], properness) and renormalized, so a
+rule-set fault is reported before a probability fault.  An error in a file
+names its line in either case.
 """
 from __future__ import annotations
 
+import copy
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -81,9 +85,8 @@ class Grammar:
     """A proper PCFG in CNF.
 
     Immutable after construction (safe to share across threads); rule ids
-    are dense indices into ``rules`` and ``probs``.  Construction validates
-    all invariants and renormalizes each nonterminal's probabilities so that
-    their ``math.fsum`` is exactly 1.0.
+    are dense indices into ``rules`` and ``probs``.  Construction checks the
+    rule set, then installs the probabilities (see ``_install_probs``).
     """
 
     nonterminals: tuple[str, ...]
@@ -91,11 +94,12 @@ class Grammar:
     start: str
     rules: tuple[Rule, ...]
     probs: tuple[float, ...]
+    log_probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._validate_symbols()
         self._validate_rules()
-        object.__setattr__(self, "probs", self._normalized_probs())
+        self._install_probs(self.probs)
 
     def _validate_symbols(self):
         nts = set(self.nonterminals)
@@ -111,12 +115,10 @@ class Grammar:
             raise GrammarError(f"start symbol {self.start!r} is not a nonterminal")
 
     def _validate_rules(self):
-        if len(self.probs) != len(self.rules):
-            raise GrammarError("rules and probabilities are misaligned")
         nts = set(self.nonterminals)
         ts = set(self.terminals)
         seen = set()
-        for i, (rule, p) in enumerate(zip(self.rules, self.probs)):
+        for i, rule in enumerate(self.rules):
             if rule.id != i:
                 raise GrammarError(f"rule ids must be dense and contiguous, got {rule.id} at {i}")
             if rule.lhs not in nts:
@@ -129,34 +131,40 @@ class Grammar:
                 fault = f"{len(rule.rhs)} RHS symbols, not CNF"
             elif (rule.lhs, rule.rhs) in seen:
                 fault = "duplicate of an earlier rule"
-            elif not 0.0 < p <= 1.0:
-                fault = f"probability {p!r} outside ]0, 1]"
             else:
                 seen.add((rule.lhs, rule.rhs))
                 continue
             raise GrammarError(f"rule {rule}: {fault}", rule=i)
 
-    def _normalized_probs(self) -> tuple[float, ...]:
-        probs = list(self.probs)
-        # blocks in the order of their first rules, so a file's first
-        # improper block is the one reported
-        for nt in dict.fromkeys(rule.lhs for rule in self.rules):
-            rids = [r.id for r in self.rules_by_lhs[nt]]
-            total = math.fsum(probs[r] for r in rids)
+    def _install_probs(self, probs) -> None:
+        """Check a probability vector against the rule set, renormalize each
+        block and set ``probs`` and ``log_probs``."""
+        probs = list(probs)
+        if len(probs) != len(self.rules):
+            raise GrammarError("rules and probabilities are misaligned")
+        for rule, p in zip(self.rules, probs):
+            if not 0.0 < p <= 1.0:
+                raise GrammarError(f"rule {rule}: probability {p!r} outside ]0, 1]", rule=rule.id)
+        for nt, rids in self._blocks:
+            block = [probs[r] for r in rids]
+            total = math.fsum(block)
             if abs(total - 1.0) > PROPERNESS_TOL:
                 raise GrammarError(
                     f"probabilities for {nt} sum to {total!r}, expected 1 within {PROPERNESS_TOL}",
                     nt,
                 )
-            for r, p in zip(rids, exact_normalize([probs[r] for r in rids])):
+            for r, p in zip(rids, exact_normalize(block)):
                 probs[r] = p
-        return tuple(probs)
+        object.__setattr__(self, "probs", tuple(probs))
+        object.__setattr__(self, "log_probs", tuple(map(math.log, probs)))
 
-    # -- derived indexes (computed once; the grammar itself never mutates) --
+    # -- derived indexes (computed once, from the rule set alone) --
 
     @cached_property
-    def log_probs(self) -> tuple[float, ...]:
-        return tuple(math.log(p) for p in self.probs)
+    def _blocks(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        # (nonterminal, rule ids) in first-rule order: a file's first improper block is reported
+        first = dict.fromkeys(rule.lhs for rule in self.rules)
+        return tuple((nt, tuple(r.id for r in self.rules_by_lhs[nt])) for nt in first)
 
     @cached_property
     def nt_index(self) -> dict[str, int]:
@@ -239,30 +247,15 @@ class Grammar:
         return self._lexical_index.get(token, ())
 
     def with_probs(self, probs) -> "Grammar":
-        """A grammar over the same rule set with new probabilities.
-
-        The indexes derived from the rule set alone carry over unchanged.
-        """
-        g = Grammar(self.nonterminals, self.terminals, self.start, self.rules, tuple(probs))
-        for name in _RULE_SET_INDEXES:
-            if name in self.__dict__:
-                g.__dict__[name] = self.__dict__[name]
+        """A grammar over the same rule set with new probabilities: a shallow
+        copy sharing every cached index, with ``probs`` checked and
+        renormalized as the constructor does; the rule set is not rechecked."""
+        g = copy.copy(self)
+        g._install_probs(probs)
         return g
 
     def __str__(self) -> str:
         return serialize_grammar(self)
-
-
-# the cached properties of a Grammar that depend on its rule set only
-_RULE_SET_INDEXES = (
-    "nt_index",
-    "rule_lhs_index",
-    "_binary_tables",
-    "binary_rules",
-    "lexical_rules",
-    "rules_by_lhs",
-    "_lexical_index",
-)
 
 
 def exact_normalize(probs: list[float]) -> list[float]:

@@ -137,9 +137,9 @@ def oracle_accumulate(g: Grammar, corpus, spec, eta: float = 1.0):
     Reference and competing sets are selected from the full enumeration of
     each sentence per ``spec`` (a DeltaSpec), then the posterior-weighted
     count sums are evaluated directly from the definitions.  Used to verify
-    the estimator's chart-based accumulation.
+    the estimator's chart-based accumulation, and raises its error alike.
     """
-    from .estimator import Accumulators  # local import: no cycle at load time
+    from .estimator import Accumulators, EstimationError  # local import: no cycle at load time
 
     acc = Accumulators.zeros(g)
     effective = 0
@@ -158,7 +158,7 @@ def oracle_accumulate(g: Grammar, corpus, spec, eta: float = 1.0):
         _add_weighted(g, acc.d_rule_ref, acc.d_nt_ref, ref, eta)
         _add_weighted(g, acc.d_rule_comp, acc.d_nt_comp, comp, eta)
     if effective == 0:
-        raise ValueError("every sentence was skipped")
+        raise EstimationError("all sentences were skipped")
     return acc
 
 
@@ -174,9 +174,10 @@ def _add_weighted(g: Grammar, rule_acc, nt_acc, records: list[_Record], eta: flo
 def growth_step_single_ref(g: Grammar, acc, h: float, ctilde: float, min_prob: float = 1e-12):
     """The growth step as a scalar loop over nonterminals and their rules.
 
-    An independent spelling of ``estimator.growth_step`` (reference counts
-    minus h-weighted competing expectations, offset by ctilde); on shared
-    accumulators the two must agree bit for bit, error messages included.
+    A second spelling of ``estimator.growth_step``'s transform (reference
+    counts minus h-weighted competing expectations, offset by ctilde); it
+    shares ``estimator._finalize`` (floor and renormalize), and the two must
+    agree bit for bit on shared accumulators, error messages included.
     """
     from .estimator import EstimationError, _finalize  # local import: no cycle at load time
 

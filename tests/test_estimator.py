@@ -148,9 +148,18 @@ class TestAccumulate:
         assert acc.skipped == 1
 
     def test_all_skipped_raises(self):
+        # one condition, one error: the estimator's accumulation and
+        # objective and the oracle's accumulation all report it alike
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
-        with pytest.raises(EstimationError, match="skipped"):
-            accumulate(g, [["b", "a"]], VIT_ALL)
+        realized = [realize_delta_sets(g, ["b", "a"], VIT_ALL)]
+        assert realized == [None]
+        for call in (
+            lambda: accumulate(g, [["b", "a"]], VIT_ALL),
+            lambda: objective_over_sets(g, realized, 1.0, 0.5),
+            lambda: oracle_accumulate(g, [["b", "a"]], VIT_ALL),
+        ):
+            with pytest.raises(EstimationError, match="^all sentences were skipped$"):
+                call()
 
     @pytest.mark.parametrize("bad_id", [-1, 2, 7])
     def test_bad_rule_id_in_hand_built_set_raises(self, bad_id):

@@ -1,4 +1,5 @@
 """Grammar parsing, validation, serialization, and the expectation matrix."""
+import functools
 import math
 import time
 
@@ -130,6 +131,11 @@ class TestParseGrammar:
         with pytest.raises(GrammarFormatError, match="start symbol 'B' has no rules"):
             parse_grammar("%start B\nS -> S B 0.4\nS -> a 0.6\n")
 
+    def test_rule_set_fault_is_reported_before_a_probability_fault(self):
+        with pytest.raises(GrammarFormatError, match="CNF") as err:
+            parse_grammar("S -> a 1.5\nS -> S S S 0.5\n")
+        assert err.value.line == 2
+
     def test_rule_error_reports_its_own_line(self):
         with pytest.raises(GrammarFormatError, match="CNF") as err:
             parse_grammar("# header\n\nS -> S S 0.4\n# note\nS -> a 0.6\nS -> S a 1.0\n")
@@ -179,7 +185,15 @@ INVALID_GRAMMARS = {
     "probability 1.5": (dict(probs=(0.4, 1.5)), "outside", 1, None),
     "probability NaN": (dict(probs=(math.nan, 0.6)), "outside", 0, None),
     "improper block": (dict(probs=(0.3, 0.6)), "sum", None, "S"),
+    # the rule set is checked before its probabilities
+    "probability 1.5 before a ternary": (
+        dict(rules=_rules(("a",), ("S", "S", "S")), probs=(1.5, 0.6)), "CNF", 1, None
+    ),
 }
+PROBABILITY_CASES = [
+    "misaligned probabilities", "probability 0", "probability 1.5", "probability NaN",
+    "improper block",
+]
 
 
 @pytest.mark.parametrize("case", list(INVALID_GRAMMARS))
@@ -188,6 +202,25 @@ def test_grammar_rejects_invalid_input(case):
     with pytest.raises(GrammarError, match=pattern) as err:
         Grammar(**{**VALID, **overrides})
     assert (err.value.rule, err.value.nonterminal) == (rule, nonterminal)
+
+
+@pytest.mark.parametrize("case", PROBABILITY_CASES)
+def test_with_probs_rejects_what_the_constructor_rejects(case):
+    overrides, pattern, rule, nonterminal = INVALID_GRAMMARS[case]
+    with pytest.raises(GrammarError, match=pattern) as err:
+        Grammar(**VALID).with_probs(overrides["probs"])
+    assert (err.value.rule, err.value.nonterminal) == (rule, nonterminal)
+
+
+def test_with_probs_does_not_check_the_rule_set_again(monkeypatch):
+    g = Grammar(**VALID)
+
+    def spy(self):
+        raise AssertionError("rule set checked again")
+
+    monkeypatch.setattr(Grammar, "_validate_symbols", spy)
+    monkeypatch.setattr(Grammar, "_validate_rules", spy)
+    assert g.with_probs([0.7, 0.3]).probs == (0.7, 0.3)
 
 
 class TestBinaryRuleTable:
@@ -211,12 +244,18 @@ class TestBinaryRuleTable:
         assert g.binary_table_rhs.shape == (2, 0, 0)
 
     def test_with_probs_keeps_the_rule_set_indexes(self):
+        # every cached property must depend on the rule set alone: a cache
+        # of anything derived from the probabilities would go stale here
         g = toy(0.3)
-        table = g.binary_rule_table
-        h = g.with_probs([0.6, 0.4])
-        assert h.binary_rule_table is table
-        assert h.log_probs == (math.log(0.6), math.log(0.4))
-        assert h.binary_table_rhs.tolist() == g.binary_table_rhs.tolist()
+        cached = [n for n, a in vars(Grammar).items() if isinstance(a, functools.cached_property)]
+        assert "_binary_tables" in cached
+        before = {name: getattr(g, name) for name in cached}
+        h = g.with_probs([0.6 + 1e-12, 0.4])
+        for name in cached:
+            assert getattr(h, name) is before[name], name
+        assert math.fsum(h.probs) == 1.0 and h.probs != (0.6 + 1e-12, 0.4)
+        assert h.log_probs == tuple(math.log(p) for p in h.probs)
+        assert g.log_probs == (math.log(0.3), math.log(0.7))
 
 
 class TestRoundTrip:
