@@ -19,9 +19,9 @@ rule weights and walks the rows back top-down (the outside pass) for
 expected rule counts.  ``viterbi`` keeps each row's highest incremental
 score, falling back to the canonical count-ordered score only for rows
 with two candidates within rounding distance.  ``kbest.nbest`` reads each
-width's rows as per-(span, lhs) candidate lists and keeps the top n
-incremental-score cells, ranking them canonically only within rounding
-distance of each other.
+width's rows as per-(span, lhs) lists of candidate child entries and makes
+each entry's hypotheses only when asked, top-down from the root, ranking
+them canonically only within rounding distance of each other.
 
 Every result is bit-identical to the span-by-span scalar chart this layout
 replaced (kept in the tests as the reference).  Elementwise addition,
@@ -207,22 +207,20 @@ def _inside_pass(g: Grammar, trav: _Traversal, weights, kept: list | None = None
     return chart
 
 
-def _candidate_lists(g: Grammar, width: _Width, present: np.ndarray, cells: dict) -> list:
+def _candidate_lists(g: Grammar, width: _Width, present: np.ndarray) -> list:
     """The rows of a width with a candidate whose children are both
     ``present`` (a flat boolean chart, marked here for the rows listed), as
-    ``(entry, [(rule id, left cell, right cell), ...])``: the children's
-    ``cells`` looked up by flat chart index, and the candidates in
-    ascending (split, rule id) order."""
+    ``(entry, [(rule id, left entry, right entry), ...])``: the children by
+    flat chart index, and the candidates in ascending (split, rule id)
+    order."""
     left, right = present.take(width.children, mode="clip")
     rows, cols = (left & right).reshape(len(width.entry), -1).nonzero()
+    n_lhs, n_rules = g.binary_rule_table.shape
+    rules = g.binary_rule_table[rows % n_lhs, cols % n_rules].tolist()
     left, right = width.children.reshape(2, len(width.entry), -1)[:, rows, cols].tolist()
-    table = g.binary_rule_table
-    n_lhs, n_rules = table.shape
-    table, entries = table.tolist(), width.entry.tolist()
     lists: dict[int, list] = {}
-    for row, col, left, right in zip(rows.tolist(), cols.tolist(), left, right):
-        rule = table[row % n_lhs][col % n_rules]
-        lists.setdefault(entries[row], []).append((rule, cells[left], cells[right]))
+    for entry, cand in zip(width.entry.take(rows).tolist(), zip(rules, left, right)):
+        lists.setdefault(entry, []).append(cand)
     present.put(list(lists), True)
     return list(lists.items())
 
@@ -339,16 +337,32 @@ def expected_counts(
 # of the slack themselves.  Beyond it the incremental order is the
 # canonical one; within it ``viterbi`` compares canonical scores.
 #
-# ``kbest.nbest`` sorts a cell's hypotheses by incremental score and cuts the
-# list wherever two neighbours a, b lie more than _SLACK * m (|s_a| + |s_b|)
-# apart.  In CNF every hypothesis of a cell over width w has the same rule
-# count m = 2w - 1, so this is the bound above.  A cut also separates every
-# pair x, y that straddles it (s_x >= s_a > s_b >= s_y, all <= 0): s_x - s_y
+# ``kbest.nbest`` cuts each entry's hypotheses, in incremental-score order,
+# wherever two neighbours a, b lie more than _SLACK * m (|s_a| + |s_b|) apart.
+# In CNF every hypothesis of an entry over width w has the same rule count
+# m = 2w - 1, so this is the bound above.  A cut also separates every pair
+# x, y that straddles it (s_x >= s_a > s_b >= s_y, all <= 0): s_x - s_y
 # exceeds the gap s_a - s_b by (s_x - s_a) + (s_b - s_y), while the pair's
 # slack exceeds the neighbours' by _SLACK * m ((s_b - s_y) - (s_x - s_a)),
 # which is less because _SLACK * m < 1.  So the canonical order agrees with
 # the incremental one across every cut, and only the windows between cuts
 # need canonical ranking.
+#
+# An entry makes its hypotheses lazily, joining child hypotheses i and j of
+# a candidate only once a heap frontier pops (i, j).  The heap keys each join
+# by the bound (lp[rule] + wmax_L[i]) + wmax_R[j], where wmax[i] is the
+# highest incremental score in the child's window that holds index i.  wmax
+# never increases with i (windows are cut apart) and IEEE rounding is
+# monotone, so a key bounds its join's score and every key past it.  Popping
+# (i, j) pushes (i + 1, j) and (i, j + 1), so every join not yet popped lies
+# past a heap member by steps that raise an index, and the top key U bounds
+# its score.  Within a child's window the incremental order is not the
+# canonical one, so joins are popped by their bound, never by their own
+# score.  The popped joins' first window, with lowest member a, is final once
+# a and U pass the cut test (or nothing is left to pop): by the straddling
+# argument with U in the place of s_b, every join still to come lies beyond a
+# cut from a.  So each window holds what it would in the complete sorted
+# list, whatever order the joins were popped in.
 #
 # ``viterbi`` takes each row's highest incremental score M.  Its window is
 # s >= M (1 + 3c), c = _SLACK * m: a candidate below it has d = M - s >

@@ -231,7 +231,11 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
         # exactly when the reference set is, and parsing raises the same errors
         if brackets != ref_brackets and not inside(g, sent.tokens, brackets).in_language:
             return None
-    if spec.ref_mode == "nbest":
+    if spec.comp_mode == "nbest" and spec.ref_mode in ("nbest", "viterbi"):
+        # both lists are unbracketed, and an n-best list starts with every
+        # shorter one (the first being the Viterbi derivation)
+        ref = comp[: spec.n_ref if spec.ref_mode == "nbest" else 1]
+    elif spec.ref_mode == "nbest":
         ref = nbest(g, sent.tokens, spec.n_ref).derivations
     else:
         hit = viterbi(g, sent.tokens, ref_brackets)

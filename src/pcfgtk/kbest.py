@@ -1,41 +1,54 @@
-"""Exact n-best derivations via per-cell hypothesis lists.
+"""Exact n-best derivations, each chart entry's hypotheses made on demand.
 
 The chart's shared CKY layout lists each width's candidates, read here as
-per-(span, lhs) candidate lists, and each entry keeps its top-n list: a
-lexical entry holds its one hypothesis, and a span's hypotheses join every
-left hypothesis with every right one, for each (split, rule) candidate.  A
-hypothesis is a ``_Cell``: an incremental score, the rule's log
-probability plus the two children's scores, with its rule id and its two
-children, so building one costs two float additions and no count vector.
+per-(span, lhs) lists of (rule, left child entry, right child entry).  A
+lexical entry holds its one hypothesis; a span's hypotheses join a left
+hypothesis with a right one under a candidate.  A hypothesis is a
+``_Cell``: an incremental score, the rule's log probability plus the two
+children's scores, with its rule id and its two children, so building one
+costs two float additions and no count vector.
 
 Ordering is by descending canonical log probability (``score_counts`` of
 the subtree's rule counts) with the backpointer key as secondary
 criterion: the flattened (split, rule id) tuples of the hypothesis tree,
-compared lexicographically.  A cell's hypotheses are sorted by incremental
-score and cut into windows wherever two neighbours lie further apart than
-rounding distance (see ``chart._SLACK``).  Across a cut the incremental
-order is the canonical one, so only the windows with more than one member
-are ranked, by canonical score and key, both rebuilt from the child
-references; whole windows are kept until the list holds n hypotheses.  The
-secondary key agrees with the Viterbi tie-break, so ``nbest(..., 1)``
-returns exactly the Viterbi derivation.  With a large enough n the result
-is the complete derivation set.
+compared lexicographically.  An entry's list is a run of windows: its
+hypotheses in incremental-score order, cut wherever two neighbours lie
+further apart than rounding distance (see ``chart._SLACK``).  Across a cut
+the incremental order is the canonical one, so only windows with more than
+one member are ranked, by canonical score and key, both rebuilt from the
+child references.  Whole windows are kept until the list holds n
+hypotheses, and the last one is truncated after ranking.  The secondary
+key agrees with the Viterbi tie-break, so ``nbest(..., 1)`` returns exactly
+the Viterbi derivation.  With a large enough n the result is the complete
+derivation set.
+
+The lists are made lazily, top-down from the root (Huang and Chiang 2005,
+"Better k-best Parsing", Alg. 3).  An entry keeps a heap frontier of joins
+(candidate, left index, right index), keyed by an upper bound on the join's
+score: the rule's log probability plus, for each child, the highest
+incremental score in the child's window that holds the index.  Popping join
+(i, j) pushes (i + 1, j) and (i, j + 1), asking each child for that index
+only then, and never for one at or past n.  A window is final once its
+lowest member lies further than rounding distance above the top key, or the
+frontier is empty (see ``chart._SLACK``).  The root is asked for n
+hypotheses; requests wait on an explicit stack, not on Python recursion.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+import numbers
+from bisect import insort
 from dataclasses import dataclass
-from itertools import product
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .chart import _SLACK, _candidate_lists, _cky
+from .chart import _SLACK, _candidate_lists, _cky, _Traversal
 from .corpus import Bracketing
 from .derivations import Derivation, score_rules
 from .grammar import Grammar
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)  # never changed once made; not frozen, which is slower to build
 class _Cell:
     score: float  # incremental: lp[rule] + left.score + right.score
     size: int  # number of rules in the subtree
@@ -80,53 +93,152 @@ def nbest(
     bracket are considered.  A sentence without any (compatible) derivation
     yields an empty list flagged not-in-language.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError("n must be an integer")
     if n < 1:
         raise ValueError("n must be at least 1")
-    lp = g.log_probs
     trav = _cky(g, sentence, brackets)
-    n1, _, n_nt = trav.shape
-    chart: dict[int, list[_Cell]] = {}
-    for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
-        chart[entry] = [_Cell(lp[rule], 1, rule)]
-    present = np.zeros(trav.size, dtype=bool)
-    present[trav.leaf_entry] = True
-
-    def top(entry: int, cands) -> list[_Cell]:
-        start, end = divmod(entry // n_nt, n1)
-        size = 2 * (end - start) - 1  # rules in every hypothesis of the span
-        scores: list[float] = []
-        ends = []  # hypotheses listed up to and including each candidate
-        for rule, lefts, rights in cands:
-            base = lp[rule]
-            pairs = product([left.score for left in lefts], [right.score for right in rights])
-            scores += [base + left + right for left, right in pairs]
-            ends.append(len(scores))
-
-        def hyp(index: int) -> _Cell:
-            c = bisect_right(ends, index)
-            rule, lefts, rights = cands[c]
-            li, ri = divmod(index - (ends[c - 1] if c else 0), len(rights))
-            return _Cell(scores[index], size, rule, lefts[li], rights[ri])
-
-        def rank(cell: _Cell):
-            return (-score_rules(g, _preorder(cell)), _backpointer_key(cell, start))
-
-        kept: list[_Cell] = []
-        for window in _windows(scores, _SLACK * size):
-            cells = [hyp(index) for index in window]
-            if len(cells) > 1:
-                cells.sort(key=rank)
-            kept += cells
-            if len(kept) >= n:
-                break
-        return kept[:n]
-
-    for width in trav.widths():
-        for entry, cands in _candidate_lists(g, width, present, chart):
-            chart[entry] = top(entry, cands)
-    cells = chart.get(trav.root, [])
+    lists = _Lists(g, trav, n)
+    if trav.root in lists.hyps:
+        lists.ask(trav.root, n - 1)
+    cells = lists.hyps.get(trav.root, [])
     derivations = tuple(Derivation.build(g, _preorder(cell), len(trav.tokens)) for cell in cells)
     return KBestList(derivations, n, bool(derivations))
+
+
+class _Lists:
+    """The ranked hypothesis lists of one sentence's chart entries, each
+    extended only as far as it is asked.
+
+    ``hyps[entry]`` holds an entry's hypotheses so far and ``wmax[entry]``,
+    for each, the highest incremental score in its window.  An entry in
+    ``closed`` holds its whole list, at most n long.  An open entry that has
+    started keeps in ``frontier`` its heap of ``(-key, candidate, left index,
+    right index)`` joins, the joins pushed so far, and the joins popped but
+    not yet in a final window, by descending score.  No data here refers
+    back to the object, so it is freed without the cycle collector.
+    """
+
+    def __init__(self, g: Grammar, trav: _Traversal, n: int):
+        self.g, self.n = g, n
+        self.n1, _, self.n_nt = trav.shape
+        lp = g.log_probs
+        self.hyps: dict[int, list[_Cell]] = {}
+        self.wmax: dict[int, list[float]] = {}
+        for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
+            self.hyps[entry] = [_Cell(lp[rule], 1, rule)]
+            self.wmax[entry] = [lp[rule]]
+        self.closed = set(self.hyps)
+        present = np.zeros(trav.size, dtype=bool)
+        present[trav.leaf_entry] = True
+        self.cands: dict[int, list[tuple[int, int, int]]] = {}
+        for width in trav.widths():
+            for entry, cands in _candidate_lists(g, width, present):
+                self.cands[entry] = cands
+                self.hyps[entry] = []
+                self.wmax[entry] = []
+        self.frontier: dict[int, tuple[list, set, list[_Cell]]] = {}
+
+    def ask(self, entry: int, index: int) -> None:
+        """Extend an entry's list until it holds ``index`` < n or is whole.
+
+        Requests wait on an explicit stack: an entry that needs a child's
+        hypothesis first pushes that request above its own.
+        """
+        hyps, closed = self.hyps, self.closed
+        stack = [(entry, index)]
+        while stack:
+            top, i = stack[-1]
+            if i < len(hyps[top]) or top in closed:
+                stack.pop()
+            else:
+                stack += self._extend(top)
+
+    def _extend(self, entry: int) -> list[tuple[int, int]]:
+        """Append an open entry's next window, or close it.  Returns
+        instead the child requests (entry, index) that must be met first,
+        if any, having stopped between two joins."""
+        hyps, wmax, closed, n = self.hyps, self.wmax, self.closed, self.n
+        lp = self.g.log_probs
+        cands = self.cands[entry]
+        state = self.frontier.get(entry)
+        if state is None:
+            need = [(child, 0) for _, *children in cands for child in children if not hyps[child]]
+            if need:
+                return need
+            heap = [
+                (-((lp[rule] + wmax[left][0]) + wmax[right][0]), c, 0, 0)
+                for c, (rule, left, right) in enumerate(cands)
+            ]
+            heapify(heap)
+            state = self.frontier[entry] = (heap, {(c, 0, 0) for c in range(len(heap))}, [])
+        heap, seen, pending = state
+        start, end = divmod(entry // self.n_nt, self.n1)
+        size = 2 * (end - start) - 1  # rules in every hypothesis of the span
+        slack = _SLACK * size
+        while True:
+            # a join not yet popped scores at most the top key, so the first
+            # window is final once its lowest member and the top key pass
+            # the cut test (see chart._SLACK); its top member is tested
+            # first to skip the scan while the key is near, as holding a
+            # final window back costs only more pops
+            if pending and (not heap or _cut(pending[0].score, -heap[0][0], slack)):
+                k = 1
+                while k < len(pending) and not _cut(pending[k - 1].score, pending[k].score, slack):
+                    k += 1
+                if not heap or _cut(pending[k - 1].score, -heap[0][0], slack):
+                    self._append(entry, start, pending[:k])
+                    del pending[:k]
+                    return []
+            if not heap:
+                closed.add(entry)
+                del self.frontier[entry]
+                return []
+            _, c, li, ri = heap[0]
+            rule, left, right = cands[c]
+            lefts, rights = hyps[left], hyps[right]
+            need = []
+            if len(lefts) <= li + 1 < n and left not in closed:
+                need.append((left, li + 1))
+            if len(rights) <= ri + 1 < n and right not in closed:
+                need.append((right, ri + 1))
+            if need:
+                return need
+            heappop(heap)
+            lcell, rcell = lefts[li], rights[ri]
+            cell = _Cell((lp[rule] + lcell.score) + rcell.score, size, rule, lcell, rcell)
+            insort(pending, cell, key=_descending)
+            for lj, rj in ((li + 1, ri), (li, ri + 1)):
+                if lj < len(lefts) and rj < len(rights) and (c, lj, rj) not in seen:
+                    seen.add((c, lj, rj))
+                    heappush(heap, (-((lp[rule] + wmax[left][lj]) + wmax[right][rj]), c, lj, rj))
+
+    def _append(self, entry: int, start: int, window: list[_Cell]) -> None:
+        """Rank a final window canonically and append it to the entry's
+        list, truncating the list at n (which closes the entry)."""
+        g = self.g
+        top = window[0].score
+        if len(window) > 1:
+            window.sort(
+                key=lambda cell: (-score_rules(g, _preorder(cell)), _backpointer_key(cell, start))
+            )
+        hyps, wmax = self.hyps[entry], self.wmax[entry]
+        hyps += window
+        wmax += [top] * len(window)
+        if len(hyps) >= self.n:
+            del hyps[self.n :], wmax[self.n :]
+            self.closed.add(entry)
+            del self.frontier[entry]
+
+
+def _descending(cell: _Cell) -> float:
+    return -cell.score
+
+
+def _cut(a: float, b: float, slack: float) -> bool:
+    """Whether score a lies above b (both <= 0) by more than rounding
+    distance, ``slack * (|a| + |b|)``."""
+    return a - b > slack * -(a + b)
 
 
 def _backpointer_key(cell: _Cell, start: int) -> list[int]:
@@ -143,18 +255,3 @@ def _backpointer_key(cell: _Cell, start: int) -> list[int]:
         key += (split, cell.rule_id)
         stack += ((cell.right, split), (cell.left, start))
     return key
-
-
-def _windows(scores: list[float], slack: float):
-    """Indices of ``scores``, highest score first, in runs whose neighbours
-    lie within ``slack * (|s_a| + |s_b|)`` of each other (scores are <= 0)."""
-    window: list[int] = []
-    last = 0.0
-    for index in sorted(range(len(scores)), key=scores.__getitem__, reverse=True):
-        score = scores[index]
-        if window and last - score > slack * -(last + score):
-            yield window
-            window = []
-        window.append(index)
-        last = score
-    yield window

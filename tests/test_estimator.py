@@ -368,6 +368,30 @@ class TestSubsetEnforcement:
         assert crossed >= 5
         assert calls == []
 
+    def test_unbracketed_reference_list_is_cut_from_the_competing_one(self, monkeypatch):
+        # an n-best list starts with every shorter one, so one parse serves
+        # both sides
+        calls = []
+
+        def spy(name, parse):
+            def counted(*args):
+                calls.append(name)
+                return parse(*args)
+
+            return counted
+
+        monkeypatch.setattr(estimator, "nbest", spy("nbest", nbest))
+        monkeypatch.setattr(estimator, "viterbi", spy("viterbi", viterbi))
+        g = toy(0.4)
+        for spec, n_ref in (
+            (DeltaSpec("nbest", "nbest", n_ref=2, n_comp=4), 2),
+            (DeltaSpec("viterbi", "nbest", n_comp=3), 1),
+        ):
+            calls.clear()
+            rd = realize_delta_sets(g, ["a"] * 4, spec)
+            assert calls == ["nbest"]
+            assert rd.ref == nbest(g, ["a"] * 4, n_ref).derivations
+
     @pytest.mark.parametrize("enforce", [True, False])
     def test_no_compatible_derivation_returns_none(self, enforce):
         # "a b b" has one derivation, with a constituent over (1, 3), so the

@@ -1,5 +1,8 @@
 """n-best lists versus Viterbi and the full enumeration."""
+import gc
+import inspect
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -189,6 +192,14 @@ class TestToyExamples:
         with pytest.raises(ValueError):
             nbest(toy(0.5), ["a"], 0)
 
+    def test_n_must_be_an_integer(self):
+        # rejected before any chart work: the empty sentence is never read
+        for n in (2.5, 1.0, math.inf):
+            for tokens in (["a", "a", "a"], []):
+                with pytest.raises(ValueError, match="n must be an integer"):
+                    nbest(toy(0.5), tokens, n)
+        assert nbest(toy(0.5), ["a"] * 4, np.int64(3)) == nbest(toy(0.5), ["a"] * 4, 3)
+
 
 class TestOrderingProperties:
     def test_scores_non_increasing(self):
@@ -210,21 +221,21 @@ class TestOrderingProperties:
                     assert large[: len(small)] == small
 
     def test_full_request_matches_enumeration_exactly(self):
-        for seed in range(30):
+        # and so does every shorter request: truncation at n is where a
+        # lazily extended list could part from the complete ranking
+        for seed in range(60):
             rng = np.random.default_rng(8500 + seed)
             g = random_grammar(rng)
             for tokens, brackets in corpus_and_bracketed(g, rng):
                 enum = enumerate_derivations(g, tokens).derivations
                 if brackets is not None:
-                    enum = [
+                    enum = tuple(
                         d
                         for d in enum
                         if all(brackets.compatible(i, j) for i, j in derivation_spans(g, d))
-                    ]
-                result = nbest(g, tokens, len(enum), brackets)
-                assert [d.rules for d in result.derivations] == [d.rules for d in enum]
-                for got, want in zip(result.derivations, enum):
-                    assert got.log_prob == want.log_prob
+                    )
+                for n in range(1, len(enum) + 1):
+                    assert nbest(g, tokens, n, brackets).derivations == enum[:n]
 
     def test_n_one_equals_viterbi_random(self):
         for seed in range(30):
@@ -261,3 +272,25 @@ class TestG100:
         result = nbest(g, SIXTEEN_TOKENS, 10)
         assert time.perf_counter() - started < 5.0
         assert len(result) == 10
+
+    def test_sixteen_tokens_without_deep_recursion(self):
+        g = load_grammar(G100)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 25)
+        try:
+            result = nbest(g, SIXTEEN_TOKENS, 10)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(result) == 10
+
+    def test_leaves_no_reference_cycles(self):
+        g = load_grammar(G100)
+        block = read_bracketed_corpus(G100_BLOCK)
+        gc.collect()
+        gc.disable()
+        try:
+            for sent in block:
+                nbest(g, sent.tokens, 10, sent.brackets)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
