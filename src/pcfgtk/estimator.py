@@ -22,9 +22,8 @@ The objective being climbed is, per sentence,
 summed over the corpus.  One definition of a set's mass serves both sides:
 the weights of the statistics D are p(d) ** eta / M_eta(set), so D_ref -
 h * D_comp is the gradient of the objective times p / eta, and with sets
-held fixed one growth step never decreases it.  Sentences whose competing
-(or reference) set comes up empty are skipped for that iteration and
-counted.
+held fixed one growth step never decreases it.  Sentences that
+``realize_delta_sets`` skips are left out of that iteration and counted.
 
 Listed sets (Viterbi and n-best) are summed derivation by derivation.  A
 complete competing set (``all``, or ``bracketed_all`` with the sentence's
@@ -85,8 +84,10 @@ class DeltaSpec:
             raise ValueError(f"comp_mode must be one of {COMP_MODES}")
         if not all(isinstance(n, numbers.Integral) for n in (self.n_ref, self.n_comp)):
             raise ValueError("n_ref and n_comp must be integers")
-        if self.n_ref < 1 or self.n_comp < 1:
-            raise ValueError("n_ref and n_comp must be at least 1")
+        if self.ref_mode == "nbest" and self.n_ref < 1:
+            raise ValueError("n_ref must be at least 1")
+        if self.comp_mode == "nbest" and self.n_comp < 1:
+            raise ValueError("n_comp must be at least 1")
         if self.ref_mode == "nbest" and self.comp_mode == "nbest" and self.n_ref > self.n_comp:
             raise ValueError("n_ref must not exceed n_comp")
 
@@ -208,30 +209,22 @@ class TrainReport:
 def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta | None:
     """Select the reference and competing sets for one sentence.
 
-    Returns None when either set comes up empty (sentence not in the
-    language, or no bracket-compatible derivation); the caller skips such
-    sentences.  With ``enforce_subset`` the competing set is extended with
-    any missing reference derivations.  Bracketed modes on a sentence that
-    carries no bracketing behave as unconstrained (an empty bracketing
-    excludes nothing).  A complete competing set is not listed (see
-    ``RealizedDelta.complete``).
+    Returns None, and the caller skips the sentence, when the reference set
+    is empty or no derivation nests with the competing set's brackets.  With
+    ``enforce_subset`` the competing set is extended with the reference
+    derivations it lacks.  Bracketed modes on a sentence that carries no
+    bracketing behave as unconstrained (an empty bracketing excludes
+    nothing).  A complete competing set is not listed (see
+    ``RealizedDelta.complete``), and is parsed only if no reference nests
+    with its brackets.
     """
     sent = Sentence.of(sentence)
     ref_brackets = sent.brackets if spec.ref_mode in BRACKETED_MODES else None
-    complete = None
-    comp: tuple[Derivation, ...] = ()
-    if spec.comp_mode == "nbest":
-        comp = nbest(g, sent.tokens, spec.n_comp).derivations
-        if not comp:
-            return None
-    else:
-        brackets = sent.brackets if spec.comp_mode in BRACKETED_MODES else None
-        complete = Sentence(sent.tokens, brackets)
-        # under the reference set's own constraint the complete set is empty
-        # exactly when the reference set is, and parsing raises the same errors
-        if brackets != ref_brackets and not inside(g, sent.tokens, brackets).in_language:
-            return None
-    if spec.comp_mode == "nbest" and spec.ref_mode in ("nbest", "viterbi"):
+    listed = spec.comp_mode == "nbest"
+    comp = nbest(g, sent.tokens, spec.n_comp).derivations if listed else ()
+    brackets = sent.brackets if spec.comp_mode in BRACKETED_MODES else None
+    complete = None if listed else Sentence(sent.tokens, brackets)
+    if listed and spec.ref_mode in ("nbest", "viterbi"):
         # both lists are unbracketed, and an n-best list starts with every
         # shorter one (the first being the Viterbi derivation)
         ref = comp[: spec.n_ref if spec.ref_mode == "nbest" else 1]
@@ -240,35 +233,41 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
     else:
         hit = viterbi(g, sent.tokens, ref_brackets)
         ref = (hit[0],) if hit else ()
+    # the references the competing set lacks
+    if complete is None:
+        present = {d.rules for d in comp}
+        missing = [d for d in ref if d.rules not in present]
+    elif complete.brackets in (None, ref_brackets):
+        missing = []
+    else:
+        # no parse so far read these brackets: check them as the chart would
+        if complete.brackets.max_position() > len(sent):
+            raise ValueError(f"bracket span exceeds sentence length {len(sent)}")
+        compatible = complete.brackets.compatible
+        missing = [d for d in ref if not all(compatible(i, j) for i, j in derivation_spans(g, d))]
     if not ref:
         return None
-    if spec.enforce_subset:
+    # a reference that nests with the complete set's brackets is in it; when
+    # none does (k = 0), only a parse can tell whether the set is empty
+    if complete is not None and len(missing) == len(ref):
+        if not inside(g, sent.tokens, complete.brackets).in_language:
+            return None
+    if spec.enforce_subset and missing:
+        comp += tuple(missing)
         if complete is None:
-            present = {d.rules for d in comp}
-            missing = [d for d in ref if d.rules not in present]
-        elif complete.brackets is None:
-            missing = []
+            degenerate = {d.rules for d in comp} == {d.rules for d in ref}
         else:
-            compatible = complete.brackets.compatible
-            missing = [
-                d for d in ref if not all(compatible(i, j) for i, j in derivation_spans(g, d))
-            ]
-        if missing:
-            comp += tuple(missing)
-            if complete is None:
-                degenerate = {d.rules for d in comp} == {d.rules for d in ref}
-            else:
-                # the union is the reference set when the complete set holds
-                # nothing but the k references that nest with the brackets; at
-                # k = 0 it holds more, as the inside check above showed
-                k = len(ref) - len(missing)
-                degenerate = k > 0 and len(nbest(g, sent.tokens, k + 1, complete.brackets)) <= k
-            if degenerate:
-                warnings.warn(
-                    "competing set equals the reference set after subset enforcement",
-                    DegenerateDeltaWarning,
-                    stacklevel=2,
-                )
+            # the union is the reference set when the complete set holds
+            # nothing but the k references that nest with the brackets; at
+            # k = 0 it holds more, as the inside check above found
+            k = len(ref) - len(missing)
+            degenerate = k > 0 and len(nbest(g, sent.tokens, k + 1, complete.brackets)) <= k
+        if degenerate:
+            warnings.warn(
+                "competing set equals the reference set after subset enforcement",
+                DegenerateDeltaWarning,
+                stacklevel=2,
+            )
     return RealizedDelta(tuple(ref), comp, complete)
 
 
@@ -291,18 +290,15 @@ def _kept(realized) -> list[RealizedDelta]:
 def accumulate(g: Grammar, corpus, spec: DeltaSpec, eta: float = HParams.eta) -> Accumulators:
     """Posterior-weighted rule-usage sums over realized sets for a corpus."""
     realized = [realize_delta_sets(g, s, spec) for s in _nonempty(corpus)]
-    return accumulate_realized(g, realized, eta)
+    return accumulate_realized(g, realized, eta)[0]
 
 
-def accumulate_realized(g: Grammar, realized, eta: float = HParams.eta) -> Accumulators:
+def accumulate_realized(
+    g: Grammar, realized, eta: float = HParams.eta, h: float = HParams.h
+) -> tuple[Accumulators, float]:
     """Sums over realized sets, weighted by the stored ``log_prob`` (under
-    ``g``); complete competing sets add their expected counts under ``g``."""
-    return _accumulate(g, realized, eta, 0.0)[0]
-
-
-def _accumulate(g: Grammar, realized, eta: float, h: float) -> tuple[Accumulators, float]:
-    """The accumulators, and the objective under ``g`` of the sets they sum
-    over: the log masses that normalize their weights."""
+    ``g``; complete competing sets add their expected counts), and those
+    sets' objective under ``g``, read off the log masses that normalize them."""
     realized = list(realized)
     kept = _kept(realized)
     acc = Accumulators.zeros(g)
@@ -454,7 +450,7 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
     converged = False
     for iteration in range(1, params.max_iters + 1):
         realized = [realize_delta_sets(g, s, spec) for s in corpus]
-        acc, f_before = _accumulate(g, realized, params.eta, params.h)
+        acc, f_before = accumulate_realized(g, realized, params.eta, params.h)
         ctilde = compute_ctilde(acc, g, params.h, params.epsilon)
         raw = _raw_transform(g, acc, params.h, ctilde)
         floored = sum(1 for p in raw if p < params.min_prob)

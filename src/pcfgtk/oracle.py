@@ -148,12 +148,12 @@ def oracle_accumulate(g: Grammar, corpus, spec, eta: float = 1.0):
         records = _expand(g, list(sent.tokens))
         ref = _select(records, spec.ref_mode, spec.n_ref, sent.brackets)
         comp = _select(records, spec.comp_mode, spec.n_comp, sent.brackets)
-        if spec.enforce_subset:
-            present = {r.rules for r in comp}
-            comp = comp + [r for r in ref if r.rules not in present]
         if not comp or not ref:
             acc.skipped += 1
             continue
+        if spec.enforce_subset:
+            present = {r.rules for r in comp}
+            comp = comp + [r for r in ref if r.rules not in present]
         effective += 1
         _add_weighted(g, acc.d_rule_ref, acc.d_nt_ref, ref, eta)
         _add_weighted(g, acc.d_rule_comp, acc.d_nt_comp, comp, eta)

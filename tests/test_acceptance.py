@@ -176,7 +176,7 @@ def frozen_set_trials():
                     realized = [realize_delta_sets(g, s, spec) for s in corpus]
                     if all(r is None for r in realized):
                         continue
-                    acc = accumulate_realized(g, realized, eta)
+                    acc = accumulate_realized(g, realized, eta)[0]
                     ct = compute_ctilde(acc, g, h, 1.0)
                     raw = _raw_transform(g, acc, h, ct)
                     g2 = growth_step(g, acc, h, ct)

@@ -189,6 +189,22 @@ class TestTrain:
         ctilde = float(report.read_text().splitlines()[3].split(",")[2])
         assert ctilde > 1e11
 
+    def test_unread_list_length_is_not_checked(self, toy_files, capsys):
+        # the complete competing set lists nothing, so --n-comp 0 changes nothing
+        tmp_path, grammar, corpus, _ = toy_files
+        outputs = []
+        for extra in ((), ("--n-comp", "0")):
+            out_g = tmp_path / "out.g"
+            code, out, err = run(
+                capsys,
+                "train", grammar, corpus,
+                "--out-grammar", str(out_g),
+                "--comp-mode", "all", "--iters", "2", *extra,
+            )
+            assert (code, err) == (0, "")
+            outputs.append(out + out_g.read_text())
+        assert outputs[0] == outputs[1]
+
     def test_zero_iterations_round_trips_grammar(self, toy_files, capsys):
         tmp_path, grammar, corpus, _ = toy_files
         out_g = tmp_path / "out.g"

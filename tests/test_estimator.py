@@ -23,6 +23,7 @@ from pcfgtk import (
     derivation_spans,
     enumerate_derivations,
     growth_step,
+    inside,
     nbest,
     objective,
     objective_over_sets,
@@ -34,7 +35,7 @@ from pcfgtk import (
 )
 from pcfgtk import estimator
 from pcfgtk.derivations import count_vector
-from pcfgtk.estimator import COMP_MODES, REF_MODES, _accumulate, accumulate_realized
+from pcfgtk.estimator import COMP_MODES, REF_MODES, accumulate_realized
 from pcfgtk.oracle import catalan, growth_step_single_ref
 
 TOY_CORPUS = [["a", "a"], ["a", "a", "a", "a"]]
@@ -47,8 +48,10 @@ class TestSpecsAndParams:
             DeltaSpec(ref_mode="best")
         with pytest.raises(ValueError):
             DeltaSpec(comp_mode="everything")
-        with pytest.raises(ValueError):
-            DeltaSpec(n_ref=0)
+        with pytest.raises(ValueError, match="^n_ref must be at least 1$"):
+            DeltaSpec(ref_mode="nbest", n_ref=0)
+        with pytest.raises(ValueError, match="^n_comp must be at least 1$"):
+            DeltaSpec(comp_mode="nbest", n_comp=0)
         with pytest.raises(ValueError):
             DeltaSpec(ref_mode="nbest", comp_mode="nbest", n_ref=3, n_comp=2)
         for counts in ({"n_comp": 2.5}, {"n_comp": 2.0}, {"n_ref": 1.0}, {"n_ref": "1"}):
@@ -56,6 +59,19 @@ class TestSpecsAndParams:
                 DeltaSpec("viterbi", "nbest", **counts)
         DeltaSpec(ref_mode="nbest", comp_mode="nbest", n_ref=2, n_comp=2)
         DeltaSpec("viterbi", "nbest", n_comp=np.int64(3))
+
+    def test_each_list_length_is_checked_only_by_its_mode(self):
+        # a mode other than nbest never reads its n, so any integer passes
+        for spec in (
+            DeltaSpec(comp_mode="all", n_comp=0),
+            DeltaSpec("viterbi", "bracketed_all", n_ref=0, n_comp=-3),
+            DeltaSpec("bracketed_viterbi", "nbest", n_ref=0, n_comp=2),
+            DeltaSpec("nbest", "all", n_ref=2, n_comp=0),
+        ):
+            plain = DeltaSpec(spec.ref_mode, spec.comp_mode, n_ref=2, n_comp=2)
+            assert realize_delta_sets(toy(0.5), ["a"] * 4, spec) == realize_delta_sets(
+                toy(0.5), ["a"] * 4, plain
+            )
 
     def test_hparams_validation(self):
         with pytest.raises(ValueError):
@@ -115,7 +131,7 @@ class TestScaledSetLogprob:
         # a complete set needs no listed competitors
         rd = RealizedDelta(d, (), complete)
         assert objective_over_sets(g, [rd], 1.0, 0.0) == d[0].log_prob
-        assert accumulate_realized(g, [rd]).d_rule_comp[1] == 1.0
+        assert accumulate_realized(g, [rd])[0].d_rule_comp[1] == 1.0
 
 
 class TestAccumulate:
@@ -222,7 +238,7 @@ class TestAccumulate:
                 warnings.simplefilter("ignore", DegenerateDeltaWarning)
                 realized = [realize_delta_sets(g, s, spec) for s in corpus]
             appended += sum(rd is not None and rd.complete is not None and bool(rd.comp) for rd in realized)
-            got = accumulate_realized(g, realized, eta)
+            got = accumulate_realized(g, realized, eta)[0]
             want = oracle_accumulate(g, corpus, spec, eta)
             for rid in range(len(g.rules)):
                 assert got.d_rule_ref[rid] == pytest.approx(want.d_rule_ref[rid], rel=1e-10, abs=1e-10)
@@ -346,9 +362,10 @@ class TestSubsetEnforcement:
         assert warned >= 5 and quiet >= 5
 
     def test_single_crossing_reference_runs_no_degeneracy_parse(self, monkeypatch):
-        # with k = 0 nesting references the inside check has already shown
-        # the complete set non-empty, so no n-best parse is needed to rule
-        # out a degenerate union
+        # with k = 0 nesting references the inside check, run once the
+        # crossing references are known, has shown the complete set
+        # non-empty, so no n-best parse is needed to rule out a degenerate
+        # union
         calls = []
 
         def spy(*args):
@@ -403,6 +420,61 @@ class TestSubsetEnforcement:
         assert viterbi(g, sent.tokens) is not None
         assert realize_delta_sets(g, sent, spec) is None
         assert accumulate(g, [sent, ["a", "b", "b"]], spec).skipped == 1
+
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_oracle_skips_what_the_estimator_skips(self, enforce):
+        # the bracketed complete set of the first sentence is empty, so it is
+        # skipped before any reference is appended to it
+        g = parse_grammar("S -> A B 1.0\nB -> C C 1.0\nA -> a 1.0\nC -> b 1.0\n")
+        sent = Sentence(("a", "b", "b"), Bracketing(frozenset({(0, 2)})))
+        spec = DeltaSpec("viterbi", "bracketed_all", enforce_subset=enforce)
+        got = accumulate(g, [sent, ["a", "b", "b"]], spec)
+        want = oracle_accumulate(g, [sent, ["a", "b", "b"]], spec)
+        assert got.skipped == want.skipped == 1
+        assert got.d_rule_ref.tolist() == want.d_rule_ref.tolist() == [1.0, 1.0, 1.0, 2.0]
+        for name in ("d_rule_comp", "d_nt_ref", "d_nt_comp"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+    @pytest.mark.parametrize("enforce", [True, False])
+    @pytest.mark.parametrize(
+        "ref_mode,comp_mode",
+        [(r, c) for r in REF_MODES for c in COMP_MODES if {r, c} & estimator.BRACKETED_MODES],
+    )
+    @pytest.mark.parametrize("span", [(0, 9), (3, 4), (1, 9)])
+    def test_bracket_beyond_the_sentence_raises(self, ref_mode, comp_mode, enforce, span):
+        # (0, 9) and (3, 4) nest with every derivation of three tokens, so
+        # no reference crosses them and the complete set is never parsed
+        spec = DeltaSpec(ref_mode, comp_mode, n_ref=2, n_comp=3, enforce_subset=enforce)
+        sent = Sentence(("a",) * 3, Bracketing(frozenset({span})))
+        with pytest.raises(ValueError, match="^bracket span exceeds sentence length 3$"):
+            realize_delta_sets(toy(0.5), sent, spec)
+
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_complete_set_is_parsed_only_when_no_reference_nests(self, monkeypatch, enforce):
+        # a reference derivation that nests with the complete set's brackets
+        # shows that set non-empty; only when none does is it parsed
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return inside(*args)
+
+        monkeypatch.setattr(estimator, "inside", spy)
+        g = toy(0.5)
+        tokens = ("a",) * 4
+        best = viterbi(g, tokens)[0]
+        nesting = Bracketing(frozenset(derivation_spans(g, best)))
+        crossing = Bracketing(frozenset({(1, 3)}))
+        assert not all(crossing.compatible(i, j) for i, j in derivation_spans(g, best))
+        for ref_mode, comp_mode, brackets, probes in (
+            ("bracketed_viterbi", "all", crossing, 0),
+            ("viterbi", "bracketed_all", nesting, 0),
+            ("viterbi", "bracketed_all", crossing, 1),
+        ):
+            calls.clear()
+            spec = DeltaSpec(ref_mode, comp_mode, enforce_subset=enforce)
+            assert realize_delta_sets(g, Sentence(tokens, brackets), spec) is not None
+            assert calls == [(g, tokens, brackets)] * probes
 
     def test_unparseable_returns_none(self):
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
@@ -659,7 +731,7 @@ class TestObjective:
             if all(r is None for r in realized):
                 continue
             for eta in (0.5, 1.0, 2.0):
-                _, f_before = _accumulate(g, realized, eta, 0.6)
+                _, f_before = accumulate_realized(g, realized, eta, 0.6)
                 assert f_before == objective_over_sets(g, realized, eta, 0.6)
 
     def test_skipped_sentences_excluded(self):
@@ -696,7 +768,7 @@ class TestMonotonicity:
                     realized = [realize_delta_sets(g, s, spec) for s in corpus]
                     if all(r is None for r in realized):
                         continue
-                    acc = accumulate_realized(g, realized, eta)
+                    acc = accumulate_realized(g, realized, eta)[0]
                     ct = compute_ctilde(acc, g, h, 1.0)
                     g2 = growth_step(g, acc, h, ct)
                     before = objective_over_sets(g, realized, eta, h)
@@ -732,7 +804,7 @@ class TestMonotonicity:
                 continue
             eta = (0.5, 1.0, 2.0)[seed % 3]
             h = (0.0, 0.3, 0.9)[seed // 3 % 3]
-            acc = accumulate_realized(g, realized, eta)
+            acc = accumulate_realized(g, realized, eta)[0]
             rids = blocks[int(rng.integers(len(blocks)))]
             direction = rng.normal(size=len(rids))
             direction -= direction.mean()
