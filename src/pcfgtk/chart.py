@@ -18,10 +18,12 @@ derivations).  ``expected_counts`` runs the same inside pass over arbitrary
 rule weights and walks the rows back top-down (the outside pass) for
 expected rule counts.  ``viterbi`` keeps each row's highest incremental
 score, falling back to the canonical count-ordered score only for rows
-with two candidates within rounding distance.  ``kbest.nbest`` reads each
-width's rows as per-(span, lhs) lists of candidate child entries and makes
-each entry's hypotheses only when asked, top-down from the root, ranking
-them canonically only within rounding distance of each other.
+with two candidates within rounding distance.  ``kbest.nbest`` keeps each
+row's highest incremental score as its max-plus score, and each width's
+candidate scores, whose columns it reads back (``_Columns``) as candidates
+only for the entries a parent asks for, making their hypotheses top-down
+from the root and ranking them canonically only within rounding distance
+of each other.
 
 Every result is bit-identical to the span-by-span scalar chart this layout
 replaced (kept in the tests as the reference).  Elementwise addition,
@@ -207,24 +209,6 @@ def _inside_pass(g: Grammar, trav: _Traversal, weights, kept: list | None = None
     return chart
 
 
-def _candidate_lists(g: Grammar, width: _Width, present: np.ndarray) -> list:
-    """The rows of a width with a candidate whose children are both
-    ``present`` (a flat boolean chart, marked here for the rows listed), as
-    ``(entry, [(rule id, left entry, right entry), ...])``: the children by
-    flat chart index, and the candidates in ascending (split, rule id)
-    order."""
-    left, right = present.take(width.children, mode="clip")
-    rows, cols = (left & right).reshape(len(width.entry), -1).nonzero()
-    n_lhs, n_rules = g.binary_rule_table.shape
-    rules = g.binary_rule_table[rows % n_lhs, cols % n_rules].tolist()
-    left, right = width.children.reshape(2, len(width.entry), -1)[:, rows, cols].tolist()
-    lists: dict[int, list] = {}
-    for entry, cand in zip(width.entry.take(rows).tolist(), zip(rules, left, right)):
-        lists.setdefault(entry, []).append(cand)
-    present.put(list(lists), True)
-    return list(lists.items())
-
-
 @dataclass(frozen=True)
 class InsideChart:
     """Inside log masses: ``table[i, j, a]`` for span (i, j) and nonterminal a.
@@ -348,12 +332,16 @@ def expected_counts(
 # the incremental one across every cut, and only the windows between cuts
 # need canonical ranking.
 #
-# An entry makes its hypotheses lazily, joining child hypotheses i and j of
-# a candidate only once a heap frontier pops (i, j).  The heap keys each join
-# by the bound (lp[rule] + wmax_L[i]) + wmax_R[j], where wmax[i] is the
-# highest incremental score in the child's window that holds index i.  wmax
-# never increases with i (windows are cut apart) and IEEE rounding is
-# monotone, so a key bounds its join's score and every key past it.  Popping
+# An entry makes its hypotheses lazily, joining child hypotheses i and j of a
+# candidate only once a heap frontier pops (i, j).  The first join of each
+# candidate is keyed by the candidate's max-plus score (lp[rule] + M_L) +
+# M_R, M being the highest incremental score over an entry's candidates,
+# computed bottom-up; every later join by (lp[rule] + wmax_L[i]) + wmax_R[j],
+# where wmax[i] is the highest incremental score in the child's window that
+# holds index i.  By induction over widths, as IEEE rounding is monotone,
+# every hypothesis of an entry has an incremental score at most its M, so
+# wmax[i] <= wmax[0] <= M, and wmax never increases with i (windows are cut
+# apart); hence a key bounds its join's score and every key past it.  Popping
 # (i, j) pushes (i + 1, j) and (i, j + 1), so every join not yet popped lies
 # past a heap member by steps that raise an index, and the top key U bounds
 # its score.  Within a child's window the incremental order is not the
@@ -361,8 +349,8 @@ def expected_counts(
 # score.  The popped joins' first window, with lowest member a, is final once
 # a and U pass the cut test (or nothing is left to pop): by the straddling
 # argument with U in the place of s_b, every join still to come lies beyond a
-# cut from a.  So each window holds what it would in the complete sorted
-# list, whatever order the joins were popped in.
+# cut from a.  So each window holds what it would in the complete sorted list,
+# whatever order the joins were popped in.
 #
 # ``viterbi`` takes each row's highest incremental score M.  Its window is
 # s >= M (1 + 3c), c = _SLACK * m: a candidate below it has d = M - s >
@@ -378,20 +366,11 @@ def expected_counts(
 _SLACK = 4 * 2.0**-53
 
 
-class _Backpointers:
-    """A Viterbi chart's backpointers, walked into rule lists.
-
-    A binary entry keeps its winning column ``k * Q + q`` of its row (see
-    ``_Width``): split ``i + 1 + k`` and the row's ``q``-th rule, the
-    (split, rule id) pair in one integer.  A lexical entry keeps its rule id.
-    """
+class _Columns:
+    """Reads a row's columns (see ``_Width``) back as candidates."""
 
     def __init__(self, g: Grammar, trav: _Traversal):
-        self.g = g
         self.n1, _, self.n_nt = trav.shape
-        self.code = np.zeros(trav.size, dtype=np.intp)
-        self.code[trav.leaf_entry] = trav.leaf_rule
-        self.subtrees: dict[int, list[int]] = {}
         table = g.binary_rule_table.tolist()
         left, right = g.binary_table_rhs.tolist()
         # per table row, (rule id, left child, right child) of each column q
@@ -405,6 +384,22 @@ class _Backpointers:
         rule, b, c = self.columns[row][q]
         k += i + 1
         return rule, (i * self.n1 + k) * self.n_nt + b, (k * self.n1 + j) * self.n_nt + c
+
+
+class _Backpointers(_Columns):
+    """A Viterbi chart's backpointers, walked into rule lists.
+
+    A binary entry keeps its winning column ``k * Q + q`` of its row (see
+    ``_Width``): split ``i + 1 + k`` and the row's ``q``-th rule, the
+    (split, rule id) pair in one integer.  A lexical entry keeps its rule id.
+    """
+
+    def __init__(self, g: Grammar, trav: _Traversal):
+        super().__init__(g, trav)
+        self.g = g
+        self.code = np.zeros(trav.size, dtype=np.intp)
+        self.code[trav.leaf_entry] = trav.leaf_rule
+        self.subtrees: dict[int, list[int]] = {}
 
     def preorder(self, entry: int) -> list[int]:
         """Rule ids of the subtree under a finished entry, in

@@ -90,27 +90,28 @@ def _walk(g: Grammar, rules):
     if the sequence is not a complete leftmost derivation from the start
     symbol.
     """
+    lhs_rhs = g.rule_lhs_rhs
     pending = [g.start]  # leftmost pending nonterminal on top
     open_nodes: list[tuple[str, int, list]] = []  # binary nodes awaiting children
     tokens: list[str] = []
     spans: list[tuple[int, int]] = []
     tree = None
     for rid in rules:
-        if not 0 <= rid < len(g.rules):
+        if not 0 <= rid < len(lhs_rhs):
             raise ValueError(f"rule id {rid} out of range")
-        rule = g.rules[rid]
+        lhs, rhs = lhs_rhs[rid]
         if not pending:
-            raise ValueError(f"rule {rule} applied after the derivation completed")
+            raise ValueError(f"rule {g.rules[rid]} applied after the derivation completed")
         top = pending.pop()
-        if top != rule.lhs:
-            raise ValueError(f"rule {rule} cannot rewrite pending nonterminal {top}")
-        if not rule.is_lexical:
-            pending += (rule.rhs[1], rule.rhs[0])
-            open_nodes.append((rule.lhs, len(tokens), []))
+        if top != lhs:
+            raise ValueError(f"rule {g.rules[rid]} cannot rewrite pending nonterminal {top}")
+        if len(rhs) == 2:
+            pending += (rhs[1], rhs[0])
+            open_nodes.append((lhs, len(tokens), []))
             continue
-        tokens.append(rule.terminal)
+        tokens.append(rhs[0])
         spans.append((len(tokens) - 1, len(tokens)))
-        node = (rule.lhs, (rule.terminal,))
+        node = (lhs, rhs)  # a lexical rule's rhs is its one terminal
         # a finished subtree completes every ancestor whose right child it ends
         while open_nodes:
             lhs, start, children = open_nodes[-1]

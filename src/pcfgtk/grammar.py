@@ -171,6 +171,11 @@ class Grammar:
         return {nt: i for i, nt in enumerate(self.nonterminals)}
 
     @cached_property
+    def rule_lhs_rhs(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """``(lhs, rhs)`` of every rule, indexed by rule id."""
+        return tuple((r.lhs, r.rhs) for r in self.rules)
+
+    @cached_property
     def rule_lhs_index(self) -> np.ndarray:
         """``nt_index`` of every rule's LHS, indexed by rule id (read-only)."""
         index = np.array([self.nt_index[r.lhs] for r in self.rules], dtype=np.intp)

@@ -1,12 +1,16 @@
 """Exact n-best derivations, each chart entry's hypotheses made on demand.
 
-The chart's shared CKY layout lists each width's candidates, read here as
-per-(span, lhs) lists of (rule, left child entry, right child entry).  A
-lexical entry holds its one hypothesis; a span's hypotheses join a left
-hypothesis with a right one under a candidate.  A hypothesis is a
-``_Cell``: an incremental score, the rule's log probability plus the two
-children's scores, with its rule id and its two children, so building one
-costs two float additions and no count vector.
+n-best runs in two phases (Huang and Chiang 2005, "Better k-best
+Parsing", Alg. 3).  The first is one max-plus pass over the chart's shared
+CKY layout: each width's candidate scores, ``(lp[rule] + M_left) +
+M_right``, and each (span, lhs) entry's highest, its max-plus score M.  The
+second makes each entry's ranked hypotheses lazily, top-down from the root.
+A lexical entry holds its one hypothesis; a span's hypotheses join a left
+hypothesis with a right one under a candidate (rule, left child entry,
+right child entry).  A hypothesis is a ``_Cell``: an incremental score, the
+rule's log probability plus the two children's scores, with its rule id and
+its two children, so building one costs two float additions and no count
+vector.
 
 Ordering is by descending canonical log probability (``score_counts`` of
 the subtree's rule counts) with the backpointer key as secondary
@@ -22,16 +26,19 @@ key agrees with the Viterbi tie-break, so ``nbest(..., 1)`` returns exactly
 the Viterbi derivation.  With a large enough n the result is the complete
 derivation set.
 
-The lists are made lazily, top-down from the root (Huang and Chiang 2005,
-"Better k-best Parsing", Alg. 3).  An entry keeps a heap frontier of joins
-(candidate, left index, right index), keyed by an upper bound on the join's
+An entry starts when it is first asked for a hypothesis: its candidates are
+read back from the columns of its row that score above -inf, in ascending
+(split, rule id) order, and its heap frontier of joins (candidate, left
+index, right index) starts with each candidate's first join, keyed by that
+candidate's max-plus score.  A later join's key is an upper bound on its
 score: the rule's log probability plus, for each child, the highest
-incremental score in the child's window that holds the index.  Popping join
-(i, j) pushes (i + 1, j) and (i, j + 1), asking each child for that index
-only then, and never for one at or past n.  A window is final once its
-lowest member lies further than rounding distance above the top key, or the
-frontier is empty (see ``chart._SLACK``).  The root is asked for n
-hypotheses; requests wait on an explicit stack, not on Python recursion.
+incremental score in the child's window that holds the index.  Before join
+(i, j) is popped, the left child is asked for index i + 1 and the right for
+j + 1 (for i or j where that would be n), which starts a child not yet
+started; popping (i, j) pushes (i + 1, j) and (i, j + 1).  A window is final
+once its lowest member lies further than rounding distance above the top
+key, or the frontier is empty (see ``chart._SLACK``).  The root is asked for
+n hypotheses; requests wait on an explicit stack, not on Python recursion.
 """
 from __future__ import annotations
 
@@ -42,10 +49,11 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .chart import _SLACK, _candidate_lists, _cky, _Traversal
+from .chart import _SLACK, _cky, _column_weights, _Columns, _scores, _Traversal
 from .corpus import Bracketing
 from .derivations import Derivation, score_rules
 from .grammar import Grammar
+from .logmath import NEG_INF
 
 
 @dataclass(slots=True)  # never changed once made; not frozen, which is slower to build
@@ -99,7 +107,7 @@ def nbest(
         raise ValueError("n must be at least 1")
     trav = _cky(g, sentence, brackets)
     lists = _Lists(g, trav, n)
-    if trav.root in lists.hyps:
+    if lists.maxplus[trav.root] > NEG_INF:
         lists.ask(trav.root, n - 1)
     cells = lists.hyps.get(trav.root, [])
     derivations = tuple(Derivation.build(g, _preorder(cell), len(trav.tokens)) for cell in cells)
@@ -108,36 +116,45 @@ def nbest(
 
 class _Lists:
     """The ranked hypothesis lists of one sentence's chart entries, each
-    extended only as far as it is asked.
+    started and extended only as far as it is asked.
 
-    ``hyps[entry]`` holds an entry's hypotheses so far and ``wmax[entry]``,
-    for each, the highest incremental score in its window.  An entry in
-    ``closed`` holds its whole list, at most n long.  An open entry that has
-    started keeps in ``frontier`` its heap of ``(-key, candidate, left index,
-    right index)`` joins, the joins pushed so far, and the joins popped but
-    not yet in a final window, by descending score.  No data here refers
+    ``maxplus`` is a flat chart of each entry's max-plus score M, the
+    highest incremental score over its candidates (-inf where absent), and
+    ``rows[span]`` that span's candidate scores ``(lp[rule] + M_left) +
+    M_right`` by table row and column (see ``chart._Width``).
+    ``hyps[entry]`` holds a started entry's hypotheses so far and
+    ``wmax[entry]``, for each, the highest incremental score in its window.
+    An entry in ``closed`` holds its whole list, at most n long.  An open
+    entry that has started keeps in ``frontier`` its heap of ``(-key,
+    candidate, left index, right index)`` joins, the joins pushed so far,
+    the joins popped but not yet in a final window, by descending score, and
+    its (rule, left entry, right entry) candidates.  No data here refers
     back to the object, so it is freed without the cycle collector.
     """
 
     def __init__(self, g: Grammar, trav: _Traversal, n: int):
         self.g, self.n = g, n
         self.n1, _, self.n_nt = trav.shape
-        lp = g.log_probs
+        lp, columns = _column_weights(g, g.log_probs)
+        chart = np.full(trav.size, NEG_INF)
+        chart[trav.leaf_entry] = lp[trav.leaf_rule]
+        self.rows: dict[int, np.ndarray] = {}
+        for width in trav.widths():
+            scores = _scores(chart, columns, width)
+            chart.put(width.entry, np.maximum.reduce(scores, axis=1))
+            w = (width.size + 1) // 2
+            blocks = scores.reshape(len(width.starts), len(g.binary_table_lhs), -1)
+            for start, block in zip(width.starts.tolist(), blocks):
+                self.rows[start * self.n1 + start + w] = block
+        self.maxplus = chart
         self.hyps: dict[int, list[_Cell]] = {}
         self.wmax: dict[int, list[float]] = {}
         for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
             self.hyps[entry] = [_Cell(lp[rule], 1, rule)]
             self.wmax[entry] = [lp[rule]]
         self.closed = set(self.hyps)
-        present = np.zeros(trav.size, dtype=bool)
-        present[trav.leaf_entry] = True
-        self.cands: dict[int, list[tuple[int, int, int]]] = {}
-        for width in trav.widths():
-            for entry, cands in _candidate_lists(g, width, present):
-                self.cands[entry] = cands
-                self.hyps[entry] = []
-                self.wmax[entry] = []
-        self.frontier: dict[int, tuple[list, set, list[_Cell]]] = {}
+        self.frontier: dict[int, tuple[list, set, list[_Cell], list[tuple[int, int, int]]]] = {}
+        self.columns = _Columns(g, trav)
 
     def ask(self, entry: int, index: int) -> None:
         """Extend an entry's list until it holds ``index`` < n or is whole.
@@ -149,10 +166,26 @@ class _Lists:
         stack = [(entry, index)]
         while stack:
             top, i = stack[-1]
-            if i < len(hyps[top]) or top in closed:
+            if top in closed or i < len(hyps.get(top, ())):
                 stack.pop()
             else:
                 stack += self._extend(top)
+
+    def _start(self, entry: int) -> tuple:
+        """Start an entry's frontier: the first join of every candidate,
+        keyed by its max-plus score, and the candidates in ascending (split,
+        rule id) order."""
+        span, a = divmod(entry, self.n_nt)
+        start, end = divmod(span, self.n1)
+        table_row = self.columns.row_of[a]
+        row = self.rows[span][table_row]
+        cols = (row > NEG_INF).nonzero()[0]
+        heap = [(-key, c, 0, 0) for c, key in enumerate(row.take(cols).tolist())]
+        heapify(heap)
+        cands = [self.columns.candidate(start, end, table_row, col) for col in cols.tolist()]
+        self.hyps[entry], self.wmax[entry] = [], []
+        state = self.frontier[entry] = (heap, {(c, 0, 0) for c in range(len(heap))}, [], cands)
+        return state
 
     def _extend(self, entry: int) -> list[tuple[int, int]]:
         """Append an open entry's next window, or close it.  Returns
@@ -160,19 +193,10 @@ class _Lists:
         if any, having stopped between two joins."""
         hyps, wmax, closed, n = self.hyps, self.wmax, self.closed, self.n
         lp = self.g.log_probs
-        cands = self.cands[entry]
         state = self.frontier.get(entry)
         if state is None:
-            need = [(child, 0) for _, *children in cands for child in children if not hyps[child]]
-            if need:
-                return need
-            heap = [
-                (-((lp[rule] + wmax[left][0]) + wmax[right][0]), c, 0, 0)
-                for c, (rule, left, right) in enumerate(cands)
-            ]
-            heapify(heap)
-            state = self.frontier[entry] = (heap, {(c, 0, 0) for c in range(len(heap))}, [])
-        heap, seen, pending = state
+            state = self._start(entry)
+        heap, seen, pending, cands = state
         start, end = divmod(entry // self.n_nt, self.n1)
         size = 2 * (end - start) - 1  # rules in every hypothesis of the span
         slack = _SLACK * size
@@ -196,12 +220,13 @@ class _Lists:
                 return []
             _, c, li, ri = heap[0]
             rule, left, right = cands[c]
-            lefts, rights = hyps[left], hyps[right]
+            # a child not yet started holds no hypotheses
+            lefts, rights = hyps.get(left, ()), hyps.get(right, ())
             need = []
-            if len(lefts) <= li + 1 < n and left not in closed:
-                need.append((left, li + 1))
-            if len(rights) <= ri + 1 < n and right not in closed:
-                need.append((right, ri + 1))
+            if len(lefts) <= li + 1 and left not in closed:
+                need.append((left, min(li + 1, n - 1)))
+            if len(rights) <= ri + 1 and right not in closed:
+                need.append((right, min(ri + 1, n - 1)))
             if need:
                 return need
             heappop(heap)

@@ -13,6 +13,7 @@ from conftest import random_grammar, sample_bracketing, sample_corpus, sample_ru
 from pcfgtk import (
     derivation_spans,
     enumerate_derivations,
+    kbest,
     load_grammar,
     nbest,
     parse_grammar,
@@ -146,6 +147,33 @@ def corpus_and_bracketed(g, rng):
     return cases
 
 
+@pytest.fixture
+def started_lists(monkeypatch):
+    """Runs ``nbest`` and returns its result with the ``_Lists`` it made."""
+
+    made = []
+
+    class Recorded(kbest._Lists):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(kbest, "_Lists", Recorded)
+
+    def run(g, tokens, n, brackets=None):
+        made.clear()
+        result = nbest(g, tokens, n, brackets)
+        return result, made[0]
+
+    return run
+
+
+def key_bounds(lists) -> list[tuple[float, float]]:
+    """(M, wmax[0]) of every started entry: its max-plus score, which keys
+    its candidates' first joins, and the top of its first window."""
+    return [(lists.maxplus[entry], wmax[0]) for entry, wmax in lists.wmax.items()]
+
+
 class TestToyExamples:
     def test_aaaa_five_equal(self):
         result = nbest(toy(0.5), ["a"] * 4, 5)
@@ -200,6 +228,16 @@ class TestToyExamples:
                     nbest(toy(0.5), tokens, n)
         assert nbest(toy(0.5), ["a"] * 4, np.int64(3)) == nbest(toy(0.5), ["a"] * 4, 3)
 
+    def test_max_plus_key_may_exceed_a_truncated_window(self, started_lists):
+        # every join of a^10 ties; a child window wider than n is truncated
+        # below its top, so a parent's joins can stay below its max-plus M
+        g = toy(0.3)
+        result, lists = started_lists(g, ["a"] * 10, 3)
+        bounds = key_bounds(lists)
+        assert all(m >= top for m, top in bounds)
+        assert (sum(m > top for m, top in bounds), len(bounds)) == (6, 55)
+        assert result.derivations == enumerate_derivations(g, ["a"] * 10).derivations[:3]
+
 
 class TestOrderingProperties:
     def test_scores_non_increasing(self):
@@ -237,6 +275,15 @@ class TestOrderingProperties:
                 for n in range(1, len(enum) + 1):
                     assert nbest(g, tokens, n, brackets).derivations == enum[:n]
 
+    def test_max_plus_key_bounds_every_started_entry(self, started_lists):
+        for seed in range(60):
+            rng = np.random.default_rng(8500 + seed)
+            g = random_grammar(rng)
+            for tokens, brackets in corpus_and_bracketed(g, rng):
+                for n in (1, 2, 3, 10):
+                    _, lists = started_lists(g, tokens, n, brackets)
+                    assert all(m >= top for m, top in key_bounds(lists))
+
     def test_n_one_equals_viterbi_random(self):
         for seed in range(30):
             rng = np.random.default_rng(9500 + seed)
@@ -265,6 +312,22 @@ class TestG100:
         for tokens, brackets in cases:
             best = viterbi(g, tokens, brackets)[0]
             assert nbest(g, tokens, 1, brackets).derivations == (best,)
+
+    def test_max_plus_key_is_the_window_top(self, started_lists):
+        g, cases = g100_cases()
+        for tokens, brackets in cases:
+            _, lists = started_lists(g, tokens, 10, brackets)
+            assert all(m == top for m, top in key_bounds(lists))
+
+    def test_sixteen_tokens_start_few_entries(self, started_lists):
+        # an entry starts only once a popped join needs one of its
+        # hypotheses: 136 of the 1,007 binary entries present, where
+        # listing every candidate first started 939
+        g = load_grammar(G100)
+        _, lists = started_lists(g, SIXTEEN_TOKENS, 10)
+        n_leaves = sum(hyps[0].left is None for hyps in lists.hyps.values())
+        present = int(np.count_nonzero(lists.maxplus > -math.inf)) - n_leaves
+        assert (len(lists.hyps) - n_leaves, present) == (136, 1007)
 
     def test_sixteen_tokens_in_polynomial_time(self):
         g = load_grammar(G100)
