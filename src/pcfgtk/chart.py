@@ -16,14 +16,13 @@ identical to none.
 its full-span start entry is the log string probability (the sum over all
 derivations).  ``expected_counts`` runs the same inside pass over arbitrary
 rule weights and walks the rows back top-down (the outside pass) for
-expected rule counts.  ``viterbi`` keeps each row's highest incremental
-score, falling back to the canonical count-ordered score only for rows
-with two candidates within rounding distance.  ``kbest.nbest`` keeps each
-row's highest incremental score as its max-plus score, and each width's
-candidate scores, whose columns it reads back (``_Columns``) as candidates
-only for the entries a parent asks for, making their hypotheses top-down
-from the root and ranking them canonically only within rounding distance
-of each other.
+expected rule counts.  ``kbest.nbest`` keeps each row's highest
+incremental score as its max-plus score, and each width's candidate
+scores, whose columns it reads back as candidates only for the entries a
+parent asks for, making their hypotheses top-down from the root and
+ranking them canonically only within rounding distance of each other.
+``viterbi`` is the first entry of that list, made by the same engine at
+n = 1, so this module holds no tie-breaking or rounding logic.
 
 Every result is bit-identical to the span-by-span scalar chart this layout
 replaced (kept in the tests as the reference).  Elementwise addition,
@@ -48,7 +47,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .corpus import Bracketing
-from .derivations import Derivation, score_rules
+from .derivations import Derivation
 from .grammar import Grammar
 from .logmath import NEG_INF
 
@@ -306,174 +305,20 @@ def expected_counts(
     return float(chart[trav.root]), counts
 
 
-# Two Viterbi candidates whose incremental scores differ by more than
-# _SLACK * (m_a |score_a| + m_b |score_b|), for m rules in each, are ordered
-# the same way by their canonical scores.  A derivation's m rule log
-# probabilities l_t are all <= 0, so their exact sum S has |S| = sum |l_t|.
-# The incremental score sums the l_t along the tree with m - 1 roundings and
-# the canonical ``score_counts`` sums at most m rounded products c * l, so by
-# the standard summation bound (Higham 2002, sec. 4.2) each lies within
-# gamma_m |S| of S, with gamma_m = m u / (1 - m u) and u = 2**-53.  The two
-# scores of one candidate thus differ by at most 2 gamma_m |S|, which is
-# below 2.001 m u |score| for every m u < 1e-6 (any sentence that fits in
-# memory).  The slack is about twice the sum of these bounds over both
-# candidates, a margin that also covers the rounding of the difference and
-# of the slack themselves.  Beyond it the incremental order is the
-# canonical one; within it ``viterbi`` compares canonical scores.
-#
-# ``kbest.nbest`` cuts each entry's hypotheses, in incremental-score order,
-# wherever two neighbours a, b lie more than _SLACK * m (|s_a| + |s_b|) apart.
-# In CNF every hypothesis of an entry over width w has the same rule count
-# m = 2w - 1, so this is the bound above.  A cut also separates every pair
-# x, y that straddles it (s_x >= s_a > s_b >= s_y, all <= 0): s_x - s_y
-# exceeds the gap s_a - s_b by (s_x - s_a) + (s_b - s_y), while the pair's
-# slack exceeds the neighbours' by _SLACK * m ((s_b - s_y) - (s_x - s_a)),
-# which is less because _SLACK * m < 1.  So the canonical order agrees with
-# the incremental one across every cut, and only the windows between cuts
-# need canonical ranking.
-#
-# An entry makes its hypotheses lazily, joining child hypotheses i and j of a
-# candidate only once a heap frontier pops (i, j).  The first join of each
-# candidate is keyed by the candidate's max-plus score (lp[rule] + M_L) +
-# M_R, M being the highest incremental score over an entry's candidates,
-# computed bottom-up; every later join by (lp[rule] + wmax_L[i]) + wmax_R[j],
-# where wmax[i] is the highest incremental score in the child's window that
-# holds index i.  By induction over widths, as IEEE rounding is monotone,
-# every hypothesis of an entry has an incremental score at most its M, so
-# wmax[i] <= wmax[0] <= M, and wmax never increases with i (windows are cut
-# apart); hence a key bounds its join's score and every key past it.  Popping
-# (i, j) pushes (i + 1, j) and (i, j + 1), so every join not yet popped lies
-# past a heap member by steps that raise an index, and the top key U bounds
-# its score.  Within a child's window the incremental order is not the
-# canonical one, so joins are popped by their bound, never by their own
-# score.  The popped joins' first window, with lowest member a, is final once
-# a and U pass the cut test (or nothing is left to pop): by the straddling
-# argument with U in the place of s_b, every join still to come lies beyond a
-# cut from a.  So each window holds what it would in the complete sorted list,
-# whatever order the joins were popped in.
-#
-# ``viterbi`` takes each row's highest incremental score M.  Its window is
-# s >= M (1 + 3c), c = _SLACK * m: a candidate below it has d = M - s >
-# 3c |M| (M <= 0), and as |s| = |M| + d, d > c (|s| + |M|) follows from
-# d (1 - c) > 2c |M|, true because 3c > 2c / (1 - c); rounding the product
-# M (1 + 3c), where 1 + 3c is exact, costs less than one part in 2**53 of
-# |M|, far inside the spare c |M|.  So every candidate outside the window
-# is canonically below the one scoring M.  A window of one candidate is the
-# row's unique canonical maximum; a wider one holds every canonical maximum,
-# and its first in (split, rule id) order wins.  That is the candidate a
-# sequential scan in that order keeps when it replaces its best only on a
-# strictly higher canonical score.
-_SLACK = 4 * 2.0**-53
-
-
-class _Columns:
-    """Reads a row's columns (see ``_Width``) back as candidates."""
-
-    def __init__(self, g: Grammar, trav: _Traversal):
-        self.n1, _, self.n_nt = trav.shape
-        table = g.binary_rule_table.tolist()
-        left, right = g.binary_table_rhs.tolist()
-        # per table row, (rule id, left child, right child) of each column q
-        self.columns = [list(zip(*row)) for row in zip(table, left, right)]
-        self.row_of = {a: row for row, a in enumerate(g.binary_table_lhs.tolist())}
-
-    def candidate(self, i: int, j: int, row: int, col: int) -> tuple[int, int, int]:
-        """Rule id and left and right child entries of column ``col`` of
-        span (i, j) and table row ``row``."""
-        k, q = divmod(col, len(self.columns[row]))
-        rule, b, c = self.columns[row][q]
-        k += i + 1
-        return rule, (i * self.n1 + k) * self.n_nt + b, (k * self.n1 + j) * self.n_nt + c
-
-
-class _Backpointers(_Columns):
-    """A Viterbi chart's backpointers, walked into rule lists.
-
-    A binary entry keeps its winning column ``k * Q + q`` of its row (see
-    ``_Width``): split ``i + 1 + k`` and the row's ``q``-th rule, the
-    (split, rule id) pair in one integer.  A lexical entry keeps its rule id.
-    """
-
-    def __init__(self, g: Grammar, trav: _Traversal):
-        super().__init__(g, trav)
-        self.g = g
-        self.code = np.zeros(trav.size, dtype=np.intp)
-        self.code[trav.leaf_entry] = trav.leaf_rule
-        self.subtrees: dict[int, list[int]] = {}
-
-    def preorder(self, entry: int) -> list[int]:
-        """Rule ids of the subtree under a finished entry, in
-        leftmost-derivation order (kept for the entries above it)."""
-        memo = self.subtrees
-        stack = [entry]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            span, a = divmod(top, self.n_nt)
-            i, j = divmod(span, self.n1)
-            code = int(self.code[top])
-            if j == i + 1:
-                memo[top] = [code]
-                continue
-            rule, left, right = self.candidate(i, j, self.row_of[a], code)
-            if left in memo and right in memo:
-                memo[top] = [rule, *memo[left], *memo[right]]
-            else:
-                stack += (right, left)
-        return memo[entry]
-
-    def break_tie(self, width: _Width, row: int, cols: list[int]) -> int:
-        """The first of a row's columns with the highest canonical score."""
-        s, table_row = divmod(row, len(self.columns))
-        i = int(width.starts[s])
-        j = i + (width.size + 1) // 2
-        top = None
-        for col in cols:
-            rule, left, right = self.candidate(i, j, table_row, col)
-            score = score_rules(self.g, [rule, *self.preorder(left), *self.preorder(right)])
-            if top is None or score > top:
-                top, winner = score, col
-        return winner
-
-
 def viterbi(
     g: Grammar, sentence, brackets: Bracketing | None = None
 ) -> tuple[Derivation, float] | None:
     """Best derivation of the sentence and its log probability.
 
-    Each entry keeps the candidate with the highest canonical score (the
-    count-ordered ``score_counts`` of its subtree), ties broken by the
-    smallest (split, rule id) backpointer, so the result is deterministic
-    even when several derivations have exactly equal probability.  Entries
-    carry an incremental score instead of a count vector, and a (split,
-    rule id) backpointer.  A row with no other candidate within rounding
-    distance of its highest incremental score M (see ``_SLACK``) keeps the
-    candidate scoring M, its unique canonical maximum; otherwise the
-    candidates within that distance are compared by their canonical scores,
-    rebuilt from the backpointers, and the first highest wins, as in a
-    sequential scan of the row.  The returned log probability is canonical.
-    Returns None when the sentence has no (bracket-compatible) derivation.
+    The best derivation is the first entry of the n-best list, made by the
+    n-best engine at n = 1 (see ``kbest``): the highest canonical score (the
+    count-ordered ``score_counts`` of its rules), ties broken by the
+    smallest flattened (split, rule id) backpointer key, so the result is
+    deterministic even when several derivations have exactly equal
+    probability.  The returned log probability is canonical.  Returns None
+    when the sentence has no (bracket-compatible) derivation.
     """
-    trav = _cky(g, sentence, brackets)
-    lp, columns = _column_weights(g, g.log_probs)
-    chart = np.full(trav.size, NEG_INF)
-    chart[trav.leaf_entry] = lp[trav.leaf_rule]
-    back = _Backpointers(g, trav)
-    for width in trav.widths():
-        scores = _scores(chart, columns, width)
-        best = scores.argmax(axis=1)
-        top = np.maximum.reduce(scores, axis=1)
-        # the window of every row (see _SLACK); dead rows have M = -inf
-        near = scores >= (top * (1 + 3 * _SLACK * width.size))[:, None]
-        ties = (np.add.reduce(near, axis=1) > 1) & (top > NEG_INF)
-        for row in ties.nonzero()[0].tolist():
-            best[row] = back.break_tie(width, row, near[row].nonzero()[0].tolist())
-            top[row] = scores[row, best[row]]
-        chart.put(width.entry, top)
-        back.code.put(width.entry, best)
-    if chart[trav.root] == NEG_INF:
-        return None
-    d = Derivation.build(g, back.preorder(trav.root), len(trav.tokens))
-    return d, d.log_prob
+    from .kbest import _best  # local import: no cycle at load time
+
+    best = _best(g, _cky(g, sentence, brackets), 1)
+    return (best[0], best[0].log_prob) if best else None

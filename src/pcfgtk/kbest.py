@@ -17,28 +17,28 @@ the subtree's rule counts) with the backpointer key as secondary
 criterion: the flattened (split, rule id) tuples of the hypothesis tree,
 compared lexicographically.  An entry's list is a run of windows: its
 hypotheses in incremental-score order, cut wherever two neighbours lie
-further apart than rounding distance (see ``chart._SLACK``).  Across a cut
+further apart than rounding distance (see ``_SLACK``).  Across a cut
 the incremental order is the canonical one, so only windows with more than
 one member are ranked, by canonical score and key, both rebuilt from the
 child references.  Whole windows are kept until the list holds n
-hypotheses, and the last one is truncated after ranking.  The secondary
-key agrees with the Viterbi tie-break, so ``nbest(..., 1)`` returns exactly
-the Viterbi derivation.  With a large enough n the result is the complete
-derivation set.
+hypotheses, and the last one is truncated after ranking.  ``chart.viterbi``
+is this engine at n = 1, so ``nbest(..., 1)`` returns the Viterbi
+derivation by construction.  With a large enough n the result is the
+complete derivation set.
 
-An entry starts when it is first asked for a hypothesis: its candidates are
-read back from the columns of its row that score above -inf, in ascending
-(split, rule id) order, and its heap frontier of joins (candidate, left
-index, right index) starts with each candidate's first join, keyed by that
-candidate's max-plus score.  A later join's key is an upper bound on its
+An entry starts when it is first asked for a hypothesis: its heap frontier
+of joins (column, left index, right index) starts with the first join of
+each column of its row that scores above -inf, keyed by that column's
+max-plus score.  A column is read back as a candidate only when one of its
+joins is about to be popped.  A later join's key is an upper bound on its
 score: the rule's log probability plus, for each child, the highest
 incremental score in the child's window that holds the index.  Before join
 (i, j) is popped, the left child is asked for index i + 1 and the right for
 j + 1 (for i or j where that would be n), which starts a child not yet
 started; popping (i, j) pushes (i + 1, j) and (i, j + 1).  A window is final
 once its lowest member lies further than rounding distance above the top
-key, or the frontier is empty (see ``chart._SLACK``).  The root is asked for
-n hypotheses; requests wait on an explicit stack, not on Python recursion.
+key, or the frontier is empty (see ``_SLACK``).  The root is asked for n
+hypotheses; requests wait on an explicit stack, not on Python recursion.
 """
 from __future__ import annotations
 
@@ -49,11 +49,59 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .chart import _SLACK, _cky, _column_weights, _Columns, _scores, _Traversal
+from .chart import _cky, _column_weights, _scores, _Traversal
 from .corpus import Bracketing
 from .derivations import Derivation, score_rules
 from .grammar import Grammar
 from .logmath import NEG_INF
+
+
+# Two derivations whose incremental scores differ by more than
+# _SLACK * (m_a |score_a| + m_b |score_b|), for m rules in each, are ordered
+# the same way by their canonical scores.  A derivation's m rule log
+# probabilities l_t are all <= 0, so their exact sum S has |S| = sum |l_t|.
+# The incremental score sums the l_t along the tree with m - 1 roundings and
+# the canonical ``score_counts`` sums at most m rounded products c * l, so by
+# the standard summation bound (Higham 2002, sec. 4.2) each lies within
+# gamma_m |S| of S, with gamma_m = m u / (1 - m u) and u = 2**-53.  The two
+# scores of one derivation thus differ by at most 2 gamma_m |S|, which is
+# below 2.001 m u |score| for every m u < 1e-6 (any sentence that fits in
+# memory).  The slack is about twice the sum of these bounds over both
+# derivations, a margin that also covers the rounding of the difference and
+# of the slack themselves.  Beyond it the incremental order is the
+# canonical one.
+#
+# Each entry's hypotheses, in incremental-score order, are cut wherever two
+# neighbours a, b lie more than _SLACK * m (|s_a| + |s_b|) apart.  In CNF
+# every hypothesis of an entry over width w has the same rule count
+# m = 2w - 1, so this is the bound above.  A cut also separates every pair
+# x, y that straddles it (s_x >= s_a > s_b >= s_y, all <= 0): s_x - s_y
+# exceeds the gap s_a - s_b by (s_x - s_a) + (s_b - s_y), while the pair's
+# slack exceeds the neighbours' by _SLACK * m ((s_b - s_y) - (s_x - s_a)),
+# which is less because _SLACK * m < 1.  So the canonical order agrees with
+# the incremental one across every cut, and only the windows between cuts
+# need canonical ranking.
+#
+# An entry makes its hypotheses lazily, joining child hypotheses i and j of a
+# candidate only once a heap frontier pops (i, j).  The first join of each
+# candidate is keyed by the candidate's max-plus score (lp[rule] + M_L) +
+# M_R, M being the highest incremental score over an entry's candidates,
+# computed bottom-up; every later join by (lp[rule] + wmax_L[i]) + wmax_R[j],
+# where wmax[i] is the highest incremental score in the child's window that
+# holds index i.  By induction over widths, as IEEE rounding is monotone,
+# every hypothesis of an entry has an incremental score at most its M, so
+# wmax[i] <= wmax[0] <= M, and wmax never increases with i (windows are cut
+# apart); hence a key bounds its join's score and every key past it.  Popping
+# (i, j) pushes (i + 1, j) and (i, j + 1), so every join not yet popped lies
+# past a heap member by steps that raise an index, and the top key U bounds
+# its score.  Within a child's window the incremental order is not the
+# canonical one, so joins are popped by their bound, never by their own
+# score.  The popped joins' first window, with lowest member a, is final once
+# a and U pass the cut test (or nothing is left to pop): by the straddling
+# argument with U in the place of s_b, every join still to come lies beyond a
+# cut from a.  So each window holds what it would in the complete sorted list,
+# whatever order the joins were popped in.
+_SLACK = 4 * 2.0**-53
 
 
 @dataclass(slots=True)  # never changed once made; not frozen, which is slower to build
@@ -105,13 +153,18 @@ def nbest(
         raise ValueError("n must be an integer")
     if n < 1:
         raise ValueError("n must be at least 1")
-    trav = _cky(g, sentence, brackets)
+    derivations = _best(g, _cky(g, sentence, brackets), n)
+    return KBestList(derivations, n, bool(derivations))
+
+
+def _best(g: Grammar, trav: _Traversal, n: int) -> tuple[Derivation, ...]:
+    """The first n derivations of a laid-out sentence, best first; all of
+    them when it has fewer.  ``nbest`` and ``chart.viterbi`` both read this."""
     lists = _Lists(g, trav, n)
     if lists.maxplus[trav.root] > NEG_INF:
         lists.ask(trav.root, n - 1)
     cells = lists.hyps.get(trav.root, [])
-    derivations = tuple(Derivation.build(g, _preorder(cell), len(trav.tokens)) for cell in cells)
-    return KBestList(derivations, n, bool(derivations))
+    return tuple(Derivation.build(g, _preorder(cell), len(trav.tokens)) for cell in cells)
 
 
 class _Lists:
@@ -126,10 +179,11 @@ class _Lists:
     ``wmax[entry]``, for each, the highest incremental score in its window.
     An entry in ``closed`` holds its whole list, at most n long.  An open
     entry that has started keeps in ``frontier`` its heap of ``(-key,
-    candidate, left index, right index)`` joins, the joins pushed so far,
+    column, left index, right index)`` joins, the later joins pushed so far,
     the joins popped but not yet in a final window, by descending score, and
-    its (rule, left entry, right entry) candidates.  No data here refers
-    back to the object, so it is freed without the cycle collector.
+    its (rule, left entry, right entry) candidates by column, each read back
+    when a join of its column is first about to be popped.  No data here
+    refers back to the object, so it is freed without the cycle collector.
     """
 
     def __init__(self, g: Grammar, trav: _Traversal, n: int):
@@ -153,8 +207,9 @@ class _Lists:
             self.hyps[entry] = [_Cell(lp[rule], 1, rule)]
             self.wmax[entry] = [lp[rule]]
         self.closed = set(self.hyps)
-        self.frontier: dict[int, tuple[list, set, list[_Cell], list[tuple[int, int, int]]]] = {}
-        self.columns = _Columns(g, trav)
+        self.frontier: dict[int, tuple[list, set, list[_Cell], dict[int, tuple]]] = {}
+        self.columns = g.binary_table_columns
+        self.row_of = {a: row for row, a in enumerate(g.binary_table_lhs.tolist())}
 
     def ask(self, entry: int, index: int) -> None:
         """Extend an entry's list until it holds ``index`` < n or is whole.
@@ -172,20 +227,28 @@ class _Lists:
                 stack += self._extend(top)
 
     def _start(self, entry: int) -> tuple:
-        """Start an entry's frontier: the first join of every candidate,
-        keyed by its max-plus score, and the candidates in ascending (split,
-        rule id) order."""
+        """Start an entry's frontier: the first join of every column of its
+        row that scores above -inf, keyed by its max-plus score.  No later
+        push makes a first join again, so none is marked seen."""
         span, a = divmod(entry, self.n_nt)
-        start, end = divmod(span, self.n1)
-        table_row = self.columns.row_of[a]
-        row = self.rows[span][table_row]
+        row = self.rows[span][self.row_of[a]]
         cols = (row > NEG_INF).nonzero()[0]
-        heap = [(-key, c, 0, 0) for c, key in enumerate(row.take(cols).tolist())]
+        heap = [(-key, col, 0, 0) for col, key in zip(cols.tolist(), row.take(cols).tolist())]
         heapify(heap)
-        cands = [self.columns.candidate(start, end, table_row, col) for col in cols.tolist()]
         self.hyps[entry], self.wmax[entry] = [], []
-        state = self.frontier[entry] = (heap, {(c, 0, 0) for c in range(len(heap))}, [], cands)
+        state = self.frontier[entry] = (heap, set(), [], {})
         return state
+
+    def _candidate(self, entry: int, col: int) -> tuple[int, int, int]:
+        """Rule id and left and right child entries of column ``col`` of an
+        entry's row (see ``chart._Width``)."""
+        span, a = divmod(entry, self.n_nt)
+        i, j = divmod(span, self.n1)
+        columns = self.columns[self.row_of[a]]
+        k, q = divmod(col, len(columns))
+        rule, b, c = columns[q]
+        k += i + 1
+        return rule, (i * self.n1 + k) * self.n_nt + b, (k * self.n1 + j) * self.n_nt + c
 
     def _extend(self, entry: int) -> list[tuple[int, int]]:
         """Append an open entry's next window, or close it.  Returns
@@ -203,8 +266,8 @@ class _Lists:
         while True:
             # a join not yet popped scores at most the top key, so the first
             # window is final once its lowest member and the top key pass
-            # the cut test (see chart._SLACK); its top member is tested
-            # first to skip the scan while the key is near, as holding a
+            # the cut test (see _SLACK); its top member is tested first to
+            # skip the scan while the key is near, as holding a
             # final window back costs only more pops
             if pending and (not heap or _cut(pending[0].score, -heap[0][0], slack)):
                 k = 1
@@ -218,8 +281,11 @@ class _Lists:
                 closed.add(entry)
                 del self.frontier[entry]
                 return []
-            _, c, li, ri = heap[0]
-            rule, left, right = cands[c]
+            _, col, li, ri = heap[0]
+            cand = cands.get(col)
+            if cand is None:
+                cand = cands[col] = self._candidate(entry, col)
+            rule, left, right = cand
             # a child not yet started holds no hypotheses
             lefts, rights = hyps.get(left, ()), hyps.get(right, ())
             need = []
@@ -234,9 +300,9 @@ class _Lists:
             cell = _Cell((lp[rule] + lcell.score) + rcell.score, size, rule, lcell, rcell)
             insort(pending, cell, key=_descending)
             for lj, rj in ((li + 1, ri), (li, ri + 1)):
-                if lj < len(lefts) and rj < len(rights) and (c, lj, rj) not in seen:
-                    seen.add((c, lj, rj))
-                    heappush(heap, (-((lp[rule] + wmax[left][lj]) + wmax[right][rj]), c, lj, rj))
+                if lj < len(lefts) and rj < len(rights) and (col, lj, rj) not in seen:
+                    seen.add((col, lj, rj))
+                    heappush(heap, (-((lp[rule] + wmax[left][lj]) + wmax[right][rj]), col, lj, rj))
 
     def _append(self, entry: int, start: int, window: list[_Cell]) -> None:
         """Rank a final window canonically and append it to the entry's

@@ -21,7 +21,7 @@ from pcfgtk import Bracketing, Derivation, InsideChart, KBestList, UnknownTokenE
 from pcfgtk.derivations import count_vector, score_counts
 from pcfgtk.logmath import NEG_INF, logsumexp
 
-# the rounding bound documented next to ``pcfgtk.chart._SLACK``
+# the rounding bound documented next to ``pcfgtk.kbest._SLACK``
 _SLACK = 4 * 2.0**-53
 
 

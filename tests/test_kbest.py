@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scalar_chart
 from conftest import random_grammar, sample_bracketing, sample_corpus, sample_rules, toy
 from pcfgtk import (
     derivation_spans,
@@ -193,7 +194,7 @@ class TestToyExamples:
             g = toy(q)
             for n_tokens in (1, 2, 3, 4, 5):
                 lst = nbest(g, ["a"] * n_tokens, 1)
-                d, lp = viterbi(g, ["a"] * n_tokens)
+                d, lp = scalar_chart.viterbi(g, ["a"] * n_tokens)
                 assert lst.derivations == (d,)
 
     def test_rounding_near_tie_follows_canonical_scores(self):
@@ -289,7 +290,7 @@ class TestOrderingProperties:
             rng = np.random.default_rng(9500 + seed)
             g = random_grammar(rng)
             for tokens, brackets in corpus_and_bracketed(g, rng):
-                best = viterbi(g, tokens, brackets)[0]
+                best = scalar_chart.viterbi(g, tokens, brackets)[0]
                 assert nbest(g, tokens, 1, brackets).derivations[0] == best
 
     def test_no_duplicates_at_any_n(self):
@@ -310,7 +311,7 @@ class TestG100:
     def test_n_one_equals_bracketed_viterbi(self):
         g, cases = g100_cases()
         for tokens, brackets in cases:
-            best = viterbi(g, tokens, brackets)[0]
+            best = scalar_chart.viterbi(g, tokens, brackets)[0]
             assert nbest(g, tokens, 1, brackets).derivations == (best,)
 
     def test_max_plus_key_is_the_window_top(self, started_lists):
