@@ -11,18 +11,21 @@ that cross a bracket get no row, which restricts every task to derivations
 whose constituents all nest with the brackets; an empty bracketing is
 identical to none.
 
-``inside`` gathers each width's left and right child masses with one
-``take`` and reduces every row to the log of its summed exponentials, so
-its full-span start entry is the log string probability (the sum over all
-derivations).  ``expected_counts`` runs the same inside pass over arbitrary
-rule weights and walks the rows back top-down (the outside pass) for
-expected rule counts.  ``kbest.nbest`` keeps each row's highest
-incremental score as its max-plus score, and each width's candidate
-scores, whose columns it reads back as candidates only for the entries a
-parent asks for, making their hypotheses top-down from the root and
-ranking them canonically only within rounding distance of each other.
-``viterbi`` is the first entry of that list, made by the same engine at
-n = 1, so this module holds no tie-breaking or rounding logic.
+One forward pass, ``_inside_pass``, fills every chart: it gathers each
+width's left and right child scores with one ``take`` and reduces every row
+with the reduction it is given, as in semiring parsing (Goodman 1999).
+``inside`` reduces a row to the log of its summed exponentials, so its
+full-span start entry is the log string probability (the sum over all
+derivations).  ``expected_counts`` runs the same pass over arbitrary rule
+weights and walks the rows back top-down (the outside pass) for expected
+rule counts.  ``kbest.nbest`` reduces each row to its maximum, the max-plus
+score, and keeps each width's candidate scores and children; it reads a
+column back as a candidate (its rule id from ``binary_rule_table``, its
+children from ``_Width.children``) only for the entries a parent asks for,
+making their hypotheses top-down from the root and ranking them
+canonically only within rounding distance of each other.  ``viterbi`` is
+the first entry of that list, made by the same engine at n = 1, so this
+module holds no tie-breaking or rounding logic.
 
 Every result is bit-identical to the span-by-span scalar chart this layout
 replaced (kept in the tests as the reference).  Elementwise addition,
@@ -65,18 +68,19 @@ class _Width(NamedTuple):
     """The binary candidates of every compatible span of one width.
 
     With ``L, Q = g.binary_rule_table.shape``, row ``s * L + a`` holds the
-    candidates of the span starting at ``starts[s]`` whose left-hand side is
-    table row ``a``; column ``k * Q + q`` holds split ``starts[s] + 1 + k``
-    and that table row's ``q``-th rule.  Each row thus lists its candidates
-    in ascending (split, rule id) order.  ``children`` has shape
+    candidates of the ``s``-th compatible span of this width (by start)
+    whose left-hand side is table row ``a``, its flat chart index being
+    ``entry[s * L + a]``; column ``k * Q + q`` holds the span's ``k``-th
+    split and that table row's ``q``-th rule.  Each row thus lists its
+    candidates in ascending (split, rule id) order.  ``children`` has shape
     (2, spans, L, splits, Q): the flat chart index of each candidate's left
-    and right child.  At padding it lies past the chart: read with
-    ``take(..., mode="clip")`` it lands on cell (n, n, |N| - 1), which no
-    span fills.
+    and right child, so that the rule id and children of a column are read
+    from ``binary_rule_table`` and ``children`` alone.  At padding a child
+    index lies past the chart: read with ``take(..., mode="clip")`` it lands
+    on cell (n, n, |N| - 1), which no span fills.
     """
 
-    size: int  # rules in any derivation of a span this wide: 2 * width - 1
-    starts: np.ndarray
+    width: int  # tokens in each span
     entry: np.ndarray  # flat chart index of each row's (span, lhs) entry
     children: np.ndarray
 
@@ -155,7 +159,7 @@ def _cky(g: Grammar, sentence, brackets: Bracketing | None) -> _Traversal:
                     continue
                 base, entry = ends[:, width].take(starts, axis=1), entries[width].take(starts, axis=0)
             children = base[:, :, None, None, None] + offsets[:, None, :, : width - 1]
-            yield _Width(2 * width - 1, starts, entry.ravel(), children)
+            yield _Width(width, entry.ravel(), children)
 
     root = n * n_nt + g.nt_index[g.start]
     return _Traversal(
@@ -163,48 +167,46 @@ def _cky(g: Grammar, sentence, brackets: Bracketing | None) -> _Traversal:
     )
 
 
-def _column_weights(g: Grammar, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Weights by rule id with -inf appended, and those of the
-    ``binary_rule_table`` entries shaped to broadcast over a width's
-    candidates (-inf at padding)."""
+def _log_sum_exp(scores: np.ndarray) -> np.ndarray:
+    """Each row's ``m + log(sum(exp(s - m)))`` over its scores s with
+    maximum m: ``math.exp`` of each finite difference, summed left to right
+    by ``np.add.accumulate`` along the row (the padding zeros add nothing),
+    then ``math.log``, exactly as ``logmath.logsumexp``."""
+    top = np.maximum.reduce(scores, axis=1)
+    finite = (scores > NEG_INF).ravel().nonzero()[0]
+    diffs = scores.take(finite) - top.take(finite // scores.shape[1])
+    terms = np.zeros(scores.shape)
+    terms.put(finite, list(map(math.exp, diffs.tolist())))
+    totals = np.add.accumulate(terms, axis=1, out=terms)[:, -1].tolist()
+    # a row without candidates sums to 0 and keeps -inf
+    return top + [math.log(t) if t else 0.0 for t in totals]
+
+
+def _inside_pass(
+    g: Grammar, trav: _Traversal, weights, reduce=_log_sum_exp, kept: list | None = None
+) -> np.ndarray:
+    """Flat chart of each entry's ``reduce`` over its candidate scores under
+    log rule ``weights``, filled narrowest width first: the inside log
+    masses by default, the max-plus scores with a row maximum.
+
+    ``reduce`` maps a width's candidate scores, one row per (span, lhs) as
+    in ``_Width``, to one value per row.  A candidate scores ``(weight +
+    left) + right``, the operations of the scalar ``w[rule] + left +
+    right``; -inf where a child is absent or the column is padding.  Each
+    width and its candidate scores are appended to ``kept`` if given.
+    """
     w = np.empty(len(g.rules) + 1)
     w[:-1] = weights
-    w[-1] = NEG_INF
-    return w, w.take(g.binary_rule_table)[:, None, :]
-
-
-def _scores(chart: np.ndarray, columns: np.ndarray, width: _Width) -> np.ndarray:
-    """Candidate scores, one row per (span, lhs): ``(weight + left) + right``,
-    the operations of the scalar ``w[rule] + left + right``; -inf where a
-    child is absent or the column is padding."""
-    left, right = chart.take(width.children, mode="clip")
-    return ((columns + left) + right).reshape(len(width.entry), -1)
-
-
-def _inside_pass(g: Grammar, trav: _Traversal, weights, kept: list | None = None) -> np.ndarray:
-    """Flat chart of inside log masses under log rule ``weights``; each
-    width and its candidate scores are appended to ``kept`` if given.
-
-    Each entry is ``m + log(sum(exp(s - m)))`` over its candidate scores s
-    with maximum m: ``math.exp`` of each finite difference, summed left to
-    right by ``np.add.accumulate`` along the row (the padding zeros add
-    nothing), then ``math.log``, exactly as ``logmath.logsumexp``.
-    """
-    w, columns = _column_weights(g, weights)
+    w[-1] = NEG_INF  # the weight of padding, rule id -1
+    columns = w.take(g.binary_rule_table)[:, None, :]
     chart = np.full(trav.size, NEG_INF)
     chart[trav.leaf_entry] = w[trav.leaf_rule]
     for width in trav.widths():
-        scores = _scores(chart, columns, width)
+        left, right = chart.take(width.children, mode="clip")
+        scores = ((columns + left) + right).reshape(len(width.entry), -1)
         if kept is not None:
             kept.append((width, scores))
-        top = np.maximum.reduce(scores, axis=1)
-        finite = (scores > NEG_INF).ravel().nonzero()[0]
-        diffs = scores.take(finite) - top.take(finite // scores.shape[1])
-        terms = np.zeros(scores.shape)
-        terms.put(finite, list(map(math.exp, diffs.tolist())))
-        totals = np.add.accumulate(terms, axis=1, out=terms)[:, -1].tolist()
-        # a row without candidates sums to 0 and keeps -inf
-        chart.put(width.entry, top + [math.log(t) if t else 0.0 for t in totals])
+        chart.put(width.entry, reduce(scores))
     return chart
 
 
@@ -223,7 +225,10 @@ class InsideChart:
         """Inside log mass of a span, 0 <= i < j <= len(sentence)."""
         if not 0 <= i < j <= len(self.sentence):
             raise ValueError(f"span ({i}, {j}) is not within 0 <= i < j <= {len(self.sentence)}")
-        return float(self.table[i, j, self.grammar.nt_index[nonterminal]])
+        a = self.grammar.nt_index.get(nonterminal)
+        if a is None:
+            raise ValueError(f"{nonterminal!r} is not a nonterminal")
+        return float(self.table[i, j, a])
 
     @property
     def log_string_prob(self) -> float:
@@ -267,7 +272,7 @@ def expected_counts(
     """
     trav = _cky(g, sentence, brackets)
     by_width: list[tuple[_Width, np.ndarray]] = []
-    chart = _inside_pass(g, trav, weights, by_width)
+    chart = _inside_pass(g, trav, weights, kept=by_width)
     if chart[trav.root] == NEG_INF:
         return NEG_INF, np.zeros(len(g.rules))
     table = g.binary_rule_table

@@ -6,6 +6,7 @@ e.g. ``( ( a a ) ( a a ) )``; brackets need not be binary or exhaustive.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,10 @@ class Bracketing:
     def __post_init__(self):
         object.__setattr__(self, "spans", frozenset(self.spans))
         for i, j in self.spans:
+            try:
+                operator.index(i), operator.index(j)
+            except TypeError:
+                raise ValueError(f"bad span ({i}, {j}): ends must be integers") from None
             if not (0 <= i < j):
                 raise ValueError(f"bad span ({i}, {j})")
         ordered = sorted(self.spans)

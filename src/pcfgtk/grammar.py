@@ -227,15 +227,6 @@ class Grammar:
         return self._binary_tables[2]
 
     @cached_property
-    def binary_table_columns(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """``(rule id, left child, right child)`` of each ``binary_rule_table``
-        entry as Python ints, row by row: ``binary_rule_table`` and
-        ``binary_table_rhs`` read together, padding included."""
-        table = self.binary_rule_table.tolist()
-        left, right = self.binary_table_rhs.tolist()
-        return tuple(tuple(zip(*row)) for row in zip(table, left, right))
-
-    @cached_property
     def binary_rules(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if not r.is_lexical)
 

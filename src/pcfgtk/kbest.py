@@ -1,10 +1,11 @@
 """Exact n-best derivations, each chart entry's hypotheses made on demand.
 
 n-best runs in two phases (Huang and Chiang 2005, "Better k-best
-Parsing", Alg. 3).  The first is one max-plus pass over the chart's shared
-CKY layout: each width's candidate scores, ``(lp[rule] + M_left) +
-M_right``, and each (span, lhs) entry's highest, its max-plus score M.  The
-second makes each entry's ranked hypotheses lazily, top-down from the root.
+Parsing", Alg. 3).  The first is the chart's forward pass with a row
+maximum in place of log-sum-exp, the max-plus pass: each width's candidate
+scores, ``(lp[rule] + M_left) + M_right``, and each (span, lhs) entry's
+highest, its max-plus score M.  The second makes each entry's ranked
+hypotheses lazily, top-down from the root.
 A lexical entry holds its one hypothesis; a span's hypotheses join a left
 hypothesis with a right one under a candidate (rule, left child entry,
 right child entry).  A hypothesis is a ``_Cell``: an incremental score, the
@@ -29,16 +30,18 @@ complete derivation set.
 An entry starts when it is first asked for a hypothesis: its heap frontier
 of joins (column, left index, right index) starts with the first join of
 each column of its row that scores above -inf, keyed by that column's
-max-plus score.  A column is read back as a candidate only when one of its
-joins is about to be popped.  A later join's key is an upper bound on its
-score: the rule's log probability plus, for each child, the highest
-incremental score in the child's window that holds the index.  Before join
-(i, j) is popped, the left child is asked for index i + 1 and the right for
-j + 1 (for i or j where that would be n), which starts a child not yet
-started; popping (i, j) pushes (i + 1, j) and (i, j + 1).  A window is final
-once its lowest member lies further than rounding distance above the top
-key, or the frontier is empty (see ``_SLACK``).  The root is asked for n
-hypotheses; requests wait on an explicit stack, not on Python recursion.
+max-plus score.  A column is read back from the layout as a candidate only
+when one of its joins is about to be popped.  A later join's key is an
+upper bound on its score: the rule's log probability plus, for each child,
+the highest incremental score in the child's window that holds the index.
+Popping (i, j) pushes (i, j + 1), and (i + 1, 0) only when j is 0, so each
+join but the first has one predecessor and none is pushed twice.  Before
+join (i, j) is popped, the right child is asked for index j + 1 and, when
+j is 0, the left child for i + 1 (at most n - 1 either way), which starts
+a child not yet started.  A window is final once its lowest member lies
+further than rounding distance above the top key, or the frontier is empty
+(see ``_SLACK``).  The root is asked for n hypotheses; requests wait on an
+explicit stack, not on Python recursion.
 """
 from __future__ import annotations
 
@@ -49,7 +52,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .chart import _cky, _column_weights, _scores, _Traversal
+from .chart import _cky, _inside_pass, _Traversal
 from .corpus import Bracketing
 from .derivations import Derivation, score_rules
 from .grammar import Grammar
@@ -92,15 +95,18 @@ from .logmath import NEG_INF
 # every hypothesis of an entry has an incremental score at most its M, so
 # wmax[i] <= wmax[0] <= M, and wmax never increases with i (windows are cut
 # apart); hence a key bounds its join's score and every key past it.  Popping
-# (i, j) pushes (i + 1, j) and (i, j + 1), so every join not yet popped lies
-# past a heap member by steps that raise an index, and the top key U bounds
-# its score.  Within a child's window the incremental order is not the
-# canonical one, so joins are popped by their bound, never by their own
-# score.  The popped joins' first window, with lowest member a, is final once
-# a and U pass the cut test (or nothing is left to pop): by the straddling
-# argument with U in the place of s_b, every join still to come lies beyond a
-# cut from a.  So each window holds what it would in the complete sorted list,
-# whatever order the joins were popped in.
+# (i, j) pushes (i, j + 1), and (i + 1, 0) when j = 0, so each join but the
+# first has the one predecessor (i, j - 1), or (i - 1, 0) when j = 0, and
+# none is pushed twice.  Every join not yet popped thus lies at the end of a
+# path of such steps from a heap member; each step raises an index, so keys
+# never increase along the path, and the top key U bounds its score.  Within
+# a child's window the incremental order is not the canonical one, so joins
+# are popped by their bound, never by their own score.  The popped joins'
+# first window, with lowest member a, is final once a and U pass the cut test
+# (or nothing is left to pop): by the straddling argument with U in the place
+# of s_b, every join still to come lies beyond a cut from a.  So each window
+# holds what it would in the complete sorted list, whatever order the joins
+# were popped in.
 _SLACK = 4 * 2.0**-53
 
 
@@ -172,44 +178,40 @@ class _Lists:
     started and extended only as far as it is asked.
 
     ``maxplus`` is a flat chart of each entry's max-plus score M, the
-    highest incremental score over its candidates (-inf where absent), and
-    ``rows[span]`` that span's candidate scores ``(lp[rule] + M_left) +
-    M_right`` by table row and column (see ``chart._Width``).
+    highest incremental score over its candidates (-inf where absent);
+    ``widths[w]`` holds the candidate scores ``(lp[rule] + M_left) +
+    M_right`` of the spans w tokens wide and their children, one row per
+    (span, lhs) and one column per (split, rule) (see ``chart._Width``),
+    and ``row`` is a flat chart of each binary entry's row in its width.
     ``hyps[entry]`` holds a started entry's hypotheses so far and
     ``wmax[entry]``, for each, the highest incremental score in its window.
-    An entry in ``closed`` holds its whole list, at most n long.  An open
-    entry that has started keeps in ``frontier`` its heap of ``(-key,
-    column, left index, right index)`` joins, the later joins pushed so far,
-    the joins popped but not yet in a final window, by descending score, and
-    its (rule, left entry, right entry) candidates by column, each read back
-    when a join of its column is first about to be popped.  No data here
-    refers back to the object, so it is freed without the cycle collector.
+    An entry that has started and is still open keeps in ``frontier`` its
+    heap of ``(-key, column, left index, right index)`` joins, the joins
+    popped but not yet in a final window, by descending score, and its
+    (rule, left entry, right entry) candidates by column, each read back
+    when a join of its column is first about to be popped.  An entry in
+    ``hyps`` but not in ``frontier`` holds its whole list, at most n long.
+    No data here refers back to the object, so it is freed without the
+    cycle collector.
     """
 
     def __init__(self, g: Grammar, trav: _Traversal, n: int):
         self.g, self.n = g, n
         self.n1, _, self.n_nt = trav.shape
-        lp, columns = _column_weights(g, g.log_probs)
-        chart = np.full(trav.size, NEG_INF)
-        chart[trav.leaf_entry] = lp[trav.leaf_rule]
-        self.rows: dict[int, np.ndarray] = {}
-        for width in trav.widths():
-            scores = _scores(chart, columns, width)
-            chart.put(width.entry, np.maximum.reduce(scores, axis=1))
-            w = (width.size + 1) // 2
-            blocks = scores.reshape(len(width.starts), len(g.binary_table_lhs), -1)
-            for start, block in zip(width.starts.tolist(), blocks):
-                self.rows[start * self.n1 + start + w] = block
-        self.maxplus = chart
+        kept = []
+        self.maxplus = _inside_pass(g, trav, g.log_probs, _row_max, kept)
+        self.row = np.zeros(trav.size, dtype=np.intp)
+        self.widths: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for width, scores in kept:
+            self.row.put(width.entry, np.arange(len(scores)))
+            self.widths[width.width] = scores, width.children.reshape(2, len(scores), -1)
+        lp = g.log_probs
         self.hyps: dict[int, list[_Cell]] = {}
         self.wmax: dict[int, list[float]] = {}
         for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
             self.hyps[entry] = [_Cell(lp[rule], 1, rule)]
             self.wmax[entry] = [lp[rule]]
-        self.closed = set(self.hyps)
-        self.frontier: dict[int, tuple[list, set, list[_Cell], dict[int, tuple]]] = {}
-        self.columns = g.binary_table_columns
-        self.row_of = {a: row for row, a in enumerate(g.binary_table_lhs.tolist())}
+        self.frontier: dict[int, tuple[list, list[_Cell], dict[int, tuple]]] = {}
 
     def ask(self, entry: int, index: int) -> None:
         """Extend an entry's list until it holds ``index`` < n or is whole.
@@ -217,51 +219,49 @@ class _Lists:
         Requests wait on an explicit stack: an entry that needs a child's
         hypothesis first pushes that request above its own.
         """
-        hyps, closed = self.hyps, self.closed
+        hyps, frontier = self.hyps, self.frontier
         stack = [(entry, index)]
         while stack:
             top, i = stack[-1]
-            if top in closed or i < len(hyps.get(top, ())):
+            have = hyps.get(top)
+            if have is not None and (i < len(have) or top not in frontier):
                 stack.pop()
             else:
                 stack += self._extend(top)
 
-    def _start(self, entry: int) -> tuple:
+    def _start(self, entry: int, width: int) -> tuple:
         """Start an entry's frontier: the first join of every column of its
-        row that scores above -inf, keyed by its max-plus score.  No later
-        push makes a first join again, so none is marked seen."""
-        span, a = divmod(entry, self.n_nt)
-        row = self.rows[span][self.row_of[a]]
+        row that scores above -inf, keyed by its max-plus score."""
+        row = self.widths[width][0][self.row.item(entry)]
         cols = (row > NEG_INF).nonzero()[0]
         heap = [(-key, col, 0, 0) for col, key in zip(cols.tolist(), row.take(cols).tolist())]
         heapify(heap)
         self.hyps[entry], self.wmax[entry] = [], []
-        state = self.frontier[entry] = (heap, set(), [], {})
+        state = self.frontier[entry] = (heap, [], {})
         return state
 
-    def _candidate(self, entry: int, col: int) -> tuple[int, int, int]:
+    def _candidate(self, entry: int, width: int, col: int) -> tuple[int, int, int]:
         """Rule id and left and right child entries of column ``col`` of an
-        entry's row (see ``chart._Width``)."""
-        span, a = divmod(entry, self.n_nt)
-        i, j = divmod(span, self.n1)
-        columns = self.columns[self.row_of[a]]
-        k, q = divmod(col, len(columns))
-        rule, b, c = columns[q]
-        k += i + 1
-        return rule, (i * self.n1 + k) * self.n_nt + b, (k * self.n1 + j) * self.n_nt + c
+        entry's row, read from the layout (see ``chart._Width``)."""
+        table = self.g.binary_rule_table
+        r = self.row.item(entry)
+        children = self.widths[width][1]
+        rule = table.item(r % table.shape[0], col % table.shape[1])
+        return rule, children.item(0, r, col), children.item(1, r, col)
 
     def _extend(self, entry: int) -> list[tuple[int, int]]:
         """Append an open entry's next window, or close it.  Returns
         instead the child requests (entry, index) that must be met first,
         if any, having stopped between two joins."""
-        hyps, wmax, closed, n = self.hyps, self.wmax, self.closed, self.n
+        hyps, wmax, frontier, n = self.hyps, self.wmax, self.frontier, self.n
         lp = self.g.log_probs
-        state = self.frontier.get(entry)
-        if state is None:
-            state = self._start(entry)
-        heap, seen, pending, cands = state
         start, end = divmod(entry // self.n_nt, self.n1)
-        size = 2 * (end - start) - 1  # rules in every hypothesis of the span
+        width = end - start
+        state = frontier.get(entry)
+        if state is None:
+            state = self._start(entry, width)
+        heap, pending, cands = state
+        size = 2 * width - 1  # rules in every hypothesis of the span
         slack = _SLACK * size
         while True:
             # a join not yet popped scores at most the top key, so the first
@@ -278,20 +278,21 @@ class _Lists:
                     del pending[:k]
                     return []
             if not heap:
-                closed.add(entry)
-                del self.frontier[entry]
+                del frontier[entry]
                 return []
             _, col, li, ri = heap[0]
             cand = cands.get(col)
             if cand is None:
-                cand = cands[col] = self._candidate(entry, col)
+                cand = cands[col] = self._candidate(entry, width, col)
             rule, left, right = cand
-            # a child not yet started holds no hypotheses
-            lefts, rights = hyps.get(left, ()), hyps.get(right, ())
+            # popping (li, ri) pushes (li, ri + 1), and (li + 1, 0) when ri
+            # is 0, so the children must first hold those indexes, where
+            # they can (a child not yet started holds no hypotheses)
+            lefts, rights = hyps.get(left), hyps.get(right)
             need = []
-            if len(lefts) <= li + 1 and left not in closed:
+            if ri == 0 and (lefts is None or len(lefts) <= li + 1 and left in frontier):
                 need.append((left, min(li + 1, n - 1)))
-            if len(rights) <= ri + 1 and right not in closed:
+            if rights is None or len(rights) <= ri + 1 and right in frontier:
                 need.append((right, min(ri + 1, n - 1)))
             if need:
                 return need
@@ -299,10 +300,10 @@ class _Lists:
             lcell, rcell = lefts[li], rights[ri]
             cell = _Cell((lp[rule] + lcell.score) + rcell.score, size, rule, lcell, rcell)
             insort(pending, cell, key=_descending)
-            for lj, rj in ((li + 1, ri), (li, ri + 1)):
-                if lj < len(lefts) and rj < len(rights) and (col, lj, rj) not in seen:
-                    seen.add((col, lj, rj))
-                    heappush(heap, (-((lp[rule] + wmax[left][lj]) + wmax[right][rj]), col, lj, rj))
+            if ri + 1 < len(rights):
+                heappush(heap, (-((lp[rule] + wmax[left][li]) + wmax[right][ri + 1]), col, li, ri + 1))
+            if ri == 0 and li + 1 < len(lefts):
+                heappush(heap, (-((lp[rule] + wmax[left][li + 1]) + wmax[right][0]), col, li + 1, 0))
 
     def _append(self, entry: int, start: int, window: list[_Cell]) -> None:
         """Rank a final window canonically and append it to the entry's
@@ -318,8 +319,11 @@ class _Lists:
         wmax += [top] * len(window)
         if len(hyps) >= self.n:
             del hyps[self.n :], wmax[self.n :]
-            self.closed.add(entry)
             del self.frontier[entry]
+
+
+def _row_max(scores: np.ndarray) -> np.ndarray:
+    return np.maximum.reduce(scores, axis=1)
 
 
 def _descending(cell: _Cell) -> float:

@@ -133,6 +133,9 @@ class TestInside:
         for i, j in ((-1, n), (3, 1), (2, 2), (0, n + 1), (n, n + 1)):
             with pytest.raises(ValueError, match="span"):
                 chart.logmass(i, j, "S")
+        # an unknown symbol used to raise a bare KeyError
+        with pytest.raises(ValueError, match="'X' is not a nonterminal"):
+            chart.logmass(0, 2, "X")
 
     def test_matches_enumeration_on_random_grammars(self):
         for seed in range(40):

@@ -53,6 +53,14 @@ class TestBracketing:
         with pytest.raises(ValueError, match="bad span"):
             Bracketing(frozenset({(2, 2)}))
 
+    def test_rejects_non_integer_ends(self):
+        # such a span used to pass here and fail deep in compatible_spans
+        for span in ((0.5, 2), (0, 2.0), (0, "2"), (None, 2)):
+            with pytest.raises(ValueError, match="ends must be integers"):
+                Bracketing(frozenset({span}))
+        b = Bracketing(frozenset({(np.int64(0), np.int64(2))}))
+        assert not b.compatible_spans(3)[1, 3]
+
 
 class TestBracketedParsing:
     def test_nested_example(self):

@@ -235,10 +235,6 @@ class TestBinaryRuleTable:
         nt = g.nt_index
         assert left == [[nt["A"], 0, 0], [nt["B"], nt["C"], nt["S"]]]
         assert right == [[nt["B"], 0, 0], [nt["C"], nt["C"], nt["B"]]]
-        assert g.binary_table_columns == (
-            ((0, nt["A"], nt["B"]), (-1, 0, 0), (-1, 0, 0)),
-            ((3, nt["B"], nt["C"]), (4, nt["C"], nt["C"]), (5, nt["S"], nt["B"])),
-        )
         for table in (g.binary_rule_table, g.binary_table_lhs, g.binary_table_rhs):
             assert not table.flags.writeable
 
@@ -246,14 +242,13 @@ class TestBinaryRuleTable:
         g = parse_grammar("S -> a 0.6\nS -> b 0.4\n")
         assert g.binary_rule_table.shape == (0, 0)
         assert g.binary_table_rhs.shape == (2, 0, 0)
-        assert g.binary_table_columns == ()
 
     def test_with_probs_keeps_the_rule_set_indexes(self):
         # every cached property must depend on the rule set alone: a cache
         # of anything derived from the probabilities would go stale here
         g = toy(0.3)
         cached = [n for n, a in vars(Grammar).items() if isinstance(a, functools.cached_property)]
-        assert {"_binary_tables", "binary_table_columns", "rule_lhs_rhs"} <= set(cached)
+        assert {"_binary_tables", "rule_lhs_rhs"} <= set(cached)
         before = {name: getattr(g, name) for name in cached}
         h = g.with_probs([0.6 + 1e-12, 0.4])
         for name in cached:

@@ -175,6 +175,50 @@ def key_bounds(lists) -> list[tuple[float, float]]:
     return [(lists.maxplus[entry], wmax[0]) for entry, wmax in lists.wmax.items()]
 
 
+def assert_decoder_matches_scalar_layout(g, tokens, brackets=None):
+    """Every finite column of every present binary entry decodes to the
+    (rule id, left child entry, right child entry) that the scalar chart
+    lists for its (span, lhs), in the same order; the present entries are
+    the scalar chart's."""
+    _, cells = scalar_chart._cky(g, tokens, brackets, lambda rule: rule, lambda cands: cands)
+    n1, n_nt = len(tokens) + 1, len(g.nonterminals)
+
+    def flat(i, j, nonterminal):
+        return (i * n1 + j) * n_nt + g.nt_index[nonterminal]
+
+    want = {
+        flat(i, j, lhs): [
+            (rule.id, flat(i, k, rule.rhs[0]), flat(k, j, rule.rhs[1])) for k, rule, _, _ in cands
+        ]
+        for (i, j), cell in cells.items()
+        if j - i > 1
+        for lhs, cands in cell.items()
+    }
+    lists = kbest._Lists(g, kbest._cky(g, tokens, brackets), 1)
+    got = {}
+    for entry in (lists.maxplus > -math.inf).nonzero()[0].tolist():
+        i, j = divmod(entry // n_nt, n1)
+        if j - i > 1:
+            row = lists.widths[j - i][0][lists.row.item(entry)]
+            cols = (row > -math.inf).nonzero()[0].tolist()
+            got[entry] = [lists._candidate(entry, j - i, col) for col in cols]
+    assert got == want
+
+
+class TestColumnDecoder:
+    def test_random_grammars_plain_and_bracketed(self):
+        for seed in range(60):
+            rng = np.random.default_rng(14500 + seed)
+            g = random_grammar(rng, ensure_binary=True)
+            for tokens, brackets in corpus_and_bracketed(g, rng):
+                assert_decoder_matches_scalar_layout(g, tokens, brackets)
+
+    def test_g100(self):
+        g, cases = g100_cases()
+        for tokens, brackets in cases:
+            assert_decoder_matches_scalar_layout(g, tokens, brackets)
+
+
 class TestToyExamples:
     def test_aaaa_five_equal(self):
         result = nbest(toy(0.5), ["a"] * 4, 5)
