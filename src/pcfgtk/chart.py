@@ -44,6 +44,7 @@ calls over different sentences.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -129,8 +130,7 @@ def _cky(g: Grammar, sentence, brackets: Bracketing | None) -> _Traversal:
         for rule in rules:
             leaf_entry.append(base + g.nt_index[rule.lhs])
             leaf_rule.append(rule.id)
-    if brackets is not None and brackets.max_position() > n:
-        raise ValueError(f"bracket span exceeds sentence length {n}")
+    ok = None if brackets is None else brackets.compatible_spans(n)
 
     def widths() -> Iterator[_Width]:
         table = g.binary_rule_table
@@ -148,7 +148,6 @@ def _cky(g: Grammar, sentence, brackets: Bracketing | None) -> _Traversal:
         # child and the entry
         ends = np.arange(n) * stride + np.array([[0], [n_nt]])[:, :, None] * np.arange(n1)[:, None]
         entries = ends[1][:, :, None] + g.binary_table_lhs
-        ok = None if brackets is None else brackets.compatible_spans(n)
         for width in range(2, n + 1):
             if ok is None:
                 starts = np.arange(n - width + 1)
@@ -223,7 +222,11 @@ class InsideChart:
 
     def logmass(self, i: int, j: int, nonterminal: str) -> float:
         """Inside log mass of a span, 0 <= i < j <= len(sentence)."""
-        if not 0 <= i < j <= len(self.sentence):
+        try:
+            within = 0 <= operator.index(i) < operator.index(j) <= len(self.sentence)
+        except TypeError:
+            within = False
+        if not within:
             raise ValueError(f"span ({i}, {j}) is not within 0 <= i < j <= {len(self.sentence)}")
         a = self.grammar.nt_index.get(nonterminal)
         if a is None:

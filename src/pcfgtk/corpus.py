@@ -43,7 +43,12 @@ class Bracketing:
         return not any(spans_cross(i, j, a, b) for a, b in self.spans)
 
     def compatible_spans(self, n: int) -> np.ndarray:
-        """``compatible(i, j)`` for every 0 <= i, j <= n as a boolean matrix."""
+        """``compatible(i, j)`` for every 0 <= i, j <= n as a boolean matrix.
+
+        Raises ValueError when a bracket ends past the n-token sentence.
+        """
+        if self.max_position() > n:
+            raise ValueError(f"bracket span exceeds sentence length {n}")
         ok = np.ones((n + 1, n + 1), dtype=bool)
         for a, b in self.spans:
             ok[:a, a + 1 : b] = False  # i < a < j < b

@@ -81,14 +81,14 @@ def derivation_probability(g: Grammar, d: Derivation) -> float:
     return score_rules(g, d.rules)
 
 
-def _walk(g: Grammar, rules):
+def _walk(g: Grammar, rules, sentence_len: int | None = None):
     """Validate a rule sequence as a complete leftmost derivation and read it.
 
     Returns the tokens, the half-open span of every constituent and the
     nested ``(label, children)`` tree.  Iterative, so the depth of the tree
     is not bounded by the interpreter's recursion limit.  Raises ValueError
     if the sequence is not a complete leftmost derivation from the start
-    symbol.
+    symbol, or not of ``sentence_len`` tokens when that is given.
     """
     lhs_rhs = g.rule_lhs_rhs
     pending = [g.start]  # leftmost pending nonterminal on top
@@ -125,6 +125,8 @@ def _walk(g: Grammar, rules):
             tree = node
     if pending:
         raise ValueError(f"derivation incomplete; pending nonterminals {pending[::-1]}")
+    if sentence_len is not None and len(tokens) != sentence_len:
+        raise ValueError("rule sequence is not a complete derivation of the sentence")
     return tokens, spans, tree
 
 
@@ -139,15 +141,12 @@ def replay_derivation(g: Grammar, rules) -> list[str]:
 
 def derivation_spans(g: Grammar, d: Derivation) -> frozenset[tuple[int, int]]:
     """Half-open token spans of every constituent in the derivation's tree."""
-    tokens, spans, _ = _walk(g, d.rules)
-    if len(tokens) != d.sentence_len:
-        raise ValueError("rule sequence is not a complete derivation of the sentence")
-    return frozenset(spans)
+    return frozenset(_walk(g, d.rules, d.sentence_len)[1])
 
 
 def derivation_tree(g: Grammar, d: Derivation):
     """Nested ``(label, children)`` tuples for the derivation's parse tree."""
-    return _walk(g, d.rules)[2]
+    return _walk(g, d.rules, d.sentence_len)[2]
 
 
 def format_tree(tree) -> str:

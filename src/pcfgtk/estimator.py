@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import _cky, _inside_pass, expected_counts, inside, viterbi
+from .chart import _cky, _inside_pass, expected_counts
 from .consistency import check_consistency
 from .corpus import Sentence
 from .derivations import Derivation, derivation_probability, derivation_spans
@@ -209,66 +209,65 @@ class TrainReport:
 def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta | None:
     """Select the reference and competing sets for one sentence.
 
-    Returns None, and the caller skips the sentence, when the reference set
-    is empty or no derivation nests with the competing set's brackets.  With
-    ``enforce_subset`` the competing set is extended with the reference
-    derivations it lacks.  Bracketed modes on a sentence that carries no
-    bracketing behave as unconstrained (an empty bracketing excludes
-    nothing).  A complete competing set is not listed (see
-    ``RealizedDelta.complete``), and is parsed only if no reference nests
-    with its brackets.
+    Each mode reads the sentence's brackets or none, and keeps the best
+    derivation (the Viterbi modes), the best n, or all of them; every listed
+    set is an n-best list.  Returns None, and the caller skips the sentence,
+    when the reference set is empty or no derivation nests with the
+    competing set's brackets.  With ``enforce_subset`` the competing set is
+    extended with the reference derivations it lacks.  Bracketed modes on a
+    sentence that carries no bracketing behave as unconstrained (an empty
+    bracketing excludes nothing).  A complete competing set is not listed
+    (see ``RealizedDelta.complete``).  It holds the k references that nest
+    with its brackets, and is parsed once, for its (k + 1)-best list, only
+    when k = 0 or references are appended.
     """
     sent = Sentence.of(sentence)
+    tokens = sent.tokens
     ref_brackets = sent.brackets if spec.ref_mode in BRACKETED_MODES else None
-    listed = spec.comp_mode == "nbest"
-    comp = nbest(g, sent.tokens, spec.n_comp).derivations if listed else ()
     brackets = sent.brackets if spec.comp_mode in BRACKETED_MODES else None
-    complete = None if listed else Sentence(sent.tokens, brackets)
-    if listed and spec.ref_mode in ("nbest", "viterbi"):
-        # both lists are unbracketed, and an n-best list starts with every
-        # shorter one (the first being the Viterbi derivation)
-        ref = comp[: spec.n_ref if spec.ref_mode == "nbest" else 1]
-    elif spec.ref_mode == "nbest":
-        ref = nbest(g, sent.tokens, spec.n_ref).derivations
+    listed = spec.comp_mode == "nbest"
+    comp = nbest(g, tokens, spec.n_comp).derivations if listed else ()
+    complete = None if listed else Sentence(tokens, brackets)
+    n_ref = spec.n_ref if spec.ref_mode == "nbest" else 1
+    if listed and spec.ref_mode not in BRACKETED_MODES:
+        # both lists read no brackets, and an n-best list starts with every
+        # shorter one
+        ref = comp[:n_ref]
     else:
-        hit = viterbi(g, sent.tokens, ref_brackets)
-        ref = (hit[0],) if hit else ()
+        ref = nbest(g, tokens, n_ref, ref_brackets).derivations
     # the references the competing set lacks
     if complete is None:
         present = {d.rules for d in comp}
         missing = [d for d in ref if d.rules not in present]
-    elif complete.brackets in (None, ref_brackets):
+    elif brackets in (None, ref_brackets):
         missing = []
     else:
-        # no parse so far read these brackets: check them as the chart would
-        if complete.brackets.max_position() > len(sent):
-            raise ValueError(f"bracket span exceeds sentence length {len(sent)}")
-        compatible = complete.brackets.compatible
-        missing = [d for d in ref if not all(compatible(i, j) for i, j in derivation_spans(g, d))]
+        ok = brackets.compatible_spans(len(tokens))
+        missing = [d for d in ref if not all(ok[i, j] for i, j in derivation_spans(g, d))]
     if not ref:
         return None
-    # a reference that nests with the complete set's brackets is in it; when
-    # none does (k = 0), only a parse can tell whether the set is empty
-    if complete is not None and len(missing) == len(ref):
-        if not inside(g, sent.tokens, complete.brackets).in_language:
-            return None
-    if spec.enforce_subset and missing:
-        comp += tuple(missing)
-        if complete is None:
-            degenerate = {d.rules for d in comp} == {d.rules for d in ref}
-        else:
-            # the union is the reference set when the complete set holds
-            # nothing but the k references that nest with the brackets; at
-            # k = 0 it holds more, as the inside check above found
-            k = len(ref) - len(missing)
-            degenerate = k > 0 and len(nbest(g, sent.tokens, k + 1, complete.brackets)) <= k
-        if degenerate:
-            warnings.warn(
-                "competing set equals the reference set after subset enforcement",
-                DegenerateDeltaWarning,
-                stacklevel=2,
-            )
-    return RealizedDelta(tuple(ref), comp, complete)
+    k = len(ref) - len(missing)  # the references the competing set holds
+    appended = tuple(missing) if spec.enforce_subset else ()
+    # whether it holds more than those k: a list of distinct derivations
+    # says so by its length, a complete set by the length of its (k + 1)-best
+    # list, parsed only where the answer matters: at k = 0 (is the set
+    # empty?) and when references are appended (is the union the reference
+    # set?)
+    if complete is None:
+        more = len(comp) > k
+    elif k == 0 or appended:
+        more = len(nbest(g, tokens, k + 1, brackets)) > k
+    else:
+        more = True  # unasked: it holds a reference, and no union is formed
+    if not more and k == 0:
+        return None
+    if not more and appended:
+        warnings.warn(
+            "competing set equals the reference set after subset enforcement",
+            DegenerateDeltaWarning,
+            stacklevel=2,
+        )
+    return RealizedDelta(ref, comp + appended, complete)
 
 
 def _nonempty(corpus) -> list:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .corpus import Bracketing, Sentence
 from .derivations import Derivation, count_vector, score_counts
+from .estimator import Accumulators, EstimationError, _finalize
 from .grammar import Grammar
 from .logmath import logsumexp, normalized_weights
 
@@ -105,30 +106,15 @@ def enumerate_derivations(g: Grammar, sentence, cap: int = DEFAULT_LENGTH_CAP) -
     return Enumeration(derivations, logsumexp([d.log_prob for d in derivations]))
 
 
-def _filter_compatible(records: list[_Record], brackets: Bracketing | None) -> list[_Record]:
-    if brackets is None:
-        return records
-    return [
-        r
-        for r in records
-        if all(brackets.compatible(i, j) for i, j in r.spans)
-    ]
-
-
 def _select(records: list[_Record], mode: str, n: int, brackets: Bracketing | None) -> list[_Record]:
-    if mode in ("viterbi", "nbest"):
-        pool = records
-    elif mode in ("bracketed_viterbi", "bracketed_all"):
-        pool = _filter_compatible(records, brackets)
-    elif mode == "all":
-        pool = records
-    else:
+    # a bracketed mode keeps the records that nest with the brackets; every
+    # mode then keeps the best 1, the best n, or all of them
+    sizes = {"viterbi": 1, "bracketed_viterbi": 1, "nbest": n, "all": None, "bracketed_all": None}
+    if mode not in sizes:
         raise ValueError(f"unknown delta mode {mode!r}")
-    if mode in ("viterbi", "bracketed_viterbi"):
-        return pool[:1]
-    if mode == "nbest":
-        return pool[:n]
-    return pool
+    if mode.startswith("bracketed_") and brackets is not None:
+        records = [r for r in records if all(brackets.compatible(i, j) for i, j in r.spans)]
+    return records[: sizes[mode]]
 
 
 def oracle_accumulate(g: Grammar, corpus, spec, eta: float = 1.0):
@@ -139,8 +125,6 @@ def oracle_accumulate(g: Grammar, corpus, spec, eta: float = 1.0):
     count sums are evaluated directly from the definitions.  Used to verify
     the estimator's chart-based accumulation, and raises its error alike.
     """
-    from .estimator import Accumulators, EstimationError  # local import: no cycle at load time
-
     acc = Accumulators.zeros(g)
     effective = 0
     for raw in corpus:
@@ -179,8 +163,6 @@ def growth_step_single_ref(g: Grammar, acc, h: float, ctilde: float, min_prob: f
     shares ``estimator._finalize`` (floor and renormalize), and the two must
     agree bit for bit on shared accumulators, error messages included.
     """
-    from .estimator import EstimationError, _finalize  # local import: no cycle at load time
-
     raw = [0.0] * len(g.rules)
     for nt in g.nonterminals:
         rules = g.rules_by_lhs[nt]

@@ -130,9 +130,11 @@ class TestInside:
         chart = inside(load_grammar(G100), SIXTEEN_TOKENS)
         n = len(SIXTEEN_TOKENS)
         assert chart.logmass(0, n, "S") == chart.log_string_prob
-        for i, j in ((-1, n), (3, 1), (2, 2), (0, n + 1), (n, n + 1)):
+        for i, j in ((-1, n), (3, 1), (2, 2), (0, n + 1), (n, n + 1), (0.5, 2), (0, 2.0), (None, 2)):
             with pytest.raises(ValueError, match="span"):
                 chart.logmass(i, j, "S")
+        # non-integer ends used to raise numpy's IndexError; numpy integers stay valid
+        assert chart.logmass(np.int64(0), np.int64(n), "S") == chart.log_string_prob
         # an unknown symbol used to raise a bare KeyError
         with pytest.raises(ValueError, match="'X' is not a nonterminal"):
             chart.logmass(0, 2, "X")

@@ -45,6 +45,13 @@ class TestBracketing:
             want = [[b.compatible(i, j) for j in range(n + 1)] for i in range(n + 1)]
             assert b.compatible_spans(n).tolist() == want
 
+    def test_compatible_spans_rejects_a_bracket_past_the_sentence(self):
+        # such a bracket used to be clipped silently
+        b = Bracketing(frozenset({(1, 4)}))
+        assert b.compatible_spans(4).shape == (5, 5)
+        with pytest.raises(ValueError, match="^bracket span exceeds sentence length 3$"):
+            b.compatible_spans(3)
+
     def test_rejects_crossing_spans(self):
         with pytest.raises(ValueError, match="crossing"):
             Bracketing(frozenset({(0, 2), (1, 3)}))

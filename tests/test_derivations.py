@@ -188,6 +188,14 @@ class TestSpansAndTrees:
             {(0, 4), (0, 3), (0, 2), (0, 1), (1, 2), (2, 3), (3, 4)}
         )
 
+    @pytest.mark.parametrize("view", [derivation_spans, derivation_tree])
+    def test_views_reject_a_derivation_of_another_length(self, view):
+        # derivation_tree used to return a one-token tree for this
+        g = toy(0.5)
+        for rules, n in (((1,), 2), (TOY_AA, 1), (TOY_AA, 3)):
+            with pytest.raises(ValueError, match="^rule sequence is not a complete derivation"):
+                view(g, Derivation(rules, n, 0.0))
+
     def test_tree_rendering(self):
         g = toy(0.5)
         tree = derivation_tree(g, Derivation.build(g, TOY_AA, 2))

@@ -297,6 +297,18 @@ def competing_rules(g, rd):
     return rules
 
 
+def spy_nbest(monkeypatch) -> list:
+    """Record the ``(n, brackets)`` of every n-best parse the estimator runs."""
+    calls = []
+
+    def spy(g, tokens, n, brackets=None):
+        calls.append((n, brackets))
+        return nbest(g, tokens, n, brackets)
+
+    monkeypatch.setattr(estimator, "nbest", spy)
+    return calls
+
+
 class TestSubsetEnforcement:
     def test_reference_joins_competing_set(self):
         # brackets exclude the left-branching tree; unbracketed 1-best ref may
@@ -362,43 +374,28 @@ class TestSubsetEnforcement:
         assert warned >= 5 and quiet >= 5
 
     def test_single_crossing_reference_runs_no_degeneracy_parse(self, monkeypatch):
-        # with k = 0 nesting references the inside check, run once the
-        # crossing references are known, has shown the complete set
-        # non-empty, so no n-best parse is needed to rule out a degenerate
-        # union
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return nbest(*args)
-
-        monkeypatch.setattr(estimator, "nbest", spy)
+        # with k = 0 nesting references, the 1-best parse of the complete
+        # set shows it non-empty, and so also that the union with the
+        # crossing reference is not the reference set: no second parse
+        calls = spy_nbest(monkeypatch)
         g = toy(0.5)
         spec = DeltaSpec("viterbi", "bracketed_all")
         crossed = 0
         for n in (3, 4, 5):
             for i in range(n):
                 for j in range(i + 2, min(n, i + n - 1) + 1):
-                    rd = realize_delta_sets(g, Sentence(("a",) * n, Bracketing({(i, j)})), spec)
+                    brackets = Bracketing({(i, j)})
+                    calls.clear()
+                    rd = realize_delta_sets(g, Sentence(("a",) * n, brackets), spec)
                     crossed += bool(rd.comp)
                     assert {d.rules for d in rd.ref} <= competing_rules(g, rd)
+                    assert calls == [(1, None)] + [(1, brackets)] * bool(rd.comp)
         assert crossed >= 5
-        assert calls == []
 
     def test_unbracketed_reference_list_is_cut_from_the_competing_one(self, monkeypatch):
         # an n-best list starts with every shorter one, so one parse serves
         # both sides
-        calls = []
-
-        def spy(name, parse):
-            def counted(*args):
-                calls.append(name)
-                return parse(*args)
-
-            return counted
-
-        monkeypatch.setattr(estimator, "nbest", spy("nbest", nbest))
-        monkeypatch.setattr(estimator, "viterbi", spy("viterbi", viterbi))
+        calls = spy_nbest(monkeypatch)
         g = toy(0.4)
         for spec, n_ref in (
             (DeltaSpec("nbest", "nbest", n_ref=2, n_comp=4), 2),
@@ -406,7 +403,7 @@ class TestSubsetEnforcement:
         ):
             calls.clear()
             rd = realize_delta_sets(g, ["a"] * 4, spec)
-            assert calls == ["nbest"]
+            assert calls == [(spec.n_comp, None)]
             assert rd.ref == nbest(g, ["a"] * 4, n_ref).derivations
 
     @pytest.mark.parametrize("enforce", [True, False])
@@ -452,29 +449,65 @@ class TestSubsetEnforcement:
     @pytest.mark.parametrize("enforce", [True, False])
     def test_complete_set_is_parsed_only_when_no_reference_nests(self, monkeypatch, enforce):
         # a reference derivation that nests with the complete set's brackets
-        # shows that set non-empty; only when none does is it parsed
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return inside(*args)
-
-        monkeypatch.setattr(estimator, "inside", spy)
+        # shows that set non-empty; only when none does is it parsed, for
+        # its 1-best list
+        calls = spy_nbest(monkeypatch)
         g = toy(0.5)
         tokens = ("a",) * 4
         best = viterbi(g, tokens)[0]
         nesting = Bracketing(frozenset(derivation_spans(g, best)))
         crossing = Bracketing(frozenset({(1, 3)}))
         assert not all(crossing.compatible(i, j) for i, j in derivation_spans(g, best))
-        for ref_mode, comp_mode, brackets, probes in (
-            ("bracketed_viterbi", "all", crossing, 0),
-            ("viterbi", "bracketed_all", nesting, 0),
-            ("viterbi", "bracketed_all", crossing, 1),
+        for ref_mode, comp_mode, brackets, want in (
+            ("bracketed_viterbi", "all", crossing, [(1, crossing)]),
+            ("viterbi", "bracketed_all", nesting, [(1, None)]),
+            ("viterbi", "bracketed_all", crossing, [(1, None), (1, crossing)]),
         ):
             calls.clear()
             spec = DeltaSpec(ref_mode, comp_mode, enforce_subset=enforce)
             assert realize_delta_sets(g, Sentence(tokens, brackets), spec) is not None
-            assert calls == [(g, tokens, brackets)] * probes
+            assert calls == want
+
+    def test_every_parse_realize_makes(self, monkeypatch):
+        # every listed set is one n-best parse over the brackets its mode
+        # reads, an unbracketed reference list being cut from the competing
+        # one; a complete set holding the k references that nest with its
+        # brackets is parsed for its (k + 1)-best list, and only at k = 0 or
+        # when references are appended to it
+        calls = spy_nbest(monkeypatch)
+        g = toy(0.5)
+        tokens = ("a",) * 4
+        best = viterbi(g, tokens)[0]
+        nesting = Bracketing(frozenset(derivation_spans(g, best)))
+        crossing = Bracketing(frozenset({(1, 3)}))
+        probes = {"k = 0": 0, "k > 0": 0, "none": 0}
+        for ref_mode in REF_MODES:
+            for comp_mode in COMP_MODES:
+                for enforce in (True, False):
+                    spec = DeltaSpec(ref_mode, comp_mode, n_ref=2, n_comp=3, enforce_subset=enforce)
+                    for brackets in (None, nesting, crossing):
+                        ref_brackets = brackets if ref_mode.startswith("bracketed_") else None
+                        comp_brackets = brackets if comp_mode.startswith("bracketed_") else None
+                        n_ref = 2 if ref_mode == "nbest" else 1
+                        ref = nbest(g, tokens, n_ref, ref_brackets).derivations
+                        if comp_mode == "nbest":
+                            want = [(3, None)] + [(1, brackets)] * (ref_mode == "bracketed_viterbi")
+                        else:
+                            nests = (comp_brackets or Bracketing()).compatible
+                            k = sum(all(nests(i, j) for i, j in derivation_spans(g, d)) for d in ref)
+                            want = [(n_ref, ref_brackets)]
+                            if k == 0 or enforce and k < len(ref):
+                                want.append((k + 1, comp_brackets))
+                                probes["k = 0" if k == 0 else "k > 0"] += 1
+                            else:
+                                probes["none"] += 1
+                        calls.clear()
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", DegenerateDeltaWarning)
+                            rd = realize_delta_sets(g, Sentence(tokens, brackets), spec)
+                        assert calls == want, (ref_mode, comp_mode, enforce, brackets)
+                        assert rd.ref == ref
+        assert min(probes.values()) >= 2, probes
 
     def test_unparseable_returns_none(self):
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
