@@ -36,11 +36,10 @@ def expectation_matrix(g: Grammar) -> np.ndarray:
     n = len(g.nonterminals)
     m = np.zeros((n, n))
     idx = g.nt_index
-    for rule in g.binary_rules:
-        a = idx[rule.lhs]
-        p = g.probs[rule.id]
-        for child in rule.rhs:
-            m[a, idx[child]] += p
+    for rule, p in zip(g.rules, g.probs):
+        if not rule.is_lexical:
+            for child in rule.rhs:
+                m[idx[rule.lhs], idx[child]] += p
     return m
 
 

@@ -122,7 +122,7 @@ class HParams:
 
 @dataclass
 class Accumulators:
-    """Sufficient statistics for one growth step; supports disjoint merging.
+    """Sufficient statistics for one growth step.
 
     Float64 arrays: ``d_rule_*`` indexed by rule id, ``d_nt_*`` by
     ``Grammar.nt_index``.
@@ -138,16 +138,6 @@ class Accumulators:
     def zeros(cls, g: Grammar) -> "Accumulators":
         n_rules, n_nts = len(g.rules), len(g.nonterminals)
         return cls(np.zeros(n_rules), np.zeros(n_rules), np.zeros(n_nts), np.zeros(n_nts))
-
-    def merge(self, other: "Accumulators") -> "Accumulators":
-        """Commutative, associative combination of partial accumulations."""
-        return Accumulators(
-            self.d_rule_ref + other.d_rule_ref,
-            self.d_rule_comp + other.d_rule_comp,
-            self.d_nt_ref + other.d_nt_ref,
-            self.d_nt_comp + other.d_nt_comp,
-            self.skipped + other.skipped,
-        )
 
 
 @dataclass(frozen=True)
@@ -229,9 +219,9 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
     comp = nbest(g, tokens, spec.n_comp).derivations if listed else ()
     complete = None if listed else Sentence(tokens, brackets)
     n_ref = spec.n_ref if spec.ref_mode == "nbest" else 1
-    if listed and spec.ref_mode not in BRACKETED_MODES:
-        # both lists read no brackets, and an n-best list starts with every
-        # shorter one
+    if listed and (ref_brackets is None or not ref_brackets.spans):
+        # neither list reads a bracket (an empty bracketing excludes
+        # nothing), and an n-best list starts with every shorter one
         ref = comp[:n_ref]
     else:
         ref = nbest(g, tokens, n_ref, ref_brackets).derivations
@@ -270,25 +260,19 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
     return RealizedDelta(ref, comp + appended, complete)
 
 
-def _nonempty(corpus) -> list:
-    """The corpus as a list; an empty one raises ``EstimationError``."""
-    corpus = list(corpus)
-    if not corpus:
-        raise EstimationError("corpus is empty")
-    return corpus
-
-
 def _kept(realized) -> list[RealizedDelta]:
-    """The realized sets that are not None; raises if every sentence was skipped."""
+    """The realized sets that are not None; raises ``EstimationError`` when
+    there are none, the corpus being empty or every sentence skipped."""
+    realized = list(realized)
     kept = [rd for rd in realized if rd is not None]
     if not kept:
-        raise EstimationError("all sentences were skipped")
+        raise EstimationError("all sentences were skipped" if realized else "corpus is empty")
     return kept
 
 
 def accumulate(g: Grammar, corpus, spec: DeltaSpec, eta: float = HParams.eta) -> Accumulators:
     """Posterior-weighted rule-usage sums over realized sets for a corpus."""
-    realized = [realize_delta_sets(g, s, spec) for s in _nonempty(corpus)]
+    realized = [realize_delta_sets(g, s, spec) for s in corpus]
     return accumulate_realized(g, realized, eta)[0]
 
 
@@ -425,7 +409,7 @@ def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:
 
 def objective(g: Grammar, corpus, spec: DeltaSpec, params: HParams) -> float:
     """Corpus log objective, ``objective_over_sets`` on the sets ``g`` realizes."""
-    realized = [realize_delta_sets(g, s, spec) for s in _nonempty(corpus)]
+    realized = [realize_delta_sets(g, s, spec) for s in corpus]
     return objective_over_sets(g, realized, params.eta, params.h)
 
 
@@ -443,7 +427,9 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
     under the new grammar (a complete set by an inside pass alone, over
     the weights ``eta * log p``).
     """
-    corpus = _nonempty(corpus)
+    corpus = list(corpus)
+    if not corpus:  # fails even when no iteration runs
+        raise EstimationError("corpus is empty")
     g = g0
     records: list[IterationRecord] = []
     converged = False

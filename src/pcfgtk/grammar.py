@@ -227,14 +227,6 @@ class Grammar:
         return self._binary_tables[2]
 
     @cached_property
-    def binary_rules(self) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if not r.is_lexical)
-
-    @cached_property
-    def lexical_rules(self) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.is_lexical)
-
-    @cached_property
     def rules_by_lhs(self) -> dict[str, tuple[Rule, ...]]:
         groups: dict[str, list[Rule]] = {nt: [] for nt in self.nonterminals}
         for rule in self.rules:
@@ -244,8 +236,9 @@ class Grammar:
     @cached_property
     def _lexical_index(self) -> dict[str, tuple[Rule, ...]]:
         index: dict[str, list[Rule]] = {}
-        for rule in self.lexical_rules:
-            index.setdefault(rule.terminal, []).append(rule)
+        for rule in self.rules:
+            if rule.is_lexical:
+                index.setdefault(rule.terminal, []).append(rule)
         return {t: tuple(rs) for t, rs in index.items()}
 
     def rules_for_terminal(self, token: str) -> tuple[Rule, ...]:

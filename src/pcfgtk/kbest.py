@@ -9,9 +9,9 @@ hypotheses lazily, top-down from the root.
 A lexical entry holds its one hypothesis; a span's hypotheses join a left
 hypothesis with a right one under a candidate (rule, left child entry,
 right child entry).  A hypothesis is a ``_Cell``: an incremental score, the
-rule's log probability plus the two children's scores, with its rule id and
-its two children, so building one costs two float additions and no count
-vector.
+rule's log probability plus the two children's scores, with its rule id, its
+split and its two children, so building one costs two float additions and no
+count vector.
 
 Ordering is by descending canonical log probability (``score_counts`` of
 the subtree's rule counts) with the backpointer key as secondary
@@ -113,8 +113,8 @@ _SLACK = 4 * 2.0**-53
 @dataclass(slots=True)  # never changed once made; not frozen, which is slower to build
 class _Cell:
     score: float  # incremental: lp[rule] + left.score + right.score
-    size: int  # number of rules in the subtree
     rule_id: int
+    split: int = 0  # where the left child's span ends; 0 for lexical entries
     left: _Cell | None = None  # children; None for lexical entries
     right: _Cell | None = None
 
@@ -136,14 +136,10 @@ class KBestList:
     """Derivations in best-first order; short only when |D_x| < n."""
 
     derivations: tuple[Derivation, ...]
-    n_requested: int
     in_language: bool
 
     def __len__(self) -> int:
         return len(self.derivations)
-
-    def log_probs(self) -> tuple[float, ...]:
-        return tuple(d.log_prob for d in self.derivations)
 
 
 def nbest(
@@ -160,7 +156,7 @@ def nbest(
     if n < 1:
         raise ValueError("n must be at least 1")
     derivations = _best(g, _cky(g, sentence, brackets), n)
-    return KBestList(derivations, n, bool(derivations))
+    return KBestList(derivations, bool(derivations))
 
 
 def _best(g: Grammar, trav: _Traversal, n: int) -> tuple[Derivation, ...]:
@@ -209,7 +205,7 @@ class _Lists:
         self.hyps: dict[int, list[_Cell]] = {}
         self.wmax: dict[int, list[float]] = {}
         for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
-            self.hyps[entry] = [_Cell(lp[rule], 1, rule)]
+            self.hyps[entry] = [_Cell(lp[rule], rule)]
             self.wmax[entry] = [lp[rule]]
         self.frontier: dict[int, tuple[list, list[_Cell], dict[int, tuple]]] = {}
 
@@ -254,15 +250,14 @@ class _Lists:
         instead the child requests (entry, index) that must be met first,
         if any, having stopped between two joins."""
         hyps, wmax, frontier, n = self.hyps, self.wmax, self.frontier, self.n
-        lp = self.g.log_probs
-        start, end = divmod(entry // self.n_nt, self.n1)
+        lp, n1, n_nt = self.g.log_probs, self.n1, self.n_nt
+        start, end = divmod(entry // n_nt, n1)
         width = end - start
         state = frontier.get(entry)
         if state is None:
             state = self._start(entry, width)
         heap, pending, cands = state
-        size = 2 * width - 1  # rules in every hypothesis of the span
-        slack = _SLACK * size
+        slack = _SLACK * (2 * width - 1)  # rules in every hypothesis of the span
         while True:
             # a join not yet popped scores at most the top key, so the first
             # window is final once its lowest member and the top key pass
@@ -274,7 +269,7 @@ class _Lists:
                 while k < len(pending) and not _cut(pending[k - 1].score, pending[k].score, slack):
                     k += 1
                 if not heap or _cut(pending[k - 1].score, -heap[0][0], slack):
-                    self._append(entry, start, pending[:k])
+                    self._append(entry, pending[:k])
                     del pending[:k]
                     return []
             if not heap:
@@ -298,21 +293,22 @@ class _Lists:
                 return need
             heappop(heap)
             lcell, rcell = lefts[li], rights[ri]
-            cell = _Cell((lp[rule] + lcell.score) + rcell.score, size, rule, lcell, rcell)
+            split = left // n_nt % n1  # the left child's span (start, split)
+            cell = _Cell((lp[rule] + lcell.score) + rcell.score, rule, split, lcell, rcell)
             insort(pending, cell, key=_descending)
             if ri + 1 < len(rights):
                 heappush(heap, (-((lp[rule] + wmax[left][li]) + wmax[right][ri + 1]), col, li, ri + 1))
             if ri == 0 and li + 1 < len(lefts):
                 heappush(heap, (-((lp[rule] + wmax[left][li + 1]) + wmax[right][0]), col, li + 1, 0))
 
-    def _append(self, entry: int, start: int, window: list[_Cell]) -> None:
+    def _append(self, entry: int, window: list[_Cell]) -> None:
         """Rank a final window canonically and append it to the entry's
         list, truncating the list at n (which closes the entry)."""
         g = self.g
         top = window[0].score
         if len(window) > 1:
             window.sort(
-                key=lambda cell: (-score_rules(g, _preorder(cell)), _backpointer_key(cell, start))
+                key=lambda cell: (-score_rules(g, _preorder(cell)), _backpointer_key(cell))
             )
         hyps, wmax = self.hyps[entry], self.wmax[entry]
         hyps += window
@@ -336,17 +332,16 @@ def _cut(a: float, b: float, slack: float) -> bool:
     return a - b > slack * -(a + b)
 
 
-def _backpointer_key(cell: _Cell, start: int) -> list[int]:
-    """Flattened (split, rule id) backpointers of a subtree starting at
-    ``start``, a lexical entry contributing its rule id alone."""
+def _backpointer_key(cell: _Cell) -> list[int]:
+    """Flattened (split, rule id) backpointers of a subtree in preorder, a
+    lexical entry contributing its rule id alone; each cell holds its split."""
     key = []
-    stack = [(cell, start)]
+    stack = [cell]
     while stack:
-        cell, start = stack.pop()
+        cell = stack.pop()
         if cell.left is None:
             key.append(cell.rule_id)
             continue
-        split = start + (cell.left.size + 1) // 2
-        key += (split, cell.rule_id)
-        stack += ((cell.right, split), (cell.left, start))
+        key += (cell.split, cell.rule_id)
+        stack += (cell.right, cell.left)
     return key

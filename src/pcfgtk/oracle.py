@@ -142,7 +142,7 @@ def oracle_accumulate(g: Grammar, corpus, spec, eta: float = 1.0):
         _add_weighted(g, acc.d_rule_ref, acc.d_nt_ref, ref, eta)
         _add_weighted(g, acc.d_rule_comp, acc.d_nt_comp, comp, eta)
     if effective == 0:
-        raise EstimationError("all sentences were skipped")
+        raise EstimationError("all sentences were skipped" if acc.skipped else "corpus is empty")
     return acc
 
 

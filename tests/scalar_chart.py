@@ -39,7 +39,7 @@ def _cky(g, sentence, brackets, leaf, combine):
         brackets = Bracketing()
     elif brackets.max_position() > n:
         raise ValueError(f"bracket span exceeds sentence length {n}")
-    binary = [(rule, rule.lhs, rule.rhs[0], rule.rhs[1]) for rule in g.binary_rules]
+    binary = [(rule, rule.lhs, rule.rhs[0], rule.rhs[1]) for rule in g.rules if not rule.is_lexical]
     chart: dict[tuple[int, int], dict] = {}
     for i, tok in enumerate(tokens):
         cell = {rule.lhs: leaf(rule) for rule in g.rules_for_terminal(tok)}
@@ -227,7 +227,7 @@ def nbest(g, sentence, n: int, brackets=None) -> KBestList:
     tokens, chart = _cky(g, sentence, brackets, lambda rule: [_Cell(lp[rule.id], 1, rule.id)], top)
     cells = chart.get((0, len(tokens)), {}).get(g.start, [])
     derivations = tuple(Derivation.build(g, _preorder(cell), len(tokens)) for cell in cells)
-    return KBestList(derivations, n, bool(derivations))
+    return KBestList(derivations, bool(derivations))
 
 
 def _backpointer_key(cell: _Cell, start: int) -> list[int]:

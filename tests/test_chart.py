@@ -394,7 +394,7 @@ class TestArrayLayoutEdgeCases:
 
     def test_one_token_sentence(self):
         for g in (toy(0.3), load_grammar(G100)):
-            token = g.lexical_rules[0].terminal
+            token = next(r for r in g.rules if r.is_lexical).terminal
             assert_matches_scalar_reference(g, [token])
             assert_matches_scalar_reference(g, [token], Bracketing(frozenset({(0, 1)})))
 

@@ -165,17 +165,21 @@ class TestAccumulate:
 
     def test_all_skipped_raises(self):
         # one condition, one error: the estimator's accumulation and
-        # objective and the oracle's accumulation all report it alike
+        # objective and the oracle's accumulation all report it alike, and
+        # an empty corpus, where nothing was skipped, is reported as empty
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
-        realized = [realize_delta_sets(g, ["b", "a"], VIT_ALL)]
-        assert realized == [None]
-        for call in (
-            lambda: accumulate(g, [["b", "a"]], VIT_ALL),
-            lambda: objective_over_sets(g, realized, 1.0, 0.5),
-            lambda: oracle_accumulate(g, [["b", "a"]], VIT_ALL),
-        ):
-            with pytest.raises(EstimationError, match="^all sentences were skipped$"):
-                call()
+        assert realize_delta_sets(g, ["b", "a"], VIT_ALL) is None
+        for corpus, message in (([["b", "a"]], "all sentences were skipped"), ([], "corpus is empty")):
+            realized = [realize_delta_sets(g, s, VIT_ALL) for s in corpus]
+            for call in (
+                lambda: accumulate(g, corpus, VIT_ALL),
+                lambda: accumulate_realized(g, realized),
+                lambda: objective_over_sets(g, realized, 1.0, 0.5),
+                lambda: objective(g, corpus, VIT_ALL, HParams()),
+                lambda: oracle_accumulate(g, corpus, VIT_ALL),
+            ):
+                with pytest.raises(EstimationError, match=f"^{message}$"):
+                    call()
 
     @pytest.mark.parametrize("bad_id", [-1, 2, 7])
     def test_bad_rule_id_in_hand_built_set_raises(self, bad_id):
@@ -269,17 +273,6 @@ class TestAccumulate:
         p, r = g.probs
         want = math.log(catalan(n - 1)) + (n - 1) * math.log(p) + n * math.log(r)
         assert comp_term == pytest.approx(want, rel=1e-12)
-
-    def test_merge_is_commutative_and_matches_joint(self):
-        g = toy(0.5)
-        a1 = accumulate(g, [TOY_CORPUS[0]], VIT_ALL)
-        a2 = accumulate(g, [TOY_CORPUS[1]], VIT_ALL)
-        joint = accumulate(g, TOY_CORPUS, VIT_ALL)
-        merged = a1.merge(a2)
-        flipped = a2.merge(a1)
-        for rid in (0, 1):
-            assert merged.d_rule_ref[rid] == pytest.approx(joint.d_rule_ref[rid], abs=1e-12)
-            assert merged.d_rule_ref[rid] == flipped.d_rule_ref[rid]
 
 
 def competing_rules(g, rd):
@@ -470,8 +463,8 @@ class TestSubsetEnforcement:
 
     def test_every_parse_realize_makes(self, monkeypatch):
         # every listed set is one n-best parse over the brackets its mode
-        # reads, an unbracketed reference list being cut from the competing
-        # one; a complete set holding the k references that nest with its
+        # reads, a reference list that reads no bracket (none, or an empty
+        # bracketing) being cut from the competing one; a complete set holding the k references that nest with its
         # brackets is parsed for its (k + 1)-best list, and only at k = 0 or
         # when references are appended to it
         calls = spy_nbest(monkeypatch)
@@ -485,13 +478,14 @@ class TestSubsetEnforcement:
             for comp_mode in COMP_MODES:
                 for enforce in (True, False):
                     spec = DeltaSpec(ref_mode, comp_mode, n_ref=2, n_comp=3, enforce_subset=enforce)
-                    for brackets in (None, nesting, crossing):
+                    for brackets in (None, Bracketing(), nesting, crossing):
                         ref_brackets = brackets if ref_mode.startswith("bracketed_") else None
                         comp_brackets = brackets if comp_mode.startswith("bracketed_") else None
                         n_ref = 2 if ref_mode == "nbest" else 1
                         ref = nbest(g, tokens, n_ref, ref_brackets).derivations
                         if comp_mode == "nbest":
-                            want = [(3, None)] + [(1, brackets)] * (ref_mode == "bracketed_viterbi")
+                            reads = ref_brackets is not None and ref_brackets.spans
+                            want = [(3, None)] + [(1, brackets)] * bool(reads)
                         else:
                             nests = (comp_brackets or Bracketing()).compatible
                             k = sum(all(nests(i, j) for i, j in derivation_spans(g, d)) for d in ref)

@@ -2,6 +2,7 @@
 import functools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pcfgtk import (
     Rule,
     check_consistency,
     expectation_matrix,
+    load_grammar,
     parse_grammar,
     serialize_grammar,
 )
@@ -320,6 +322,30 @@ class TestExpectationMatrix:
                 )
                 row = m[g.nt_index[nt]]
                 assert np.all(row <= 2.0 * binary_mass + 1e-12)
+
+    def test_bits_match_a_scalar_loop_over_binary_rules(self):
+        # each binary rule adds its probability once per child, in rule-id
+        # order, so an entry that three or more additions feed (where float
+        # order can show) sums in that order
+        grammars = [
+            random_grammar(np.random.default_rng(5000 + seed), max_rules=10, ensure_binary=True)
+            for seed in range(200)
+        ]
+        grammars.append(load_grammar(Path(__file__).parent / "data" / "g100-seed0.g"))
+        ordered = 0
+        for g in grammars:
+            n = len(g.nonterminals)
+            want = [[0.0] * n for _ in range(n)]
+            terms = np.zeros((n, n), dtype=int)
+            for rule, p in zip(g.rules, g.probs):
+                if len(rule.rhs) == 2:
+                    for child in rule.rhs:
+                        row, col = g.nonterminals.index(rule.lhs), g.nonterminals.index(child)
+                        want[row][col] += p
+                        terms[row, col] += 1
+            assert expectation_matrix(g).tobytes() == np.array(want).tobytes()
+            ordered += int((terms >= 3).sum())
+        assert ordered >= 100
 
 
 # A and B feed each other through one binary rule each: radius sqrt(0.6 * 0.5)
