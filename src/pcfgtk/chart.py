@@ -1,15 +1,24 @@
 """Span-based dynamic programming over CNF grammars, one width at a time.
 
-One CKY layout, ``_cky``, serves every parser in the package.  It checks
-the sentence and the brackets once and lists, for each width, the binary
-candidates of every bracket-compatible span as dense index arrays: one row
-per (span, left-hand side), one column per (split, rule), so that each row
+Every parser in the package reads one CKY layout.  For each width it lists
+the binary candidates of every span as dense index arrays: one row per
+(span, left-hand side), one column per (split, rule), so that each row
 holds its candidates in ascending (split, rule id) order.  Charts are flat
-arrays over the (n + 1) x (n + 1) x |N| cells, an absent entry being -inf
-(or False); a candidate whose child is absent scores -inf.  Chart spans
-that cross a bracket get no row, which restricts every task to derivations
-whose constituents all nest with the brackets; an empty bracketing is
-identical to none.
+arrays over the (i, j, nonterminal) cells, an absent entry being -inf (or
+False); a candidate whose child is absent scores -inf.
+
+The layout depends only on the grammar's rule set and the sentence length,
+and a chart's flat index has the fixed stride n_max + 1 of the longest
+sentence the grammar has parsed, so a span's entry and child indexes are
+the same at every length and a shorter sentence's layout is a prefix of
+the longer one's.  A grammar therefore keeps one layout, in the
+``layout_slot`` its ``with_probs`` copies share, built on demand by
+``_build_layout`` at the longest length so far and rebuilt only for a
+longer sentence.  ``_cky`` checks a sentence and its brackets and slices
+that layout: the first spans of each width, or only the bracket-compatible
+ones.  Chart spans that cross a bracket get no row, which restricts every
+task to derivations whose constituents all nest with the brackets; an
+empty bracketing is identical to none.
 
 One forward pass, ``_inside_pass``, fills every chart: it gathers each
 width's left and right child scores with one ``take`` and reduces every row
@@ -28,7 +37,8 @@ the first entry of that list, made by the same engine at n = 1, so this
 module holds no tie-breaking or rounding logic.
 
 Every result is bit-identical to the span-by-span scalar chart this layout
-replaced (kept in the tests as the reference).  Elementwise addition,
+replaced (kept in the tests as the reference), whatever the grammar parsed
+before: the stride moves only index arithmetic.  Elementwise addition,
 subtraction and multiplication, maximum and comparison are exact in IEEE
 arithmetic, so numpy computes them as the scalar code did: a candidate
 scores ``(weight + left) + right``, the order of ``w[rule] + left +
@@ -38,8 +48,10 @@ code's order, by ``np.add.accumulate`` along a row or ``np.add.at`` (which
 adds its terms one at a time in index order); ``np.exp``, ``np.log`` and
 pairwise reductions such as ``np.sum`` round differently and are never used.
 
-All functions are pure; one immutable grammar may be shared by concurrent
-calls over different sentences.
+All functions are pure; one grammar may be shared by concurrent calls over
+different sentences.  A kept layout is read-only and never changed; a call
+that needs a longer one builds it under the slot's lock and replaces the
+slot's reference, and each call reads the layout it took throughout.
 """
 from __future__ import annotations
 
@@ -77,8 +89,9 @@ class _Width(NamedTuple):
     (2, spans, L, splits, Q): the flat chart index of each candidate's left
     and right child, so that the rule id and children of a column are read
     from ``binary_rule_table`` and ``children`` alone.  At padding a child
-    index lies past the chart: read with ``take(..., mode="clip")`` it lands
-    on cell (n, n, |N| - 1), which no span fills.
+    index lies past every chart of the stride: read with ``take(...,
+    mode="clip")`` it lands on the chart's last cell (n, n1 - 1, |N| - 1),
+    which no span fills.
     """
 
     width: int  # tokens in each span
@@ -86,17 +99,70 @@ class _Width(NamedTuple):
     children: np.ndarray
 
 
+class _Layout(NamedTuple):
+    """The read-only candidates of every span of a sentence of ``n1 - 1``
+    tokens, by width: ``widths[w - 2]`` holds the ``entry`` and
+    ``children`` of a ``_Width`` w tokens wide, shaped ``(spans, L)`` and
+    ``(2, spans, L, w - 1, Q)``, every span listed by start."""
+
+    n1: int  # the stride: the longest length laid out, plus one
+    widths: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _build_layout(g: Grammar, n_max: int) -> _Layout:
+    """Lay out the candidates of every span of an n_max-token sentence."""
+    n1, n_nt = n_max + 1, len(g.nonterminals)
+    table = g.binary_rule_table
+    if not table.size:
+        return _Layout(n1, ())
+    # a candidate of span (i, i + w) at split i + k has its children at
+    # cells (i, i + k, B) and (i + k, i + w, C): i * stride past those of
+    # span (0, w), which lie k * n_nt + B and k * n1 * n_nt + C past cells
+    # (0, 0, 0) and (0, w, 0); padding columns point past every chart
+    stride = (n1 + 1) * n_nt
+    steps = np.array([n_nt, n1 * n_nt])[:, None, None, None]
+    offsets = steps * np.arange(1, n_max)[:, None] + g.binary_table_rhs[:, :, None, :]
+    offsets = np.where((table < 0)[:, None, :], n1 * n1 * n_nt, offsets)
+    # ends[:, w, i]: i * stride, and i * stride + w * n_nt for the right
+    # child and the entry
+    ends = np.arange(n_max) * stride + np.array([[0], [n_nt]])[:, :, None] * np.arange(n1)[:, None]
+    entries = ends[1][:, :, None] + g.binary_table_lhs
+    entries.flags.writeable = False
+    widths = []
+    for width in range(2, n_max + 1):
+        spans = n_max - width + 1
+        children = ends[:, width, :spans, None, None, None] + offsets[:, None, :, : width - 1]
+        children.flags.writeable = False
+        widths.append((entries[width, :spans], children))
+    return _Layout(n1, tuple(widths))
+
+
+def _layout(g: Grammar, n: int) -> _Layout:
+    """The grammar's kept layout, first rebuilt at n tokens if it is shorter."""
+    slot = g.layout_slot
+    layout = slot.layout
+    if layout is None or layout.n1 <= n:
+        with slot.lock:
+            layout = slot.layout
+            if layout is None or layout.n1 <= n:
+                layout = slot.layout = _build_layout(g, n)
+    return layout
+
+
 class _Traversal(NamedTuple):
     """A checked sentence and its candidates, width by width.
 
     Charts are flat arrays over the (i, j, nonterminal) cells, the flat
-    index of cell (i, j, a) being ``(i * (n + 1) + j) * |N| + a``.
-    ``widths()`` lays out one width at a time, narrowest first, so that only
-    the width being filled holds its index arrays.
+    index of cell (i, j, a) being ``(i * n1 + j) * |N| + a`` with the
+    layout's stride ``n1`` (at least n + 1), so ``shape`` is (n1, n1, |N|);
+    a chart holds only the first n + 1 rows of that shape, ``size`` cells.
+    ``widths()`` yields one width at a time, narrowest first, as views of
+    the grammar's kept layout or, with brackets, as the rows it takes off
+    them.
     """
 
     tokens: list[str]
-    shape: tuple[int, int, int]  # (n + 1, n + 1, |N|)
+    shape: tuple[int, int, int]  # (n1, n1, |N|)
     root: int  # flat index of the start symbol's full-span entry
     leaf_entry: np.ndarray  # flat index of each lexical entry, by position
     leaf_rule: np.ndarray  # and its lexical rule id
@@ -104,66 +170,44 @@ class _Traversal(NamedTuple):
 
     @property
     def size(self) -> int:
-        """Cells in a flat chart."""
+        """Cells in a flat chart: n + 1 rows of the stride."""
         n1, _, n_nt = self.shape
-        return n1 * n1 * n_nt
+        return (len(self.tokens) + 1) * n1 * n_nt
 
 
 def _cky(g: Grammar, sentence, brackets: Bracketing | None) -> _Traversal:
     """Check a sentence and its brackets and lay out its CKY candidates.
 
-    The layout depends only on the grammar's rule set, the sentence length
-    and the brackets: spans that cross a bracket get no row, and whether a
-    candidate's children exist is for each task to read off its own chart.
+    Spans that cross a bracket get no row, and whether a candidate's
+    children exist is for each task to read off its own chart.
     """
     tokens = list(sentence)
     if not tokens:
         raise ValueError("sentence is empty")
-    n = len(tokens)
-    n1, n_nt = n + 1, len(g.nonterminals)
-    leaf_entry, leaf_rule = [], []
+    n, n_nt = len(tokens), len(g.nonterminals)
+    leaves = []
     for i, tok in enumerate(tokens):
         rules = g.rules_for_terminal(tok)
         if not rules:
             raise UnknownTokenError(tok, i)
-        base = (i * n1 + i + 1) * n_nt
-        for rule in rules:
-            leaf_entry.append(base + g.nt_index[rule.lhs])
-            leaf_rule.append(rule.id)
+        leaves += [(i, rule) for rule in rules]
     ok = None if brackets is None else brackets.compatible_spans(n)
+    layout = _layout(g, n)
+    n1 = layout.n1
+    leaf_entry = [(i * n1 + i + 1) * n_nt + g.nt_index[rule.lhs] for i, rule in leaves]
+    leaf_rule = [rule.id for _, rule in leaves]
 
     def widths() -> Iterator[_Width]:
-        table = g.binary_rule_table
-        if not table.size:
-            return
-        # a candidate of span (i, i + w) at split i + k has its children at
-        # cells (i, i + k, B) and (i + k, i + w, C): i * stride past those
-        # of span (0, w), which lie k * n_nt + B and k * n1 * n_nt + C past
-        # cells (0, 0, 0) and (0, w, 0); padding columns point past the chart
-        stride = (n1 + 1) * n_nt
-        steps = np.array([n_nt, n1 * n_nt])[:, None, None, None]
-        offsets = steps * np.arange(1, n)[:, None] + g.binary_table_rhs[:, :, None, :]
-        offsets = np.where((table < 0)[:, None, :], n1 * n1 * n_nt, offsets)
-        # ends[:, w, i]: i * stride, and i * stride + w * n_nt for the right
-        # child and the entry
-        ends = np.arange(n) * stride + np.array([[0], [n_nt]])[:, :, None] * np.arange(n1)[:, None]
-        entries = ends[1][:, :, None] + g.binary_table_lhs
-        for width in range(2, n + 1):
-            # without brackets every span has a row, and slicing is faster
-            # than taking the starts off a compatibility matrix: on the 110
-            # seed-0 benchmark parse sentences a layout took 200-204 us here
-            # against 224-234 us through an empty bracketing (best of 7 on a
-            # 2-core x86 host)
+        for width, (entry, children) in enumerate(layout.widths[: n - 1], 2):
             if ok is None:
-                starts = np.arange(n - width + 1)
-                base, entry = ends[:, width, : len(starts)], entries[width, : len(starts)]
-            else:
-                starts = ok.diagonal(width).nonzero()[0]
-                if not starts.size:
-                    continue
-                base, entry = ends[:, width].take(starts, axis=1), entries[width].take(starts, axis=0)
-            children = base[:, :, None, None, None] + offsets[:, None, :, : width - 1]
-            yield _Width(width, entry.ravel(), children)
+                spans = n - width + 1
+                yield _Width(width, entry[:spans].ravel(), children[:, :spans])
+                continue
+            starts = ok.diagonal(width).nonzero()[0]
+            if starts.size:
+                yield _Width(
+                    width, entry.take(starts, axis=0).ravel(), children.take(starts, axis=1)
+                )
 
     root = n * n_nt + g.nt_index[g.start]
     return _Traversal(
@@ -251,7 +295,9 @@ class InsideChart:
 def inside(g: Grammar, sentence, brackets: Bracketing | None = None) -> InsideChart:
     """Fill the inside chart for a sentence, optionally bracket-constrained."""
     trav = _cky(g, sentence, brackets)
-    table = _inside_pass(g, trav, g.log_probs).reshape(trav.shape)
+    n1, _, n_nt = trav.shape
+    rows = len(trav.tokens) + 1
+    table = _inside_pass(g, trav, g.log_probs).reshape(rows, n1, n_nt)[:, :rows]
     return InsideChart(g, tuple(trav.tokens), table)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import copy
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,6 +61,25 @@ def is_nonterminal_symbol(symbol: str) -> bool:
     return NONTERMINAL_RE.match(symbol) is not None
 
 
+class LayoutSlot:
+    """The CKY layout that ``chart`` keeps for a rule set, and the lock held
+    while it is replaced.
+
+    A grammar and its ``with_probs`` copies share one slot, since the layout
+    depends on the rule set alone.  A pickled or deep-copied grammar gets an
+    empty slot of its own.
+    """
+
+    __slots__ = ("layout", "lock")
+
+    def __init__(self):
+        self.layout = None
+        self.lock = threading.Lock()
+
+    def __reduce__(self):
+        return LayoutSlot, ()
+
+
 @dataclass(frozen=True)
 class Rule:
     """A CNF rule ``lhs -> rhs``; ``rhs`` has two nonterminals or one terminal."""
@@ -84,7 +104,8 @@ class Rule:
 class Grammar:
     """A proper PCFG in CNF.
 
-    Immutable after construction (safe to share across threads); rule ids
+    Immutable after construction (safe to share across threads) but for the
+    ``layout_slot`` cache, which ``chart`` replaces under its lock; rule ids
     are dense indices into ``rules`` and ``probs``.  Construction checks the
     rule set, then installs the probabilities (see ``_install_probs``).
     """
@@ -95,11 +116,13 @@ class Grammar:
     rules: tuple[Rule, ...]
     probs: tuple[float, ...]
     log_probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    layout_slot: LayoutSlot = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._validate_symbols()
         self._validate_rules()
         self._install_probs(self.probs)
+        object.__setattr__(self, "layout_slot", LayoutSlot())
 
     def _validate_symbols(self):
         nts = set(self.nonterminals)
@@ -246,8 +269,9 @@ class Grammar:
 
     def with_probs(self, probs) -> "Grammar":
         """A grammar over the same rule set with new probabilities: a shallow
-        copy sharing every cached index, with ``probs`` checked and
-        renormalized as the constructor does; the rule set is not rechecked."""
+        copy sharing every cached index and the ``layout_slot``, with
+        ``probs`` checked and renormalized as the constructor does; the rule
+        set is not rechecked."""
         g = copy.copy(self)
         g._install_probs(probs)
         return g

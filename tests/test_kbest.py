@@ -181,7 +181,8 @@ def assert_decoder_matches_scalar_layout(g, tokens, brackets=None):
     lists for its (span, lhs), in the same order; the present entries are
     the scalar chart's."""
     _, cells = scalar_chart._cky(g, tokens, brackets, lambda rule: rule, lambda cands: cands)
-    n1, n_nt = len(tokens) + 1, len(g.nonterminals)
+    trav = kbest._cky(g, tokens, brackets)
+    n1, n_nt = trav.shape[0], len(g.nonterminals)  # the grammar's layout stride
 
     def flat(i, j, nonterminal):
         return (i * n1 + j) * n_nt + g.nt_index[nonterminal]
@@ -194,7 +195,7 @@ def assert_decoder_matches_scalar_layout(g, tokens, brackets=None):
         if j - i > 1
         for lhs, cands in cell.items()
     }
-    lists = kbest._Lists(g, kbest._cky(g, tokens, brackets), 1)
+    lists = kbest._Lists(g, trav, 1)
     got = {}
     for entry in (lists.maxplus > -math.inf).nonzero()[0].tolist():
         i, j = divmod(entry // n_nt, n1)

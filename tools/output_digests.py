@@ -1,24 +1,28 @@
 """Print one sha256 digest per command of a fixed ``python -m pcfgtk`` matrix.
 
-Usage: ``python tools/output_digests.py [CHECKOUT]``
+Usage: ``python tools/output_digests.py [CHECKOUT [OTHER]]``
 
 Runs the command line of the pcfgtk in ``CHECKOUT/src`` (default: the
 checkout holding this script) over fixed inputs: the seed-0 G100 grammar
-and its bracketed block in ``tests/data`` (also read as a plain corpus, its
-brackets dropped), and the toy grammar ``S -> S S | a`` with a plain and a
-bracketed corpus.  For each grammar the matrix holds ``validate``,
-``consistency``, ``inside``, ``viterbi``, ``nbest --n 10`` and
-``oracle-enum`` (each on the plain and the bracketed corpus), and ``train``
-for every (reference mode, competing mode) pair with subset enforcement on
-and off.  A command's digest covers its exit code, stdout, stderr and the
-files it writes (``--out-grammar``, ``--report``).
+with its bracketed block in ``tests/data`` (also read as a plain corpus, its
+brackets dropped) and its plain corpus of falling sentence lengths, and the
+toy grammar ``S -> S S | a`` with a plain, a bracketed and a falling-length
+corpus.  For each grammar the matrix holds ``validate``, ``consistency``,
+``inside``, ``viterbi`` and ``nbest --n 10`` (each on the plain, the
+bracketed and the falling-length corpus), ``oracle-enum`` (on the plain and
+the bracketed corpus only, as it lists every derivation), and ``train`` for
+every (reference mode, competing mode) pair with subset enforcement on and
+off.  A command's digest covers its exit code, stdout, stderr and the files
+it writes (``--out-grammar``, ``--report``).
 
 Two checkouts print the same lines exactly when every command behaves the
-same to the byte, so a change meant to keep every output is checked by
-diffing this script's output at its parent and at the change.  Inputs and
-outputs live in a temporary directory that is the commands' working
-directory, and a warning's source location (its file path and line number,
-which name the checkout and not the behaviour) is dropped before hashing.
+same to the byte.  Given a second checkout ``OTHER``, the script runs each
+command under both, prints both digests where they differ, and exits with
+status 1 if any command differs, so a change meant to keep every output is
+checked by one run naming its parent and the change.  Inputs and outputs
+live in a temporary directory that is the commands' working directory, and
+a warning's source location (its file path and line number, which name the
+checkout and not the behaviour) is dropped before hashing.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ GRAMMARS = ("g100", "toy")
 TOY = "S -> S S 0.4\nS -> a 0.6\n"
 TOY_PLAIN = "a\na a\na a a\na a a a a\n"
 TOY_BRACKETED = "( a a ) ( a a )\n( ( a a ) a )\na ( a a ) a a\n"
+TOY_DESCENDING = "a a a a a a\na a a a\na a\na\n"
 
 REF_MODES = ("viterbi", "nbest", "bracketed_viterbi")
 COMP_MODES = ("all", "nbest", "bracketed_all")
@@ -47,7 +52,8 @@ _WARNING = re.compile(r"^.*:\d+: (\w+Warning: .*\n)(?:  .*\n)?", re.MULTILINE)
 
 
 def write_inputs(work: Path) -> None:
-    """Write each of ``GRAMMARS`` into ``work`` with its plain and bracketed corpus."""
+    """Write each of ``GRAMMARS`` into ``work`` with its plain, bracketed and
+    falling-length corpus."""
     block = (DATA / "g100-seed0-block.txt").read_text(encoding="utf-8")
     plain = "".join(" ".join(line.replace("(", " ").replace(")", " ").split()) + "\n"
                     for line in block.splitlines())
@@ -55,9 +61,11 @@ def write_inputs(work: Path) -> None:
         "g100.g": (DATA / "g100-seed0.g").read_text(encoding="utf-8"),
         "g100.txt": plain,
         "g100-bracketed.txt": block,
+        "g100-descending.txt": (DATA / "g100-seed0-descending.txt").read_text(encoding="utf-8"),
         "toy.g": TOY,
         "toy.txt": TOY_PLAIN,
         "toy-bracketed.txt": TOY_BRACKETED,
+        "toy-descending.txt": TOY_DESCENDING,
     }
     for name, text in files.items():
         (work / name).write_text(text, encoding="utf-8")
@@ -69,6 +77,8 @@ def commands(stem: str) -> list[list[str]]:
     matrix = [["validate", g], ["consistency", g]]
     for parse in (["inside"], ["viterbi"], ["nbest", "--n", "10"], ["oracle-enum"]):
         matrix += [[parse[0], g, f"{stem}.txt", *parse[1:]], [parse[0], g, *bracketed, *parse[1:]]]
+        if parse[0] != "oracle-enum":
+            matrix.append([parse[0], g, f"{stem}-descending.txt", *parse[1:]])
     for ref in REF_MODES:
         for comp in COMP_MODES:
             for enforce in ([], ["--no-enforce-subset"]):
@@ -96,15 +106,22 @@ def digest(argv: list[str], work: Path, env: dict) -> str:
 
 
 def main(argv: list[str]) -> int:
-    checkout = Path(argv[0]).resolve() if argv else HERE
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    if len(argv) > 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    checkouts = [Path(arg).resolve() for arg in argv] or [HERE]
+    envs = [dict(os.environ, PYTHONPATH=str(checkout / "src")) for checkout in checkouts]
+    differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
         for stem in GRAMMARS:
             for command in commands(stem):
-                print(f"{digest(command, work, env)}  {' '.join(command)}", flush=True)
-    return 0
+                digests = dict.fromkeys(digest(command, work, env) for env in envs)
+                differ += len(digests) > 1
+                print(f"{'  '.join(digests)}  {' '.join(command)}", flush=True)
+    if differ:
+        print(f"{differ} commands differ between the checkouts", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
