@@ -4,8 +4,9 @@ Every parser in the package reads one CKY layout.  For each width it lists
 the binary candidates of every span as dense index arrays: one row per
 (span, left-hand side), one column per (split, rule), so that each row
 holds its candidates in ascending (split, rule id) order.  Charts are flat
-arrays over the (i, j, nonterminal) cells, an absent entry being -inf (or
-False); a candidate whose child is absent scores -inf.
+arrays over the (i, j, nonterminal) cells, an absent entry being 0 (a
+scaled mass) or -inf (a log score), as is a candidate whose child is
+absent.
 
 The layout depends only on the grammar's rule set and the sentence length,
 and a chart's flat index has the fixed stride n_max + 1 of the longest
@@ -20,30 +21,39 @@ ones.  Chart spans that cross a bracket get no row, which restricts every
 task to derivations whose constituents all nest with the brackets; an
 empty bracketing is identical to none.
 
-One forward pass, ``_inside_pass``, fills every chart: it gathers each
-width's left and right child scores with one ``take`` and reduces every row
-with the reduction it is given, as in semiring parsing (Goodman 1999).
-``inside`` reduces a row to the log of its summed exponentials, so its
-full-span start entry is the log string probability (the sum over all
-derivations).  ``expected_counts`` runs the same pass over arbitrary rule
-weights and walks the rows back top-down (the outside pass) for expected
-rule counts.  ``kbest.nbest`` reduces each row to its maximum, the max-plus
-score, and keeps each width's candidate scores and children; it reads a
-column back as a candidate (its rule id from ``binary_rule_table``, its
-children from ``_Width.children``) only for the entries a parent asks for,
-making their hypotheses top-down from the root and ranking them
-canonically only within rounding distance of each other.  ``viterbi`` is
-the first entry of that list, made by the same engine at n = 1, so this
-module holds no tie-breaking or rounding logic.
+The sum-product tasks share one forward pass, ``_inside_pass``, in scaled
+probability space, as in semiring parsing (Goodman 1999): each entry is a
+float mantissa in [0.5, 1) and an integer exponent, its value m * 2**e, so
+no mass overflows or underflows however long the sentence or extreme the
+weights, and an absent entry has mantissa 0.  A candidate's mass is a
+product and an entry's the plain sum of its row, so the pass takes no
+exponential: only a rule weight's split (``logmath.exp_split``) does, one
+``math.exp`` per rule where the weights are not the grammar's own
+probabilities, which ``frexp`` splits exactly.  ``inside`` runs it over the
+grammar's probabilities and converts its table to log masses, one
+``math.log`` per present entry, so its full-span start entry is the log
+string probability (the sum over all derivations).  ``expected_counts``
+runs the same pass over arbitrary log rule weights and walks the rows back
+top-down (the outside pass) for expected rule counts, each entry's share
+being a candidate's term over its row's total.  ``kbest.nbest`` runs its
+own forward pass in log space, the max-plus pass, and keeps each width's
+candidate scores and children; it reads a column back as a candidate (its
+rule id from ``binary_rule_table``, its children from ``_Width.children``)
+only for the entries a parent asks for, making their hypotheses top-down
+from the root and ranking them canonically only within rounding distance of
+each other.  ``viterbi`` is the first entry of that list, made by the same
+engine at n = 1, so this module holds no tie-breaking or rounding logic.
 
-Every result is bit-identical to the span-by-span scalar chart this layout
-replaced (kept in the tests as the reference), whatever the grammar parsed
-before: the stride moves only index arithmetic.  Elementwise addition,
-subtraction and multiplication, maximum and comparison are exact in IEEE
-arithmetic, so numpy computes them as the scalar code did: a candidate
-scores ``(weight + left) + right``, the order of ``w[rule] + left +
-right``.  Exponentials and logarithms are ``math.exp`` and ``math.log`` on
-the finite values only, and every sum runs left to right in the scalar
+Every result is bit-identical to the span-by-span scalar chart of the
+tests, which performs the same operations one candidate at a time, whatever
+the grammar parsed before: the stride moves only index arithmetic.
+Elementwise addition, subtraction, multiplication and division, maximum,
+comparison, ``ldexp`` and ``frexp`` are exact or correctly rounded in IEEE
+arithmetic, so numpy computes them as the scalar code does, on any host: a
+candidate's mantissa is ``(m_rule * m_left) * m_right`` and its exponent
+``(e_rule + e_left) + e_right``.  Only the logarithms (and a split's
+exponentials) come from the C library: ``math.log`` on the present
+entries, as in the scalar code.  Every sum runs left to right in the scalar
 code's order, by ``np.add.accumulate`` along a row or ``np.add.at`` (which
 adds its terms one at a time in index order); ``np.exp``, ``np.log`` and
 pairwise reductions such as ``np.sum`` round differently and are never used.
@@ -65,7 +75,7 @@ import numpy as np
 from .corpus import Bracketing
 from .derivations import Derivation
 from .grammar import Grammar
-from .logmath import NEG_INF
+from .logmath import LN2_HI, LN2_LO, NEG_INF, ZERO_EXPONENT, exp_split, log_split
 
 
 class UnknownTokenError(ValueError):
@@ -215,47 +225,68 @@ def _cky(g: Grammar, sentence, brackets: Bracketing | None) -> _Traversal:
     )
 
 
-def _log_sum_exp(scores: np.ndarray) -> np.ndarray:
-    """Each row's ``m + log(sum(exp(s - m)))`` over its scores s with
-    maximum m: ``math.exp`` of each finite difference, summed left to right
-    by ``np.add.accumulate`` along the row (the padding zeros add nothing),
-    then ``math.log``, exactly as ``logmath.logsumexp``."""
-    top = np.maximum.reduce(scores, axis=1)
-    finite = (scores > NEG_INF).ravel().nonzero()[0]
-    diffs = scores.take(finite) - top.take(finite // scores.shape[1])
-    terms = np.zeros(scores.shape)
-    terms.put(finite, list(map(math.exp, diffs.tolist())))
-    totals = np.add.accumulate(terms, axis=1, out=terms)[:, -1].tolist()
-    # a row without candidates sums to 0 and keeps -inf
-    return top + [math.log(t) if t else 0.0 for t in totals]
+_FLUSH = -1100  # a shift past which every term is 0; it fits a C int
+
+
+def _scales(g: Grammar, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The mantissas and exponents of ``exp(w)`` for log rule weights w:
+    where they equal the grammar's log probabilities, the exact split of
+    its probabilities, else ``logmath.exp_split``, one ``math.exp`` a rule."""
+    return g.prob_scales if tuple(weights) == g.log_probs else exp_split(weights)
+
+
+def _root_log(mant: np.ndarray, expo: np.ndarray, root: int) -> float:
+    """The log of an ``_inside_pass`` chart's root entry, computed as
+    ``logmath.log_split`` does; -inf if absent."""
+    m, e = mant.item(root), expo.item(root)
+    return e * LN2_HI + (math.log(m) + e * LN2_LO) if m else NEG_INF
 
 
 def _inside_pass(
-    g: Grammar, trav: _Traversal, weights, reduce=_log_sum_exp, kept: list | None = None
-) -> np.ndarray:
-    """Flat chart of each entry's ``reduce`` over its candidate scores under
-    log rule ``weights``, filled narrowest width first: the inside log
-    masses by default, the max-plus scores with a row maximum.
+    g: Grammar, trav: _Traversal, weights, kept: list | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat charts of each entry's inside mass under the log rule
+    ``weights``, as mantissas in [0.5, 1) (0 where absent) and exponents
+    (see ``logmath.exp_split``), filled narrowest width first.
 
-    ``reduce`` maps a width's candidate scores, one row per (span, lhs) as
-    in ``_Width``, to one value per row.  A candidate scores ``(weight +
-    left) + right``, the operations of the scalar ``w[rule] + left +
-    right``; -inf where a child is absent or the column is padding.  Each
-    width and its candidate scores are appended to ``kept`` if given.
+    A candidate's mass is ``(m_rule * m_left) * m_right`` times 2 to the
+    power ``(e_rule + e_left) + e_right``; the three mantissas lie in [0.5,
+    1), so the product neither overflows nor underflows, and it is 0 where a
+    child is absent or the column is padding.  Each row's terms are those
+    products scaled by ``ldexp`` to the row's largest exponent (a shift
+    clipped at ``_FLUSH``, where every term is 0 already), summed left to
+    right by ``np.add.accumulate``; ``frexp`` of the total, its exponent
+    plus the row's, is the entry.  Each width, whether each of its
+    candidates is present (its product above 0), their terms and the row
+    totals are appended to ``kept`` if given.
     """
-    w = np.empty(len(g.rules) + 1)
-    w[:-1] = weights
-    w[-1] = NEG_INF  # the weight of padding, rule id -1
-    columns = w.take(g.binary_rule_table)[:, None, :]
-    chart = np.full(trav.size, NEG_INF)
-    chart[trav.leaf_entry] = w[trav.leaf_rule]
+    m_rule, e_rule = _scales(g, weights)
+    table = g.binary_rule_table
+    m_cols = m_rule.take(table)[:, None, :]
+    e_cols = e_rule.take(table)[:, None, :]
+    mant = np.zeros(trav.size)
+    expo = np.full(trav.size, ZERO_EXPONENT)
+    mant.put(trav.leaf_entry, m_rule.take(trav.leaf_rule))
+    expo.put(trav.leaf_entry, e_rule.take(trav.leaf_rule))
     for width in trav.widths():
-        left, right = chart.take(width.children, mode="clip")
-        scores = ((columns + left) + right).reshape(len(width.entry), -1)
+        n_rows = len(width.entry)
+        m_left, m_right = mant.take(width.children, mode="clip")
+        e_left, e_right = expo.take(width.children, mode="clip")
+        prods = ((m_cols * m_left) * m_right).reshape(n_rows, -1)
+        exps = ((e_cols + e_left) + e_right).reshape(n_rows, -1)
+        top = np.maximum.reduce(exps, axis=1)
+        shifts = np.maximum(exps - top[:, None], _FLUSH).astype(np.intc)
+        terms = np.ldexp(prods, shifts)
+        present = None if kept is None else prods > 0.0
+        # the products are spent, and their buffer takes the running sums
+        totals = np.add.accumulate(terms, axis=1, out=prods)[:, -1]
+        m, e = np.frexp(totals)
+        mant.put(width.entry, m)
+        # a row without candidates sums to 0 and stays absent
+        expo.put(width.entry, np.maximum(e + top, ZERO_EXPONENT))
         if kept is not None:
-            kept.append((width, scores))
-        chart.put(width.entry, reduce(scores))
-    return chart
+            kept.append((width, present, terms, totals.copy()))
+    return mant, expo
 
 
 @dataclass(frozen=True)
@@ -297,8 +328,11 @@ def inside(g: Grammar, sentence, brackets: Bracketing | None = None) -> InsideCh
     trav = _cky(g, sentence, brackets)
     n1, _, n_nt = trav.shape
     rows = len(trav.tokens) + 1
-    table = _inside_pass(g, trav, g.log_probs).reshape(rows, n1, n_nt)[:, :rows]
-    return InsideChart(g, tuple(trav.tokens), table)
+    mant, expo = _inside_pass(g, trav, g.log_probs)
+    present = mant.nonzero()[0]
+    table = np.full(trav.size, NEG_INF)
+    table.put(present, log_split(mant.take(present), expo.take(present)))
+    return InsideChart(g, tuple(trav.tokens), table.reshape(rows, n1, n_nt)[:, :rows])
 
 
 def expected_counts(
@@ -306,8 +340,8 @@ def expected_counts(
 ) -> tuple[float, np.ndarray]:
     """Log total mass and expected rule counts over the complete derivation set.
 
-    A derivation weighs the exp of its rules' ``weights`` (log weights
-    indexed by rule id; ``g.log_probs`` gives probabilities, ``eta *
+    A derivation weighs the exp of its rules' ``weights`` (finite log
+    weights indexed by rule id; ``g.log_probs`` gives probabilities, ``eta *
     g.log_probs`` gives ``p ** eta``).  With brackets, only derivations that
     nest with every bracket count.  Returns log Z, the log of the summed
     weights, and the float64 array of sum_d (w(d) / Z) N(rule, d) indexed by
@@ -318,16 +352,17 @@ def expected_counts(
     ``g.log_probs`` its total is bit-identical to ``inside``'s.  The
     outside pass is its backward pass (Eisner 2016): widest spans first,
     right to left, each entry hands its posterior probability to its
-    candidates in proportion to exp(candidate score - entry mass), and each
-    candidate passes its share to its rule's count and to both children.
-    Within a span, entries go in the order of their first candidates and
+    candidates in proportion to their terms, ``flow * term / total`` with
+    the terms and row totals the forward pass kept, and each candidate
+    passes its share to its rule's count and to both children.  Within a
+    span, entries go in the order of their first candidates and
     ``np.add.at`` adds the shares one at a time, so every float sum is added
     up in the scalar chart's order.
     """
     trav = _cky(g, sentence, brackets)
-    by_width: list[tuple[_Width, np.ndarray]] = []
-    chart = _inside_pass(g, trav, weights, kept=by_width)
-    if chart[trav.root] == NEG_INF:
+    by_width: list[tuple[_Width, np.ndarray, np.ndarray, np.ndarray]] = []
+    mant, expo = _inside_pass(g, trav, weights, kept=by_width)
+    if not mant[trav.root]:
         return NEG_INF, np.zeros(len(g.rules))
     table = g.binary_rule_table
     n_lhs, n_rules = table.shape
@@ -344,9 +379,8 @@ def expected_counts(
     flow[trav.root] = 1.0
     # every candidate's children are narrower than its entry, so each flow
     # is complete before it is passed on
-    for width, scores in reversed(by_width):
-        n_rows, n_cols = scores.shape
-        present = scores > NEG_INF
+    for width, present, terms, totals in reversed(by_width):
+        n_rows, n_cols = present.shape
         # rows right to left, a span's rows in the order of their first
         # candidates, each row's candidates in order
         first = col_order[lhs_of[:n_rows], present.argmax(axis=1)]
@@ -354,14 +388,11 @@ def expected_counts(
         rows, cols = present.take(order, axis=0).nonzero()
         rows = order.take(rows)
         at = rows * n_cols + cols
-        entry = width.entry.take(rows)
-        shares = flow.take(entry) * list(
-            map(math.exp, (scores.take(at) - chart.take(entry)).tolist())
-        )
+        shares = flow.take(width.entry.take(rows)) * terms.take(at) / totals.take(rows)
         np.add.at(counts, col_rule[lhs_of.take(rows), cols], shares)
         np.add.at(flow, width.children.reshape(2, -1)[:, at].T.ravel(), shares.repeat(2))
     np.add.at(counts, trav.leaf_rule[::-1], flow.take(trav.leaf_entry[::-1]))
-    return float(chart[trav.root]), counts
+    return _root_log(mant, expo, trav.root), counts
 
 
 def viterbi(

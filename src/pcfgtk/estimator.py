@@ -29,9 +29,11 @@ Listed sets (Viterbi and n-best) are summed derivation by derivation.  A
 complete competing set (``all``, or ``bracketed_all`` with the sentence's
 brackets) is never listed: its statistics are the expected rule counts from
 one inside and one outside pass (``chart.expected_counts``), and its mass
-in the objective is the inside total over the weights ``eta * log p``, so
-its cost is polynomial in the sentence length however many derivations it
-holds.
+in the objective is the root total of that inside pass over the weights
+``eta * log p``, so its cost is polynomial in the sentence length however
+many derivations it holds.  Both passes sum in scaled probability space
+(see ``chart``), which neither overflows nor underflows and takes one log
+per set to bring its mass into log space.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import _cky, _inside_pass, expected_counts
+from .chart import _cky, _inside_pass, _root_log, expected_counts
 from .consistency import check_consistency
 from .corpus import Sentence
 from .derivations import Derivation, derivation_probability, derivation_spans
@@ -252,8 +254,11 @@ def realize_delta_sets(g: Grammar, sentence, spec: DeltaSpec) -> RealizedDelta |
     if not more and k == 0:
         return None
     if not more and appended:
+        # naming the sentence makes each degenerate sentence its own
+        # warning under Python's once-per-location default
         warnings.warn(
-            "competing set equals the reference set after subset enforcement",
+            "competing set equals the reference set after subset enforcement: "
+            + " ".join(tokens),
             DegenerateDeltaWarning,
             stacklevel=2,
         )
@@ -402,7 +407,7 @@ def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:
         comp = [eta * derivation_probability(g, d) for d in rd.comp]
         if rd.complete is not None:
             trav = _cky(g, rd.complete.tokens, rd.complete.brackets)
-            comp.insert(0, float(_inside_pass(g, trav, weights)[trav.root]))
+            comp.insert(0, _root_log(*_inside_pass(g, trav, weights), trav.root))
         total -= h * logsumexp(comp)
     return total
 

@@ -34,6 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .logmath import ZERO_EXPONENT
+
 NONTERMINAL_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
 PROPERNESS_TOL = 1e-9
@@ -116,6 +118,7 @@ class Grammar:
     rules: tuple[Rule, ...]
     probs: tuple[float, ...]
     log_probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    prob_scales: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     layout_slot: LayoutSlot = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,7 +164,9 @@ class Grammar:
 
     def _install_probs(self, probs) -> None:
         """Check a probability vector against the rule set, renormalize each
-        block and set ``probs`` and ``log_probs``."""
+        block and set ``probs``, ``log_probs`` and ``prob_scales``: each
+        probability as mantissa and exponent, followed by 0, in the form of
+        ``logmath.exp_split`` that chart's sum-product passes read."""
         probs = list(probs)
         if len(probs) != len(self.rules):
             raise GrammarError("rules and probabilities are misaligned")
@@ -180,6 +185,12 @@ class Grammar:
                 probs[r] = p
         object.__setattr__(self, "probs", tuple(probs))
         object.__setattr__(self, "log_probs", tuple(map(math.log, probs)))
+        # frexp is exact: the split of p, which exp_split of log p rounds
+        mant, expo = np.frexp(probs + [0.0])
+        expo = expo.astype(np.int64)
+        expo[-1] = ZERO_EXPONENT
+        mant.flags.writeable = expo.flags.writeable = False
+        object.__setattr__(self, "prob_scales", (mant, expo))
 
     # -- derived indexes (computed once, from the rule set alone) --
 

@@ -1,11 +1,12 @@
 """Exact n-best derivations, each chart entry's hypotheses made on demand.
 
 n-best runs in two phases (Huang and Chiang 2005, "Better k-best
-Parsing", Alg. 3).  The first is the chart's forward pass with a row
-maximum in place of log-sum-exp, the max-plus pass: each width's candidate
-scores, ``(lp[rule] + M_left) + M_right``, and each (span, lhs) entry's
-highest, its max-plus score M.  The second makes each entry's ranked
-hypotheses lazily, top-down from the root.
+Parsing", Alg. 3).  The first is a forward pass in log space over the
+chart's layout, the max-plus pass: each width's candidate scores,
+``(lp[rule] + M_left) + M_right``, and each (span, lhs) entry's highest,
+its max-plus score M (``_Lists`` runs it; the sum-product passes of
+``chart`` compute in scaled probability space instead).  The second makes
+each entry's ranked hypotheses lazily, top-down from the root.
 A lexical entry holds its one hypothesis; a span's hypotheses join a left
 hypothesis with a right one under a candidate (rule, left child entry,
 right child entry).  A hypothesis is a ``_Cell``: an incremental score, the
@@ -52,7 +53,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .chart import _cky, _inside_pass, _Traversal
+from .chart import _cky, _Traversal
 from .corpus import Bracketing
 from .derivations import Derivation, score_rules
 from .grammar import Grammar
@@ -194,14 +195,23 @@ class _Lists:
     def __init__(self, g: Grammar, trav: _Traversal, n: int):
         self.g, self.n = g, n
         self.n1, _, self.n_nt = trav.shape
-        kept = []
-        self.maxplus = _inside_pass(g, trav, g.log_probs, _row_max, kept)
+        lp = g.log_probs
+        # the max-plus pass: a candidate scores (lp[rule] + M_left) +
+        # M_right, -inf where a child is absent or the column is padding
+        w = np.empty(len(lp) + 1)
+        w[:-1] = lp
+        w[-1] = NEG_INF  # the weight of padding, rule id -1
+        columns = w.take(g.binary_rule_table)[:, None, :]
+        maxplus = self.maxplus = np.full(trav.size, NEG_INF)
+        maxplus.put(trav.leaf_entry, w.take(trav.leaf_rule))
         self.row = np.zeros(trav.size, dtype=np.intp)
         self.widths: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for width, scores in kept:
+        for width in trav.widths():
+            left, right = maxplus.take(width.children, mode="clip")
+            scores = ((columns + left) + right).reshape(len(width.entry), -1)
+            maxplus.put(width.entry, np.maximum.reduce(scores, axis=1))
             self.row.put(width.entry, np.arange(len(scores)))
             self.widths[width.width] = scores, width.children.reshape(2, len(scores), -1)
-        lp = g.log_probs
         self.hyps: dict[int, list[_Cell]] = {}
         self.wmax: dict[int, list[float]] = {}
         for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
@@ -316,10 +326,6 @@ class _Lists:
         if len(hyps) >= self.n:
             del hyps[self.n :], wmax[self.n :]
             del self.frontier[entry]
-
-
-def _row_max(scores: np.ndarray) -> np.ndarray:
-    return np.maximum.reduce(scores, axis=1)
 
 
 def _descending(cell: _Cell) -> float:

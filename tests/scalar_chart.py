@@ -1,4 +1,4 @@
-"""Scalar reference for the array chart: one Python candidate at a time.
+"""Scalar references for the array chart: one Python candidate at a time.
 
 This is the span-by-span CKY that ``pcfgtk.chart`` replaced with its
 width-batched array pass.  ``_cky`` visits the bracket-compatible spans
@@ -7,6 +7,13 @@ narrowest first and hands each (span, lhs) its binary candidates
 order; ``inside``, ``viterbi``, ``expected_counts`` and ``nbest`` differ
 only in the entry they build from those candidates.  The tests assert that
 the package returns exactly these results, bit for bit.
+
+``inside`` and ``expected_counts`` sum in scaled probability space, with the
+operations of the array pass in the same order: an entry is a mantissa in
+[0.5, 1) and an integer exponent.  ``inside_log`` and
+``expected_counts_log`` are the log-sum-exp chart the scaled pass replaced,
+kept as a second reference that shares none of its arithmetic; the tests
+compare them within a derived rounding bound.
 """
 from __future__ import annotations
 
@@ -70,8 +77,73 @@ def _cky(g, sentence, brackets, leaf, combine):
     return tokens, chart
 
 
+# ln 2 in two parts, e * LN2_HI exact for |e| < 2**21, and the flush shift
+LN2_HI = float.fromhex("0x1.62e42feep-1")
+LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+INV_LN2 = float.fromhex("0x1.71547652b82fep0")
+FLUSH = -1100
+
+
+def split(w: float) -> tuple[float, int]:
+    """exp(w) as (m, e), m in [0.5, 1), with exp taken of w reduced by
+    floor(w / ln 2) * ln 2."""
+    k = math.floor(w * INV_LN2)
+    m, e = math.frexp(math.exp((w - k * LN2_HI) - k * LN2_LO))
+    return m, e + k
+
+
+def log_of(m: float, e: int) -> float:
+    return e * LN2_HI + (math.log(m) + e * LN2_LO)
+
+
+def _scaled_sum(scored):
+    """The entry of ``(mantissa product, exponent sum)`` candidates: each
+    product shifted to the largest exponent, summed left to right.
+    Returns the entry and the terms and total it was summed from."""
+    top = max(e for _, e in scored)
+    terms = [math.ldexp(p, max(e - top, FLUSH)) for p, e in scored]
+    total = 0.0
+    for term in terms:
+        total += term
+    m, e = math.frexp(total)
+    return (m, e + top), terms, total
+
+
+def _table(g, tokens, chart, value):
+    n = len(tokens)
+    table = np.full((n + 1, n + 1, len(g.nonterminals)), NEG_INF)
+    for (i, j), cell in chart.items():
+        for lhs, entry in cell.items():
+            table[i, j, g.nt_index[lhs]] = value(entry)
+    return table
+
+
+def rule_scales(g, weights):
+    """exp of each log weight as (m, e), from the probability itself where
+    the weights are the grammar's log probabilities."""
+    if tuple(weights) == g.log_probs:
+        return [math.frexp(p) for p in g.probs]
+    return [split(w) for w in weights]
+
+
 def inside(g, sentence, brackets=None) -> InsideChart:
-    lp = g.log_probs
+    scales = rule_scales(g, g.log_probs)
+
+    def combine(cands):
+        scored = []
+        for _, rule, (lm, le), (rm, re) in cands:
+            m, e = scales[rule.id]
+            scored.append(((m * lm) * rm, (e + le) + re))
+        return _scaled_sum(scored)[0]
+
+    tokens, chart = _cky(g, sentence, brackets, lambda rule: scales[rule.id], combine)
+    return InsideChart(g, tuple(tokens), _table(g, tokens, chart, lambda me: log_of(*me)))
+
+
+def inside_log(g, sentence, brackets=None, weights=None) -> InsideChart:
+    """Inside log masses by log-sum-exp, under ``weights`` (default the
+    grammar's log probabilities)."""
+    lp = g.log_probs if weights is None else weights
     tokens, chart = _cky(
         g,
         sentence,
@@ -79,25 +151,69 @@ def inside(g, sentence, brackets=None) -> InsideChart:
         lambda rule: lp[rule.id],
         lambda cands: logsumexp([lp[rule.id] + left + right for _, rule, left, right in cands]),
     )
-    n = len(tokens)
-    table = np.full((n + 1, n + 1, len(g.nonterminals)), NEG_INF)
-    for (i, j), cell in chart.items():
-        for lhs, mass in cell.items():
-            table[i, j, g.nt_index[lhs]] = mass
-    return InsideChart(g, tuple(tokens), table)
+    return InsideChart(g, tuple(tokens), _table(g, tokens, chart, float))
 
 
 class _Item:
-    __slots__ = ("inside", "rule_id", "cands", "flow")
+    __slots__ = ("inside", "rule_id", "cands", "flow", "total")
 
-    def __init__(self, inside: float, rule_id: int = -1, cands=None):
+    def __init__(self, inside, rule_id: int = -1, cands=None, total=None):
         self.inside = inside
         self.rule_id = rule_id
         self.cands = cands
+        self.total = total
         self.flow = 0.0
 
 
+def _outside(g, root, chart, share):
+    """Expected counts from the root's flow down: ``share(item, cand)``
+    is the part of an item's flow that a candidate passes on."""
+    counts = [0.0] * len(g.rules)
+    root.flow = 1.0
+    for cell in reversed(chart.values()):
+        for item in cell.values():
+            flow = item.flow
+            if not flow:
+                continue
+            if item.cands is None:
+                counts[item.rule_id] += flow
+                continue
+            for cand in item.cands:
+                _, rule_id, left, right = cand
+                part = share(item, cand)
+                counts[rule_id] += part
+                left.flow += part
+                right.flow += part
+    return np.array(counts)
+
+
 def expected_counts(g, sentence, weights, brackets=None):
+    scales = rule_scales(g, weights)
+
+    def leaf(rule) -> _Item:
+        return _Item(scales[rule.id], rule.id)
+
+    def combine(cands) -> _Item:
+        scored = []
+        for _, rule, left, right in cands:
+            m, e = scales[rule.id]
+            (lm, le), (rm, re) = left.inside, right.inside
+            scored.append(((m * lm) * rm, (e + le) + re))
+        entry, terms, total = _scaled_sum(scored)
+        kept = [(term, rule.id, left, right) for term, (_, rule, left, right) in zip(terms, cands)]
+        return _Item(entry, cands=kept, total=total)
+
+    tokens, chart = _cky(g, sentence, brackets, leaf, combine)
+    root = chart.get((0, len(tokens)), {}).get(g.start)
+    if root is None:
+        return NEG_INF, np.zeros(len(g.rules))
+    counts = _outside(g, root, chart, lambda item, cand: item.flow * cand[0] / item.total)
+    return log_of(*root.inside), counts
+
+
+def expected_counts_log(g, sentence, weights, brackets=None):
+    """Expected counts by log-sum-exp, each share ``flow * exp(score - mass)``."""
+
     def leaf(rule) -> _Item:
         return _Item(weights[rule.id], rule.id)
 
@@ -112,22 +228,10 @@ def expected_counts(g, sentence, weights, brackets=None):
     root = chart.get((0, len(tokens)), {}).get(g.start)
     if root is None:
         return NEG_INF, np.zeros(len(g.rules))
-    counts = [0.0] * len(g.rules)
-    root.flow = 1.0
-    for cell in reversed(chart.values()):
-        for item in cell.values():
-            flow = item.flow
-            if not flow:
-                continue
-            if item.cands is None:
-                counts[item.rule_id] += flow
-                continue
-            for score, rule_id, left, right in item.cands:
-                share = flow * math.exp(score - item.inside)
-                counts[rule_id] += share
-                left.flow += share
-                right.flow += share
-    return root.inside, np.array(counts)
+    counts = _outside(
+        g, root, chart, lambda item, cand: item.flow * math.exp(cand[0] - item.inside)
+    )
+    return root.inside, counts
 
 
 @dataclass(frozen=True, slots=True)

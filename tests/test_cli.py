@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from pcfgtk import load_grammar
+from pcfgtk import DegenerateDeltaWarning, load_grammar
 from pcfgtk.cli import main
 
 TOY = "S -> S S 0.4\nS -> a 0.6\n"
@@ -188,6 +189,37 @@ class TestTrain:
         assert len(out.splitlines()) == 3
         ctilde = float(report.read_text().splitlines()[3].split(",")[2])
         assert ctilde > 1e11
+
+    @pytest.mark.parametrize(
+        "toy_corpus, sentences",
+        [(None, ["t13 t8 t0 t8"]), ("( a a ) a\na ( a ( a a ) )\n", ["a a a", "a a a a"])],
+    )
+    def test_degenerate_warning_names_each_sentence(self, tmp_path, capsys, toy_corpus, sentences):
+        # under Python's default filter, which shows a warning once per
+        # message and location, each degenerate sentence warns once in a
+        # three-iteration run: G100's bracketed block has one, the toy
+        # corpus two
+        grammar, corpus = G100, G100_BLOCK
+        if toy_corpus is not None:
+            grammar, corpus = tmp_path / "toy.g", tmp_path / "corpus.brk"
+            grammar.write_text(TOY, encoding="utf-8")
+            corpus.write_text(toy_corpus, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            code, _, _ = run(
+                capsys,
+                "train", str(grammar),
+                "--bracketed-corpus", str(corpus),
+                "--out-grammar", str(tmp_path / "out.g"),
+                "--report", str(tmp_path / "out.csv"),
+                "--ref-mode", "nbest", "--comp-mode", "bracketed_all",
+                "--h", "0.5", "--n-ref", "2", "--n-comp", "3", "--iters", "3",
+            )
+        assert code == 0
+        assert [str(w.message) for w in caught if w.category is DegenerateDeltaWarning] == [
+            f"competing set equals the reference set after subset enforcement: {s}"
+            for s in sentences
+        ]
 
     def test_unread_list_length_is_not_checked(self, toy_files, capsys):
         # the complete competing set lists nothing, so --n-comp 0 changes nothing

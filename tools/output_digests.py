@@ -19,7 +19,11 @@ Two checkouts print the same lines exactly when every command behaves the
 same to the byte.  Given a second checkout ``OTHER``, the script runs each
 command under both, prints both digests where they differ, and exits with
 status 1 if any command differs, so a change meant to keep every output is
-checked by one run naming its parent and the change.  Inputs and outputs
+checked by one run naming its parent and the change.  Below a command that
+differs it prints the largest relative difference between the numbers of
+the two outputs (stdout, the report CSV and the output grammar, read in
+order), so a change that moves low bits shows how far in the same run; or
+that the outputs differ in more than their numbers.  Inputs and outputs
 live in a temporary directory that is the commands' working directory, and
 a warning's source location (its file path and line number, which name the
 checkout and not the behaviour) is dropped before hashing.
@@ -27,6 +31,7 @@ checkout and not the behaviour) is dropped before hashing.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -49,6 +54,8 @@ TRAIN_FLAGS = ["--h", "0.5", "--n-ref", "2", "--n-comp", "3", "--iters", "3"]
 
 # "path:line: SomeWarning: message" and the source line echoed below it
 _WARNING = re.compile(r"^.*:\d+: (\w+Warning: .*\n)(?:  .*\n)?", re.MULTILINE)
+_NUMBER = re.compile(r"[-+]?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+OUTPUTS = ("out.g", "out.csv")
 
 
 def write_inputs(work: Path) -> None:
@@ -89,20 +96,41 @@ def commands(stem: str) -> list[list[str]]:
     return matrix
 
 
-def digest(argv: list[str], work: Path, env: dict) -> str:
-    for name in ("out.g", "out.csv"):
+def run(argv: list[str], work: Path, env: dict) -> tuple[str, list[str]]:
+    """A command's digest, and its stdout and the files it wrote."""
+    for name in OUTPUTS:
         (work / name).unlink(missing_ok=True)
-    run = subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-m", "pcfgtk", *argv], cwd=work, env=env, capture_output=True, text=True
     )
     h = hashlib.sha256()
-    for part in (str(run.returncode), run.stdout, _WARNING.sub(r"\1", run.stderr)):
+    for part in (str(proc.returncode), proc.stdout, _WARNING.sub(r"\1", proc.stderr)):
         h.update(part.encode() + b"\0")
-    for name in ("out.g", "out.csv"):
+    texts = [proc.stdout]
+    for name in OUTPUTS:
         path = work / name
-        h.update(path.read_bytes() if path.exists() else b"<none>")
-        h.update(b"\0")
-    return h.hexdigest()
+        data = path.read_bytes() if path.exists() else b"<none>"
+        h.update(data + b"\0")
+        texts.append(data.decode("utf-8"))
+    return h.hexdigest(), texts
+
+
+def largest_relative_difference(a: list[str], b: list[str]) -> float | None:
+    """The largest ``|x - y| / max(|x|, |y|)`` over the numbers of two
+    commands' outputs, paired in order (0 where both are equal); None when
+    the outputs differ in more than their numbers."""
+    if [_NUMBER.sub("#", t) for t in a] != [_NUMBER.sub("#", t) for t in b]:
+        return None
+    largest = 0.0
+    for ta, tb in zip(a, b):
+        for x, y in zip(map(float, _NUMBER.findall(ta)), map(float, _NUMBER.findall(tb))):
+            if x == y or math.isnan(x) and math.isnan(y):
+                continue
+            scale = max(abs(x), abs(y))
+            if math.isnan(x) or math.isnan(y) or math.isinf(scale):
+                return math.inf
+            largest = max(largest, abs(x - y) / scale)
+    return largest
 
 
 def main(argv: list[str]) -> int:
@@ -116,9 +144,18 @@ def main(argv: list[str]) -> int:
         write_inputs(work)
         for stem in GRAMMARS:
             for command in commands(stem):
-                digests = dict.fromkeys(digest(command, work, env) for env in envs)
-                differ += len(digests) > 1
+                runs = [run(command, work, env) for env in envs]
+                digests = dict.fromkeys(d for d, _ in runs)
                 print(f"{'  '.join(digests)}  {' '.join(command)}", flush=True)
+                if len(digests) > 1:
+                    differ += 1
+                    moved = largest_relative_difference(runs[0][1], runs[1][1])
+                    print(
+                        "    outputs differ in more than their numbers"
+                        if moved is None
+                        else f"    largest relative difference {moved:.3g}",
+                        flush=True,
+                    )
     if differ:
         print(f"{differ} commands differ between the checkouts", file=sys.stderr)
     return 1 if differ else 0
