@@ -21,21 +21,27 @@ ones.  Chart spans that cross a bracket get no row, which restricts every
 task to derivations whose constituents all nest with the brackets; an
 empty bracketing is identical to none.
 
-The sum-product tasks share one forward pass, ``_inside_pass``, in scaled
-probability space, as in semiring parsing (Goodman 1999): each entry is a
-float mantissa in [0.5, 1) and an integer exponent, its value m * 2**e, so
-no mass overflows or underflows however long the sentence or extreme the
-weights, and an absent entry has mantissa 0.  A candidate's mass is a
-product and an entry's the plain sum of its row, so the pass takes no
-exponential: only a rule weight's split (``logmath.exp_split``) does, one
-``math.exp`` per rule where the weights are not the grammar's own
-probabilities, which ``frexp`` splits exactly.  ``inside`` runs it over the
-grammar's probabilities and converts its table to log masses, one
-``math.log`` per present entry, so its full-span start entry is the log
-string probability (the sum over all derivations).  ``expected_counts``
-runs the same pass over arbitrary log rule weights and walks the rows back
-top-down (the outside pass) for expected rule counts, each entry's share
-being a candidate's term over its row's total.  ``kbest.nbest`` runs its
+The sum-product tasks share one forward pass, ``_inside_pass``, whose
+entries are in scaled form, as in semiring parsing (Goodman 1999): each is
+a float mantissa in [0.5, 1) and an integer exponent, its value m * 2**e,
+and an absent entry has mantissa 0.  Where every rule weight and every
+entry lies within a proven range of exponents, the plain pass computes
+them in plain float64 (a candidate's mass is a product of three floats,
+an entry's the sum of its row) and ``frexp`` splits the chart at the end;
+elsewhere the scaled pass computes in mantissas and exponents throughout,
+so no mass overflows or underflows however long the sentence or extreme
+the weights.  Both give the same bits wherever the first applies (see
+``_E_MIN``), and neither takes an exponential: only a rule weight's split
+(``logmath.exp_split``) does, one ``math.exp`` per rule where the weights
+are not the grammar's own probabilities, which ``frexp`` splits exactly.
+``inside`` runs the pass over the grammar's probabilities and keeps its
+scaled chart; it takes the log of a cell only when read
+(``logmath.log_scaled``), so its full-span start entry gives the log string
+probability (the sum over all derivations) for one ``math.log``.
+``expected_counts`` runs the scaled pass over arbitrary log rule weights
+and walks the rows back top-down (the outside pass) for expected rule
+counts, each entry's share being a candidate's term over its row's total.
+``kbest.nbest`` runs its
 own forward pass in log space, the max-plus pass, and keeps each width's
 candidate scores and children; it reads a column back as a candidate (its
 rule id from ``binary_rule_table``, its children from ``_Width.children``)
@@ -52,8 +58,8 @@ comparison, ``ldexp`` and ``frexp`` are exact or correctly rounded in IEEE
 arithmetic, so numpy computes them as the scalar code does, on any host: a
 candidate's mantissa is ``(m_rule * m_left) * m_right`` and its exponent
 ``(e_rule + e_left) + e_right``.  Only the logarithms (and a split's
-exponentials) come from the C library: ``math.log`` on the present
-entries, as in the scalar code.  Every sum runs left to right in the scalar
+exponentials) come from the C library: ``math.log`` on the cells read,
+as in the scalar code.  Every sum runs left to right in the scalar
 code's order, by ``np.add.accumulate`` along a row or ``np.add.at`` (which
 adds its terms one at a time in index order); ``np.exp``, ``np.log`` and
 pairwise reductions such as ``np.sum`` round differently and are never used.
@@ -65,9 +71,9 @@ slot's reference, and each call reads the layout it took throughout.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -75,7 +81,7 @@ import numpy as np
 from .corpus import Bracketing
 from .derivations import Derivation
 from .grammar import Grammar
-from .logmath import LN2_HI, LN2_LO, NEG_INF, ZERO_EXPONENT, exp_split, log_split
+from .logmath import NEG_INF, ZERO_EXPONENT, exp_split, log_scaled, log_split
 
 
 class UnknownTokenError(ValueError):
@@ -227,6 +233,45 @@ def _cky(g: Grammar, sentence, brackets: Bracketing | None) -> _Traversal:
 
 _FLUSH = -1100  # a shift past which every term is 0; it fits a C int
 
+# The range of the plain pass, in ``frexp`` exponents: a value v = m * 2**e,
+# m in [0.5, 1), lies in [2**(e - 1), 2**e).  Let lo and hi be the smallest
+# and the largest exponent of the rule weights and the present entries.
+# - lo >= _E_MIN: a product of two or three factors is at least
+#   2**(3 * (lo - 1)) >= 2**-1020, so none is subnormal (the smallest
+#   normal double is 2**-1022); at -340 it could be 2**-1023.
+# - hi <= _E_MAX: a product is below 2**(3 * hi) <= 2**960, and a row holds
+#   fewer than 2**50 candidates (it lies in memory), so no row sum comes
+#   near 2**1024 and overflows.
+# - hi - lo <= _E_SPREAD: a present scaled term is its product, at least
+#   2**-3, shifted by (e_rule + e_left) + e_right - top >= 3 * (lo - hi) >=
+#   -1017, so it is at least 2**-1020: no term is rounded as subnormal or
+#   flushed at ``_FLUSH``.  Such a term lies far below its row's largest,
+#   but it may still decide how a partial sum of terms as small as itself
+#   rounds, and so the total; the spread keeps every term exact.
+# Within the range both passes compute the same bits.  Multiplying by a
+# power of two is exact, and rounds as the unscaled operation does, while
+# both results are normal and finite (Goodman 1999: the scaled chart is
+# one representation of the real semiring).  So each plain product is the
+# scaled product ``(m_rule * m_left) * m_right`` times 2**((e_rule +
+# e_left) + e_right), that is the scaled term times 2**top; each running
+# sum, at least its first nonzero term and finite, is the scaled one times
+# 2**top; and ``frexp`` of the total gives the scaled mantissa and the
+# scaled exponent plus top.  By induction over widths every present entry
+# keeps its bits and every absent one stays 0.
+# The range is checked by observation: the weights before the pass, the
+# entries after it.  An entry whose exponent leaves [_E_MIN, _E_MAX] cannot
+# hide: the first such entry in fill order has only weights and children
+# within it, so its products are normal and its sum finite and positive;
+# it is present, with its true exponent.  An entry that overflowed (to inf
+# or nan, whose ``frexp`` exponent is 0) or lost all its mass to underflow
+# comes after such an entry, so the check needs no test of its own for it.
+_E_MIN, _E_MAX, _E_SPREAD = -339, 320, 339
+
+
+def _in_range(lo: int, hi: int) -> bool:
+    """Whether exponents from lo to hi lie within the plain pass's range."""
+    return _E_MIN <= lo and hi <= min(_E_MAX, lo + _E_SPREAD)
+
 
 def _scales(g: Grammar, weights) -> tuple[np.ndarray, np.ndarray]:
     """The mantissas and exponents of ``exp(w)`` for log rule weights w:
@@ -236,18 +281,62 @@ def _scales(g: Grammar, weights) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _root_log(mant: np.ndarray, expo: np.ndarray, root: int) -> float:
-    """The log of an ``_inside_pass`` chart's root entry, computed as
-    ``logmath.log_split`` does; -inf if absent."""
-    m, e = mant.item(root), expo.item(root)
-    return e * LN2_HI + (math.log(m) + e * LN2_LO) if m else NEG_INF
+    """The log of an ``_inside_pass`` chart's root entry; -inf if absent."""
+    return log_scaled(mant.item(root), expo.item(root))
 
 
-def _inside_pass(
-    g: Grammar, trav: _Traversal, weights, kept: list | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _inside_pass(g: Grammar, trav: _Traversal, weights) -> tuple[np.ndarray, np.ndarray]:
     """Flat charts of each entry's inside mass under the log rule
     ``weights``, as mantissas in [0.5, 1) (0 where absent) and exponents
-    (see ``logmath.exp_split``), filled narrowest width first.
+    (``logmath.ZERO_EXPONENT`` where absent; see ``logmath.exp_split``).
+
+    The plain pass computes them when every weight and entry lies within
+    its range, and the scaled pass otherwise; within the range both give
+    the same bits (see ``_E_MIN``).
+    """
+    scales = _scales(g, weights)
+    chart = _plain_pass(g, trav, *scales)
+    return _scaled_pass(g, trav, *scales) if chart is None else chart
+
+
+def _plain_pass(
+    g: Grammar, trav: _Traversal, m_rule: np.ndarray, e_rule: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_scaled_pass``'s charts by plain float64 arithmetic, or None when
+    a weight or an entry leaves the range where the two agree.
+
+    A candidate's mass is ``(p_rule * p_left) * p_right``, 0 where a child
+    is absent or the column is padding, and an entry's the sum of its row,
+    left to right by ``np.add.accumulate``; ``frexp`` splits the chart.
+    """
+    e_weights = e_rule[:-1]  # the last entry splits 0, for the padding
+    lo, hi = int(e_weights.min()), int(e_weights.max())
+    if not _in_range(lo, hi):
+        return None
+    p_rule = np.ldexp(m_rule, e_rule)  # exact: each weight is normal
+    p_cols = p_rule.take(g.binary_rule_table)[:, None, :]
+    chart = np.zeros(trav.size)
+    chart.put(trav.leaf_entry, p_rule.take(trav.leaf_rule))
+    # beyond the range a product may overflow; the check below rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for width in trav.widths():
+            left, right = chart.take(width.children, mode="clip")
+            prods = ((p_cols * left) * right).reshape(len(width.entry), -1)
+            chart.put(width.entry, np.add.accumulate(prods, axis=1, out=prods)[:, -1])
+    mant, expo = np.frexp(chart)
+    present = mant != 0.0
+    lo = int(expo.min(where=present, initial=lo))
+    hi = int(expo.max(where=present, initial=hi))
+    if not _in_range(lo, hi):
+        return None
+    return mant, np.where(present, expo, np.int64(ZERO_EXPONENT))
+
+
+def _scaled_pass(
+    g: Grammar, trav: _Traversal, m_rule: np.ndarray, e_rule: np.ndarray, kept: list | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_inside_pass``'s charts in scaled probability space, from the
+    weights' mantissas and exponents, filled narrowest width first.
 
     A candidate's mass is ``(m_rule * m_left) * m_right`` times 2 to the
     power ``(e_rule + e_left) + e_right``; the three mantissas lie in [0.5,
@@ -260,7 +349,6 @@ def _inside_pass(
     candidates is present (its product above 0), their terms and the row
     totals are appended to ``kept`` if given.
     """
-    m_rule, e_rule = _scales(g, weights)
     table = g.binary_rule_table
     m_cols = m_rule.take(table)[:, None, :]
     e_cols = e_rule.take(table)[:, None, :]
@@ -283,7 +371,7 @@ def _inside_pass(
         m, e = np.frexp(totals)
         mant.put(width.entry, m)
         # a row without candidates sums to 0 and stays absent
-        expo.put(width.entry, np.maximum(e + top, ZERO_EXPONENT))
+        expo.put(width.entry, np.where(m > 0.0, e + top, ZERO_EXPONENT))
         if kept is not None:
             kept.append((width, present, terms, totals.copy()))
     return mant, expo
@@ -291,14 +379,24 @@ def _inside_pass(
 
 @dataclass(frozen=True)
 class InsideChart:
-    """Inside log masses: ``table[i, j, a]`` for span (i, j) and nonterminal a.
+    """Inside masses of every span and nonterminal, in scaled form: span
+    (i, j) and nonterminal a hold ``mant[i, j, a] * 2**expo[i, j, a]``,
+    mantissa 0 where absent.
 
-    Axis order follows ``grammar.nonterminals``; unused cells hold -inf.
+    Axis order follows ``grammar.nonterminals``.  Log masses are taken only
+    of the cells read: ``logmass`` converts one, and ``table`` all of them
+    on its first read, each by ``logmath.log_scaled``.
     """
 
     grammar: Grammar
     sentence: tuple[str, ...]
-    table: np.ndarray
+    mant: np.ndarray
+    expo: np.ndarray
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Inside log masses: ``table[i, j, a]``; unused cells hold -inf."""
+        return log_split(self.mant, self.expo)
 
     def logmass(self, i: int, j: int, nonterminal: str) -> float:
         """Inside log mass of a span, 0 <= i < j <= len(sentence)."""
@@ -311,7 +409,7 @@ class InsideChart:
         a = self.grammar.nt_index.get(nonterminal)
         if a is None:
             raise ValueError(f"{nonterminal!r} is not a nonterminal")
-        return float(self.table[i, j, a])
+        return log_scaled(self.mant.item(i, j, a), self.expo.item(i, j, a))
 
     @property
     def log_string_prob(self) -> float:
@@ -329,10 +427,10 @@ def inside(g: Grammar, sentence, brackets: Bracketing | None = None) -> InsideCh
     n1, _, n_nt = trav.shape
     rows = len(trav.tokens) + 1
     mant, expo = _inside_pass(g, trav, g.log_probs)
-    present = mant.nonzero()[0]
-    table = np.full(trav.size, NEG_INF)
-    table.put(present, log_split(mant.take(present), expo.take(present)))
-    return InsideChart(g, tuple(trav.tokens), table.reshape(rows, n1, n_nt)[:, :rows])
+    shape = (rows, n1, n_nt)
+    return InsideChart(
+        g, tuple(trav.tokens), mant.reshape(shape)[:, :rows], expo.reshape(shape)[:, :rows]
+    )
 
 
 def expected_counts(
@@ -348,20 +446,24 @@ def expected_counts(
     rule id; ``(-inf, zeros)`` when the sentence has no (compatible)
     derivation.
 
-    The inside pass is ``inside``'s, run over the given weights, so with
-    ``g.log_probs`` its total is bit-identical to ``inside``'s.  The
-    outside pass is its backward pass (Eisner 2016): widest spans first,
-    right to left, each entry hands its posterior probability to its
-    candidates in proportion to their terms, ``flow * term / total`` with
-    the terms and row totals the forward pass kept, and each candidate
-    passes its share to its rule's count and to both children.  Within a
+    The inside pass is the scaled pass, whichever pass ``inside`` takes,
+    run over the given weights; since the two agree, with ``g.log_probs``
+    its total is bit-identical to ``inside``'s.  It stays scaled because
+    the outside pass reads its terms: a share ``flow * term / total`` could
+    round differently where ``flow * term`` would be subnormal in plain
+    arithmetic.  The outside pass is its backward pass (Eisner 2016):
+    widest spans first, right to left, each entry hands its posterior
+    probability to its candidates in proportion to their terms, ``flow *
+    term / total`` with the terms and row totals the forward pass kept, and
+    each candidate passes its share to its rule's count and to both
+    children.  Within a
     span, entries go in the order of their first candidates and
     ``np.add.at`` adds the shares one at a time, so every float sum is added
     up in the scalar chart's order.
     """
     trav = _cky(g, sentence, brackets)
     by_width: list[tuple[_Width, np.ndarray, np.ndarray, np.ndarray]] = []
-    mant, expo = _inside_pass(g, trav, weights, kept=by_width)
+    mant, expo = _scaled_pass(g, trav, *_scales(g, weights), kept=by_width)
     if not mant[trav.root]:
         return NEG_INF, np.zeros(len(g.rules))
     table = g.binary_rule_table

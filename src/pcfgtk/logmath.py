@@ -67,9 +67,14 @@ def exp_split(log_values) -> tuple[np.ndarray, np.ndarray]:
     return mant, expo
 
 
-def log_split(mant: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    """``log(m * 2**e)`` of mantissas m in [0.5, 1) and their exponents, as
+def log_scaled(m: float, e: int) -> float:
+    """``log(m * 2**e)`` of a mantissa m in [0.5, 1) and its exponent, as
     ``e * LN2_HI + (log(m) + e * LN2_LO)``: the first product is exact, and
-    ``math.log`` runs once per value."""
-    logs = np.array(list(map(math.log, mant.tolist())))
-    return expo * LN2_HI + (logs + expo * LN2_LO)
+    ``math.log`` runs once; -inf where m is 0 (an absent entry)."""
+    return e * LN2_HI + (math.log(m) + e * LN2_LO) if m else NEG_INF
+
+
+def log_split(mant: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """``log_scaled`` of each mantissa and its exponent, in their shape."""
+    logs = map(log_scaled, mant.ravel().tolist(), expo.ravel().tolist())
+    return np.fromiter(logs, float, mant.size).reshape(mant.shape)

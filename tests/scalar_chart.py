@@ -21,10 +21,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
-from pcfgtk import Bracketing, Derivation, InsideChart, KBestList, UnknownTokenError
+from pcfgtk import Bracketing, Derivation, KBestList, UnknownTokenError
 from pcfgtk.derivations import count_vector, score_counts
 from pcfgtk.logmath import NEG_INF, logsumexp
 
@@ -109,6 +110,14 @@ def _scaled_sum(scored):
     return (m, e + top), terms, total
 
 
+class InsideTable(NamedTuple):
+    """An inside result: the sentence and its log masses ``table[i, j, a]``
+    (-inf where absent), as ``pcfgtk.InsideChart.table`` holds them."""
+
+    sentence: tuple[str, ...]
+    table: np.ndarray
+
+
 def _table(g, tokens, chart, value):
     n = len(tokens)
     table = np.full((n + 1, n + 1, len(g.nonterminals)), NEG_INF)
@@ -126,7 +135,7 @@ def rule_scales(g, weights):
     return [split(w) for w in weights]
 
 
-def inside(g, sentence, brackets=None) -> InsideChart:
+def inside(g, sentence, brackets=None) -> InsideTable:
     scales = rule_scales(g, g.log_probs)
 
     def combine(cands):
@@ -137,10 +146,10 @@ def inside(g, sentence, brackets=None) -> InsideChart:
         return _scaled_sum(scored)[0]
 
     tokens, chart = _cky(g, sentence, brackets, lambda rule: scales[rule.id], combine)
-    return InsideChart(g, tuple(tokens), _table(g, tokens, chart, lambda me: log_of(*me)))
+    return InsideTable(tuple(tokens), _table(g, tokens, chart, lambda me: log_of(*me)))
 
 
-def inside_log(g, sentence, brackets=None, weights=None) -> InsideChart:
+def inside_log(g, sentence, brackets=None, weights=None) -> InsideTable:
     """Inside log masses by log-sum-exp, under ``weights`` (default the
     grammar's log probabilities)."""
     lp = g.log_probs if weights is None else weights
@@ -151,7 +160,7 @@ def inside_log(g, sentence, brackets=None, weights=None) -> InsideChart:
         lambda rule: lp[rule.id],
         lambda cands: logsumexp([lp[rule.id] + left + right for _, rule, left, right in cands]),
     )
-    return InsideChart(g, tuple(tokens), _table(g, tokens, chart, float))
+    return InsideTable(tuple(tokens), _table(g, tokens, chart, float))
 
 
 class _Item:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from pcfgtk import (
     replay_derivation,
     viterbi,
 )
-from pcfgtk.chart import expected_counts
-from pcfgtk.logmath import NEG_INF, logsumexp
+from pcfgtk.chart import _cky, _inside_pass, _scaled_pass, _scales, expected_counts
+from pcfgtk.logmath import NEG_INF, exp_split, logsumexp
+from pcfgtk.oracle import catalan
 
 # perfbench's seed-0 G100 grammar and its bracketed block of four
 # sentences (see tests/test_kbest.py); SIXTEEN_TOKENS is sampled from it
@@ -93,6 +95,26 @@ def g100_pin_cases():
 def table_hexes(table) -> list[str]:
     """``"i,j,a=hex"`` for every finite cell, in index order."""
     return [f"{i},{j},{a}={table[i, j, a].hex()}" for i, j, a in zip(*np.nonzero(np.isfinite(table)))]
+
+
+# S -> S S 1e-60, S -> a 1.0: every weight lies within the plain pass's
+# range, and so do the masses of a a (1e-60) but not those of three tokens
+# or more (2e-120 is about 2**-397)
+TINY = "S -> S S 1e-60\nS -> a 1.0\n"
+
+
+def assert_passes_agree(g, tokens, brackets=None, weights=None, *, plain=True):
+    """``_inside_pass`` returns the scaled pass's charts byte for byte, and
+    takes the plain pass (no scaled pass at all) exactly when ``plain``."""
+    weights = g.log_probs if weights is None else weights
+    trav = _cky(g, tokens, brackets)
+    with mock.patch("pcfgtk.chart._scaled_pass", wraps=_scaled_pass) as scaled:
+        got = _inside_pass(g, trav, weights)
+    want = _scaled_pass(g, trav, *_scales(g, weights))
+    assert scaled.call_count == (0 if plain else 1), (tokens, plain)
+    for got_chart, want_chart in zip(got, want, strict=True):
+        assert got_chart.dtype == want_chart.dtype
+        assert got_chart.tobytes() == want_chart.tobytes()
 
 
 class TestInside:
@@ -367,10 +389,12 @@ def assert_near_log_reference(g, tokens, brackets=None, weight_sets=None):
 def assert_matches_scalar_reference(g, tokens, brackets=None, n_bests=N_BESTS):
     """Inside tables, Viterbi results, expected counts (under the grammar's
     and under halved log weights) and n-best lists of each size in
-    ``n_bests`` all equal the scalar reference's, bit for bit, and the
-    inside tables and expected counts lie near the log-sum-exp
-    reference's."""
+    ``n_bests`` all equal the scalar reference's, bit for bit, the inside
+    tables and expected counts lie near the log-sum-exp reference's, and
+    both weight sets take the plain inside pass."""
     assert_near_log_reference(g, tokens, brackets)
+    for weights in (g.log_probs, tuple(0.5 * w for w in g.log_probs)):
+        assert_passes_agree(g, tokens, brackets, weights)
     got, want = inside(g, tokens, brackets), scalar_chart.inside(g, tokens, brackets)
     assert got.table.shape == want.table.shape
     assert got.table.tobytes() == want.table.tobytes()
@@ -450,6 +474,105 @@ class TestRangeEnds:
             ]
             for tokens in sample_corpus(g, rng, 2, max_len=8, min_len=3):
                 assert_near_log_reference(g, tokens, weight_sets=weights)
+                for w in weights:
+                    assert_passes_agree(g, tokens, weights=w, plain=False)
+
+    def test_weights_within_the_range_and_entries_beyond_it(self):
+        # log weights shifted by +200 lie within the plain pass's range, but
+        # a two-token entry's mass is near 2**860, and a wider one overflows
+        # a double
+        for seed in range(20):
+            rng = np.random.default_rng(13500 + seed)
+            g = random_grammar(rng, ensure_binary=True)
+            weights = tuple(w + 200.0 for w in g.log_probs)
+            e_weights = exp_split(weights)[1][:-1]
+            assert -339 <= e_weights.min() and e_weights.max() <= 320
+            for tokens in sample_corpus(g, rng, 2, max_len=8, min_len=3):
+                assert_passes_agree(g, tokens, weights=weights, plain=False)
+
+    def test_masses_leave_the_range_from_three_tokens(self):
+        g = parse_grammar(TINY)
+        for n in range(2, 9):
+            assert_passes_agree(g, ["a"] * n, plain=n == 2)
+            want = math.log(catalan(n - 1)) + (n - 1) * math.log(1e-60)
+            assert inside(g, ["a"] * n).log_string_prob == pytest.approx(want, rel=1e-15)
+
+
+LN2 = math.log(2.0)
+
+
+def near(x: int) -> float:
+    """A log weight whose exp is near 2**(x - 0.5): its frexp exponent is x."""
+    return (x - 0.5) * LN2
+
+
+class TestPlainPassRange:
+    def test_the_plain_pass_runs_exactly_within_its_range(self):
+        # "a a" under log weights for S -> S S, S -> a and the unused
+        # S -> b, chosen to give the root and the two lexical weights the
+        # exponents root, a and b.  Each sweep moves one bound across its
+        # limit and keeps the others: the smallest exponent lo >= -339 of
+        # the weights and entries, the largest hi <= 320, and the spread
+        # hi - lo <= 339.  (lo, hi) is (root, a) in the first sweep, (root,
+        # b) in the second and (a, b) in the third.
+        g = parse_grammar("S -> S S 0.5\nS -> a 0.25\nS -> b 0.25\n")
+        sweeps = {
+            "lo": [(root, -5, -6, root, -5) for root in range(-345, -332)],
+            "spread": [(root, -5, 10, root, 10) for root in range(-334, -323)],
+            "hi": [(30, 6, b, 6, b) for b in range(314, 327)],
+        }
+        trav = _cky(g, ["a", "a"], None)
+        for name, sweep in sweeps.items():
+            taken = set()
+            for root, a, b, lo, hi in sweep:
+                weights = (near(root) - 2 * near(a), near(a), near(b))
+                mant, expo = _scaled_pass(g, trav, *_scales(g, weights))
+                exponents = np.concatenate([exp_split(weights)[1][:-1], expo[mant > 0]])
+                assert (exponents.min(), exponents.max()) == (lo, hi)
+                plain = lo >= -339 and hi <= 320 and hi - lo <= 339
+                assert_passes_agree(g, ["a", "a"], weights=weights, plain=plain)
+                taken.add(plain)
+            assert taken == {True, False}, name
+
+
+    def test_a_row_that_overflows_is_rejected(self):
+        # S -> X Y for all 144 pairs of 12 nonterminals that each rewrite a:
+        # under weights just below 2**339, every product of "a a"'s root row
+        # is near 2**1017 and their sum overflows to inf, whose frexp
+        # exponent is 0.  With that 0 the exponents run from 0 to 339,
+        # within the spread; the bound hi <= 320 is what rejects the chart.
+        nts = ["S"] + [f"N{i}" for i in range(1, 12)]
+        lines = [f"S -> {x} {y} {1 / 145!r}" for x in nts for y in nts] + [f"S -> a {1 / 145!r}"]
+        g = parse_grammar("\n".join(lines + [f"{x} -> a 1.0" for x in nts[1:]]) + "\n")
+        weights = [(339 - 0.01) * LN2] * len(g.rules)
+        trav = _cky(g, ["a", "a"], None)
+        with np.errstate(over="ignore"):
+            plain = np.ldexp(*_scales(g, weights))[:-1]
+            assert np.isinf(plain[0] * plain[0] * plain[0] * 144)
+        assert math.isfinite(_scaled_pass(g, trav, *_scales(g, weights))[0][trav.root])
+        assert_passes_agree(g, ["a", "a"], weights=weights, plain=False)
+
+
+class TestLogsOnDemand:
+    def test_logmass_is_the_table_cell_for_cell(self):
+        # plain charts (G100, plain and bracketed) and fallback ones (the
+        # tiny-mass grammar from three tokens on, plain and bracketed)
+        g, cases = g100_pin_cases()
+        charts = [inside(g, tokens, brackets) for tokens, brackets in cases]
+        tiny = parse_grammar(TINY)
+        charts += [inside(tiny, ["a"] * n) for n in (2, 3, 8)]
+        charts.append(inside(tiny, ["a"] * 6, Bracketing(frozenset({(0, 2), (3, 6)}))))
+        for chart in charts:
+            assert "table" not in vars(chart)  # no log is taken before a read
+            n = len(chart.sentence)
+            assert chart.log_string_prob == chart.logmass(0, n, chart.grammar.start)
+            table = chart.table
+            assert np.isneginf(table).any() and np.isfinite(table).any()
+            for i in range(n):
+                for j in range(i + 1, n + 1):
+                    for a, nt in enumerate(chart.grammar.nonterminals):
+                        assert chart.logmass(i, j, nt).hex() == table[i, j, a].hex()
+            assert chart.table is table
 
 
 class TestArrayLayoutEdgeCases:

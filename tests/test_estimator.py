@@ -804,6 +804,54 @@ class TestMonotonicity:
                     done += 1
                 assert done >= 40
 
+    def test_train_never_steps_downhill_at_default_epsilon(self):
+        # the instances of criterion 6 (tests/test_acceptance.py) at h = 0.9
+        # and the default epsilon; without the offset check, seeds 137, 192,
+        # 218 and 268 step downhill (10 steps over the three etas, by up to
+        # 3.17 nats)
+        specs = [
+            VIT_ALL,
+            DeltaSpec("nbest", "all", n_ref=2),
+            DeltaSpec("viterbi", "nbest", n_comp=3),
+            DeltaSpec("nbest", "nbest", n_ref=2, n_comp=4),
+        ]
+        tol = estimator._DOWNHILL_TOL
+        retried = 0
+        for eta in (0.5, 1.0, 2.0):
+            params = HParams(h=0.9, eta=eta, max_iters=1, rel_tol=0.0)
+            for seed in range(100, 300):
+                rng = np.random.default_rng(50_000 + seed)
+                g = random_grammar(rng, ensure_binary=True)
+                corpus = sample_corpus(g, rng, int(rng.integers(1, 4)), max_len=5)
+                spec = specs[seed % len(specs)]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateDeltaWarning)
+                    realized = [realize_delta_sets(g, s, spec) for s in corpus]
+                    if not corpus or all(r is None for r in realized):
+                        continue
+                    report = train(g, corpus, spec, params)
+                acc, before = accumulate_realized(g, realized, eta, 0.9)
+                (record,) = report.records
+                assert record.log_objective >= before - tol * max(1.0, abs(before)), (eta, seed)
+                retried += record.ctilde > compute_ctilde(acc, g, 0.9, params.epsilon)
+        assert retried == 10
+
+    def test_offset_doubles_until_the_cap_then_raises(self, monkeypatch):
+        # an objective that always falls: every doubling is tried, then training fails
+        steps = []
+        raw_transform = estimator._raw_transform
+
+        def spy(g, acc, h, ctilde):
+            steps.append(ctilde)
+            return raw_transform(g, acc, h, ctilde)
+
+        monkeypatch.setattr(estimator, "objective_over_sets", lambda *args: -math.inf)
+        monkeypatch.setattr(estimator, "_raw_transform", spy)
+        with pytest.raises(EstimationError, match="objective fell"):
+            train(toy(0.7), TOY_CORPUS, VIT_ALL, HParams(h=0.5))
+        assert len(steps) == estimator._MAX_DOUBLINGS + 1
+        assert steps == [steps[0] * 2.0**k for k in range(len(steps))]
+
     def test_statistics_are_the_objective_gradient(self):
         # d objective / d p(rule) = eta * (D_ref - h * D_comp) / p, checked by
         # a central difference along a zero-sum direction in one rule block

@@ -12,7 +12,12 @@ corpus.  For each grammar the matrix holds ``validate``, ``consistency``,
 bracketed and the falling-length corpus), ``oracle-enum`` (on the plain and
 the bracketed corpus only, as it lists every derivation), and ``train`` for
 every (reference mode, competing mode) pair with subset enforcement on and
-off.  A command's digest covers its exit code, stdout, stderr and the files
+off.  A third grammar, ``S -> S S 1e-60 | a 1.0``, gives masses that leave
+the range of the plain inside pass from three tokens on (``chart._E_MIN``),
+so its rows compare the scaled pass too: ``validate``, ``inside``,
+``viterbi`` and ``nbest --n 10`` on its plain corpus, and one ``train`` with
+a complete competing set at ``--eta 30``, whose objective leaves the range
+after the first step as well.  A command's digest covers its exit code, stdout, stderr and the files
 it writes (``--out-grammar``, ``--report``).
 
 Two checkouts print the same lines exactly when every command behaves the
@@ -47,6 +52,8 @@ TOY = "S -> S S 0.4\nS -> a 0.6\n"
 TOY_PLAIN = "a\na a\na a a\na a a a a\n"
 TOY_BRACKETED = "( a a ) ( a a )\n( ( a a ) a )\na ( a a ) a a\n"
 TOY_DESCENDING = "a a a a a a\na a a a\na a\na\n"
+TINY = "S -> S S 1e-60\nS -> a 1.0\n"
+TINY_PLAIN = "a a\na a a\na a a a a a a a\na a a a a\n"
 
 REF_MODES = ("viterbi", "nbest", "bracketed_viterbi")
 COMP_MODES = ("all", "nbest", "bracketed_all")
@@ -60,7 +67,7 @@ OUTPUTS = ("out.g", "out.csv")
 
 def write_inputs(work: Path) -> None:
     """Write each of ``GRAMMARS`` into ``work`` with its plain, bracketed and
-    falling-length corpus."""
+    falling-length corpus, and the tiny-mass grammar with its corpus."""
     block = (DATA / "g100-seed0-block.txt").read_text(encoding="utf-8")
     plain = "".join(" ".join(line.replace("(", " ").replace(")", " ").split()) + "\n"
                     for line in block.splitlines())
@@ -73,6 +80,8 @@ def write_inputs(work: Path) -> None:
         "toy.txt": TOY_PLAIN,
         "toy-bracketed.txt": TOY_BRACKETED,
         "toy-descending.txt": TOY_DESCENDING,
+        "tiny.g": TINY,
+        "tiny.txt": TINY_PLAIN,
     }
     for name, text in files.items():
         (work / name).write_text(text, encoding="utf-8")
@@ -94,6 +103,15 @@ def commands(stem: str) -> list[list[str]]:
                      "--ref-mode", ref, "--comp-mode", comp, *enforce, *TRAIN_FLAGS]
                 )
     return matrix
+
+
+def fallback_commands() -> list[list[str]]:
+    """The rows of the grammar whose masses leave the plain pass's range."""
+    parses = [["inside"], ["viterbi"], ["nbest", "--n", "10"]]
+    return [["validate", "tiny.g"]] + [[p[0], "tiny.g", "tiny.txt", *p[1:]] for p in parses] + [
+        ["train", "tiny.g", "tiny.txt", "--out-grammar", "out.g", "--report", "out.csv",
+         "--ref-mode", "viterbi", "--comp-mode", "all", "--eta", "30", *TRAIN_FLAGS]
+    ]
 
 
 def run(argv: list[str], work: Path, env: dict) -> tuple[str, list[str]]:
@@ -142,20 +160,19 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
-        for stem in GRAMMARS:
-            for command in commands(stem):
-                runs = [run(command, work, env) for env in envs]
-                digests = dict.fromkeys(d for d, _ in runs)
-                print(f"{'  '.join(digests)}  {' '.join(command)}", flush=True)
-                if len(digests) > 1:
-                    differ += 1
-                    moved = largest_relative_difference(runs[0][1], runs[1][1])
-                    print(
-                        "    outputs differ in more than their numbers"
-                        if moved is None
-                        else f"    largest relative difference {moved:.3g}",
-                        flush=True,
-                    )
+        for command in [c for stem in GRAMMARS for c in commands(stem)] + fallback_commands():
+            runs = [run(command, work, env) for env in envs]
+            digests = dict.fromkeys(d for d, _ in runs)
+            print(f"{'  '.join(digests)}  {' '.join(command)}", flush=True)
+            if len(digests) > 1:
+                differ += 1
+                moved = largest_relative_difference(runs[0][1], runs[1][1])
+                print(
+                    "    outputs differ in more than their numbers"
+                    if moved is None
+                    else f"    largest relative difference {moved:.3g}",
+                    flush=True,
+                )
     if differ:
         print(f"{differ} commands differ between the checkouts", file=sys.stderr)
     return 1 if differ else 0
