@@ -3,7 +3,9 @@
 Every parser in the package reads one CKY layout.  For each width it lists
 the binary candidates of every span as dense index arrays: one row per
 (span, left-hand side), one column per (split, rule), so that each row
-holds its candidates in ascending (split, rule id) order.  Charts are flat
+holds its candidates in ascending (split, rule id) order.  The arrays are
+column-major: each column is one contiguous vector over the width's rows,
+so a pass folds a row by adding one column after another.  Charts are flat
 arrays over the (i, j, nonterminal) cells, an absent entry being 0 (a
 scaled mass) or -inf (a log score), as is a candidate whose child is
 absent.
@@ -15,11 +17,12 @@ the same at every length and a shorter sentence's layout is a prefix of
 the longer one's.  A grammar therefore keeps one layout, in the
 ``layout_slot`` its ``with_probs`` copies share, built on demand by
 ``_build_layout`` at the longest length so far and rebuilt only for a
-longer sentence.  ``_cky`` checks a sentence and its brackets and slices
-that layout: the first spans of each width, or only the bracket-compatible
-ones.  Chart spans that cross a bracket get no row, which restricts every
-task to derivations whose constituents all nest with the brackets; an
-empty bracketing is identical to none.
+longer sentence; it also keeps, for every length up to its own, the views
+that list the first spans of each width.  ``_cky`` checks a sentence and
+its brackets and takes the views of its length, or only the
+bracket-compatible rows.  Chart spans that cross a bracket get no row,
+which restricts every task to derivations whose constituents all nest with
+the brackets; an empty bracketing is identical to none.
 
 The sum-product tasks share one forward pass, ``_inside_pass``, whose
 entries are in scaled form, as in semiring parsing (Goodman 1999): each is
@@ -60,9 +63,11 @@ candidate's mantissa is ``(m_rule * m_left) * m_right`` and its exponent
 ``(e_rule + e_left) + e_right``.  Only the logarithms (and a split's
 exponentials) come from the C library: ``math.log`` on the cells read,
 as in the scalar code.  Every sum runs left to right in the scalar
-code's order, by ``np.add.accumulate`` along a row or ``np.add.at`` (which
-adds its terms one at a time in index order); ``np.exp``, ``np.log`` and
-pairwise reductions such as ``np.sum`` round differently and are never used.
+code's order: a row by ``_row_sums``, which adds one column at a time to all
+of a width's rows, and the outside pass by ``np.add.at`` (which adds its
+terms one at a time in index order); ``np.exp``, ``np.log`` and pairwise
+reductions such as ``np.sum``, or ``np.add.reduce`` along a single row,
+round differently and are never used.
 
 All functions are pure; one grammar may be shared by concurrent calls over
 different sentences.  A kept layout is read-only and never changed; a call
@@ -72,9 +77,10 @@ slot's reference, and each call reads the layout it took throughout.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,63 +100,85 @@ class UnknownTokenError(ValueError):
 
 
 class _Width(NamedTuple):
-    """The binary candidates of every compatible span of one width.
+    """The binary candidates of every compatible span of one width,
+    column-major.
 
     With ``L, Q = g.binary_rule_table.shape``, row ``s * L + a`` holds the
     candidates of the ``s``-th compatible span of this width (by start)
     whose left-hand side is table row ``a``, its flat chart index being
-    ``entry[s * L + a]``; column ``k * Q + q`` holds the span's ``k``-th
-    split and that table row's ``q``-th rule.  Each row thus lists its
-    candidates in ascending (split, rule id) order.  ``children`` has shape
-    (2, spans, L, splits, Q): the flat chart index of each candidate's left
-    and right child, so that the rule id and children of a column are read
-    from ``binary_rule_table`` and ``children`` alone.  At padding a child
-    index lies past every chart of the stride: read with ``take(...,
-    mode="clip")`` it lands on the chart's last cell (n, n1 - 1, |N| - 1),
-    which no span fills.
+    ``entry[s * L + a]`` and its start ``starts[s]``; column ``k * Q + q``
+    holds the span's ``k``-th split and that table row's ``q``-th rule.
+    Each row thus lists its candidates in ascending (split, rule id) order.
+    ``children`` has shape (2, splits, Q, spans, L): the flat chart index of
+    each candidate's left and right child, so that each column is one
+    contiguous run over the rows and the rule id and children of a column
+    are read from ``binary_rule_table`` and ``children`` alone.  At padding
+    a child index lies past every chart of the stride: read with
+    ``take(..., mode="clip")`` it lands on the chart's last cell (n, n1 - 1,
+    |N| - 1), which no span fills.
     """
 
     width: int  # tokens in each span
+    starts: Sequence[int]  # ascending: a range, or the compatible starts
     entry: np.ndarray  # flat chart index of each row's (span, lhs) entry
     children: np.ndarray
 
 
 class _Layout(NamedTuple):
-    """The read-only candidates of every span of a sentence of ``n1 - 1``
-    tokens, by width: ``widths[w - 2]`` holds the ``entry`` and
-    ``children`` of a ``_Width`` w tokens wide, shaped ``(spans, L)`` and
-    ``(2, spans, L, w - 1, Q)``, every span listed by start."""
+    """The read-only candidates of every span of every sentence of at most
+    ``n1 - 1`` tokens: ``plain[n]`` holds the ``_Width`` views of an
+    n-token sentence, narrowest first, each listing every span by start,
+    and ``plain[n1 - 1]`` the arrays they are views of."""
 
     n1: int  # the stride: the longest length laid out, plus one
-    widths: tuple[tuple[np.ndarray, np.ndarray], ...]
+    plain: tuple[tuple[_Width, ...], ...]
 
 
 def _build_layout(g: Grammar, n_max: int) -> _Layout:
-    """Lay out the candidates of every span of an n_max-token sentence."""
+    """Lay out the candidates of every span of an n_max-token sentence, and
+    view them for every shorter one."""
     n1, n_nt = n_max + 1, len(g.nonterminals)
     table = g.binary_rule_table
     if not table.size:
-        return _Layout(n1, ())
+        return _Layout(n1, ((),) * n1)
+    n_lhs = table.shape[0]
     # a candidate of span (i, i + w) at split i + k has its children at
     # cells (i, i + k, B) and (i + k, i + w, C): i * stride past those of
     # span (0, w), which lie k * n_nt + B and k * n1 * n_nt + C past cells
-    # (0, 0, 0) and (0, w, 0); padding columns point past every chart
+    # (0, 0, 0) and (0, w, 0); padding columns point past every chart.
+    # offsets[:, k - 1, q, a] is split k and rule slot q of table row a
     stride = (n1 + 1) * n_nt
     steps = np.array([n_nt, n1 * n_nt])[:, None, None, None]
-    offsets = steps * np.arange(1, n_max)[:, None] + g.binary_table_rhs[:, :, None, :]
-    offsets = np.where((table < 0)[:, None, :], n1 * n1 * n_nt, offsets)
+    rhs = g.binary_table_rhs.transpose(0, 2, 1)[:, None]
+    offsets = steps * np.arange(1, n_max)[:, None, None] + rhs
+    offsets = np.where(table.T < 0, n1 * n1 * n_nt, offsets)
     # ends[:, w, i]: i * stride, and i * stride + w * n_nt for the right
     # child and the entry
     ends = np.arange(n_max) * stride + np.array([[0], [n_nt]])[:, :, None] * np.arange(n1)[:, None]
     entries = ends[1][:, :, None] + g.binary_table_lhs
     entries.flags.writeable = False
-    widths = []
+    full = []
     for width in range(2, n_max + 1):
         spans = n_max - width + 1
-        children = ends[:, width, :spans, None, None, None] + offsets[:, None, :, : width - 1]
+        children = np.add(
+            offsets[:, : width - 1, :, None, :], ends[:, width, None, None, :spans, None], order="C"
+        )
         children.flags.writeable = False
-        widths.append((entries[width, :spans], children))
-    return _Layout(n1, tuple(widths))
+        full.append((width, entries[width, :spans].ravel(), children))
+    # a shorter sentence's rows are a prefix of each column
+    plain = [
+        tuple(
+            _Width(
+                width,
+                range(n - width + 1),
+                entry[: (n - width + 1) * n_lhs],
+                children[:, :, :, : n - width + 1],
+            )
+            for width, entry, children in full[: n - 1]
+        )
+        for n in range(2, n1)
+    ]
+    return _Layout(n1, ((), ()) + tuple(plain))
 
 
 def _layout(g: Grammar, n: int) -> _Layout:
@@ -172,9 +200,8 @@ class _Traversal(NamedTuple):
     index of cell (i, j, a) being ``(i * n1 + j) * |N| + a`` with the
     layout's stride ``n1`` (at least n + 1), so ``shape`` is (n1, n1, |N|);
     a chart holds only the first n + 1 rows of that shape, ``size`` cells.
-    ``widths()`` yields one width at a time, narrowest first, as views of
-    the grammar's kept layout or, with brackets, as the rows it takes off
-    them.
+    ``widths`` lists the widths that have a row, narrowest first: the
+    grammar's kept views or, with brackets, the rows taken off them.
     """
 
     tokens: list[str]
@@ -182,7 +209,7 @@ class _Traversal(NamedTuple):
     root: int  # flat index of the start symbol's full-span entry
     leaf_entry: np.ndarray  # flat index of each lexical entry, by position
     leaf_rule: np.ndarray  # and its lexical rule id
-    widths: Callable[[], Iterator[_Width]]
+    widths: tuple[_Width, ...]
 
     @property
     def size(self) -> int:
@@ -212,23 +239,35 @@ def _cky(g: Grammar, sentence, brackets: Bracketing | None) -> _Traversal:
     n1 = layout.n1
     leaf_entry = [(i * n1 + i + 1) * n_nt + g.nt_index[rule.lhs] for i, rule in leaves]
     leaf_rule = [rule.id for _, rule in leaves]
-
-    def widths() -> Iterator[_Width]:
-        for width, (entry, children) in enumerate(layout.widths[: n - 1], 2):
-            if ok is None:
-                spans = n - width + 1
-                yield _Width(width, entry[:spans].ravel(), children[:, :spans])
-                continue
+    if ok is None:
+        widths = layout.plain[n]
+    else:
+        n_lhs = g.binary_rule_table.shape[0]
+        widths = []
+        for width, _, entry, children in layout.plain[-1][: n - 1]:
             starts = ok.diagonal(width).nonzero()[0]
             if starts.size:
-                yield _Width(
-                    width, entry.take(starts, axis=0).ravel(), children.take(starts, axis=1)
+                rows = entry.reshape(-1, n_lhs).take(starts, axis=0).ravel()
+                widths.append(
+                    _Width(width, starts.tolist(), rows, children.take(starts, axis=3))
                 )
-
+        widths = tuple(widths)
     root = n * n_nt + g.nt_index[g.start]
     return _Traversal(
         tokens, (n1, n1, n_nt), root, np.array(leaf_entry), np.array(leaf_rule), widths
     )
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum of each column-major row, its columns added left to right.
+
+    With two rows or more ``np.add.reduce`` over axis 0 adds one column at a
+    time to every row, one rounding per term; a single row it would sum
+    pairwise, so that row's running sum is taken instead.
+    """
+    if terms.shape[1] > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 _FLUSH = -1100  # a shift past which every term is 0; it fits a C int
@@ -307,22 +346,22 @@ def _plain_pass(
 
     A candidate's mass is ``(p_rule * p_left) * p_right``, 0 where a child
     is absent or the column is padding, and an entry's the sum of its row,
-    left to right by ``np.add.accumulate``; ``frexp`` splits the chart.
+    left to right by ``_row_sums``; ``frexp`` splits the chart.
     """
     e_weights = e_rule[:-1]  # the last entry splits 0, for the padding
     lo, hi = int(e_weights.min()), int(e_weights.max())
     if not _in_range(lo, hi):
         return None
     p_rule = np.ldexp(m_rule, e_rule)  # exact: each weight is normal
-    p_cols = p_rule.take(g.binary_rule_table)[:, None, :]
+    p_cols = p_rule.take(g.binary_rule_table.T)[:, None, :]
     chart = np.zeros(trav.size)
     chart.put(trav.leaf_entry, p_rule.take(trav.leaf_rule))
     # beyond the range a product may overflow; the check below rejects it
     with np.errstate(over="ignore", invalid="ignore"):
-        for width in trav.widths():
+        for width in trav.widths:
             left, right = chart.take(width.children, mode="clip")
-            prods = ((p_cols * left) * right).reshape(len(width.entry), -1)
-            chart.put(width.entry, np.add.accumulate(prods, axis=1, out=prods)[:, -1])
+            prods = ((p_cols * left) * right).reshape(-1, len(width.entry))
+            chart.put(width.entry, _row_sums(prods))
     mant, expo = np.frexp(chart)
     present = mant != 0.0
     lo = int(expo.min(where=present, initial=lo))
@@ -344,40 +383,39 @@ def _scaled_pass(
     child is absent or the column is padding.  Each row's terms are those
     products scaled by ``ldexp`` to the row's largest exponent (a shift
     clipped at ``_FLUSH``, where every term is 0 already), summed left to
-    right by ``np.add.accumulate``; ``frexp`` of the total, its exponent
-    plus the row's, is the entry.  Each width, whether each of its
-    candidates is present (its product above 0), their terms and the row
-    totals are appended to ``kept`` if given.
+    right by ``_row_sums``; ``frexp`` of the total, its exponent plus the
+    row's, is the entry.  Each width, whether each of its candidates is
+    present (its product above 0), their terms, column-major as the
+    candidates, and the row totals are appended to ``kept`` if given.
     """
-    table = g.binary_rule_table
+    table = g.binary_rule_table.T
     m_cols = m_rule.take(table)[:, None, :]
     e_cols = e_rule.take(table)[:, None, :]
     mant = np.zeros(trav.size)
     expo = np.full(trav.size, ZERO_EXPONENT)
     mant.put(trav.leaf_entry, m_rule.take(trav.leaf_rule))
     expo.put(trav.leaf_entry, e_rule.take(trav.leaf_rule))
-    for width in trav.widths():
+    for width in trav.widths:
         n_rows = len(width.entry)
         m_left, m_right = mant.take(width.children, mode="clip")
         e_left, e_right = expo.take(width.children, mode="clip")
-        prods = ((m_cols * m_left) * m_right).reshape(n_rows, -1)
-        exps = ((e_cols + e_left) + e_right).reshape(n_rows, -1)
-        top = np.maximum.reduce(exps, axis=1)
-        shifts = np.maximum(exps - top[:, None], _FLUSH).astype(np.intc)
+        prods = ((m_cols * m_left) * m_right).reshape(-1, n_rows)
+        exps = ((e_cols + e_left) + e_right).reshape(-1, n_rows)
+        top = np.maximum.reduce(exps, axis=0)
+        shifts = np.maximum(exps - top, _FLUSH).astype(np.intc)
         terms = np.ldexp(prods, shifts)
         present = None if kept is None else prods > 0.0
-        # the products are spent, and their buffer takes the running sums
-        totals = np.add.accumulate(terms, axis=1, out=prods)[:, -1]
+        totals = _row_sums(terms)
         m, e = np.frexp(totals)
         mant.put(width.entry, m)
         # a row without candidates sums to 0 and stays absent
         expo.put(width.entry, np.where(m > 0.0, e + top, ZERO_EXPONENT))
         if kept is not None:
-            kept.append((width, present, terms, totals.copy()))
+            kept.append((width, present, terms, totals))
     return mant, expo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InsideChart:
     """Inside masses of every span and nonterminal, in scaled form: span
     (i, j) and nonterminal a hold ``mant[i, j, a] * 2**expo[i, j, a]``,
@@ -385,7 +423,8 @@ class InsideChart:
 
     Axis order follows ``grammar.nonterminals``.  Log masses are taken only
     of the cells read: ``logmass`` converts one, and ``table`` all of them
-    on its first read, each by ``logmath.log_scaled``.
+    on its first read, each by ``logmath.log_scaled``.  Charts compare and
+    hash by identity, as their arrays give no single truth value.
     """
 
     grammar: Grammar
@@ -456,10 +495,12 @@ def expected_counts(
     probability to its candidates in proportion to their terms, ``flow *
     term / total`` with the terms and row totals the forward pass kept, and
     each candidate passes its share to its rule's count and to both
-    children.  Within a
-    span, entries go in the order of their first candidates and
-    ``np.add.at`` adds the shares one at a time, so every float sum is added
-    up in the scalar chart's order.
+    children.  Within a span, entries go in the order of their first
+    candidates and ``np.add.at`` adds the shares one at a time, so every
+    float sum is added up in the scalar chart's order.  The kept terms and
+    candidates are column-major, so the walk reads a row's present
+    candidates off their transpose, row by row, and each term and child at
+    its (column, row).
     """
     trav = _cky(g, sentence, brackets)
     by_width: list[tuple[_Width, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -482,17 +523,17 @@ def expected_counts(
     # every candidate's children are narrower than its entry, so each flow
     # is complete before it is passed on
     for width, present, terms, totals in reversed(by_width):
-        n_rows, n_cols = present.shape
+        n_cols, n_rows = present.shape
         # rows right to left, a span's rows in the order of their first
         # candidates, each row's candidates in order
-        first = col_order[lhs_of[:n_rows], present.argmax(axis=1)]
+        first = col_order[lhs_of[:n_rows], present.argmax(axis=0)]
         order = (first - span_order[:n_rows]).argsort()
-        rows, cols = present.take(order, axis=0).nonzero()
+        rows, cols = present.take(order, axis=1).T.nonzero()
         rows = order.take(rows)
-        at = rows * n_cols + cols
-        shares = flow.take(width.entry.take(rows)) * terms.take(at) / totals.take(rows)
+        shares = flow.take(width.entry.take(rows)) * terms[cols, rows] / totals.take(rows)
         np.add.at(counts, col_rule[lhs_of.take(rows), cols], shares)
-        np.add.at(flow, width.children.reshape(2, -1)[:, at].T.ravel(), shares.repeat(2))
+        children = width.children.reshape(2, n_cols, n_rows)[:, cols, rows]
+        np.add.at(flow, children.T.ravel(), shares.repeat(2))
     np.add.at(counts, trav.leaf_rule[::-1], flow.take(trav.leaf_entry[::-1]))
     return _root_log(mant, expo, trav.root), counts
 

@@ -79,7 +79,7 @@ def check_consistency(g: Grammar, tol: float = DEFAULT_TOL) -> ConsistencyReport
     iterations = 0
     for iterations in range(1, POWER_ITERATION_CAP + 1):
         w = m @ v
-        norm = float(np.max(w))
+        norm = float(w.max())
         previous, estimate = estimate, norm
         v = w / norm
         if previous is not None and abs(estimate - previous) <= POWER_ITERATION_TOL * max(1.0, estimate):

@@ -47,7 +47,8 @@ explicit stack, not on Python recursion.
 from __future__ import annotations
 
 import numbers
-from bisect import insort
+from bisect import bisect_left, insort
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -177,19 +178,20 @@ class _Lists:
     ``maxplus`` is a flat chart of each entry's max-plus score M, the
     highest incremental score over its candidates (-inf where absent);
     ``widths[w]`` holds the candidate scores ``(lp[rule] + M_left) +
-    M_right`` of the spans w tokens wide and their children, one row per
-    (span, lhs) and one column per (split, rule) (see ``chart._Width``),
-    and ``row`` is a flat chart of each binary entry's row in its width.
-    ``hyps[entry]`` holds a started entry's hypotheses so far and
-    ``wmax[entry]``, for each, the highest incremental score in its window.
-    An entry that has started and is still open keeps in ``frontier`` its
-    heap of ``(-key, column, left index, right index)`` joins, the joins
-    popped but not yet in a final window, by descending score, and its
-    (rule, left entry, right entry) candidates by column, each read back
-    when a join of its column is first about to be popped.  An entry in
-    ``hyps`` but not in ``frontier`` holds its whole list, at most n long.
-    No data here refers back to the object, so it is freed without the
-    cycle collector.
+    M_right`` of the spans w tokens wide, their children and the spans'
+    starts, column-major as ``chart._Width`` lays them out:
+    ``scores[col, row]`` and ``children[:, col, row]`` for one column per
+    (split, rule) and one row per (span, lhs); ``_row`` finds an entry's
+    row from its span and left-hand side.  ``hyps[entry]`` holds a started
+    entry's hypotheses so far and ``wmax[entry]``, for each, the highest
+    incremental score in its window.  An entry that has started and is
+    still open keeps in ``frontier`` its heap of ``(-key, column, left
+    index, right index)`` joins, the joins popped but not yet in a final
+    window, by descending score, its (rule, left entry, right entry)
+    candidates by column, each read back when a join of its column is first
+    about to be popped, and its row.  An entry in ``hyps`` but not in
+    ``frontier`` holds its whole list, at most n long.  No data here refers
+    back to the object, so it is freed without the cycle collector.
     """
 
     def __init__(self, g: Grammar, trav: _Traversal, n: int):
@@ -201,23 +203,24 @@ class _Lists:
         w = np.empty(len(lp) + 1)
         w[:-1] = lp
         w[-1] = NEG_INF  # the weight of padding, rule id -1
-        columns = w.take(g.binary_rule_table)[:, None, :]
+        columns = w.take(g.binary_rule_table.T)[:, None, :]
         maxplus = self.maxplus = np.full(trav.size, NEG_INF)
         maxplus.put(trav.leaf_entry, w.take(trav.leaf_rule))
-        self.row = np.zeros(trav.size, dtype=np.intp)
-        self.widths: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for width in trav.widths():
+        n_lhs = self.n_lhs = len(g.binary_table_lhs)
+        self.lhs_row = dict(zip(g.binary_table_lhs.tolist(), range(n_lhs)))
+        self.widths: dict[int, tuple[np.ndarray, np.ndarray, Sequence[int]]] = {}
+        for width in trav.widths:
             left, right = maxplus.take(width.children, mode="clip")
-            scores = ((columns + left) + right).reshape(len(width.entry), -1)
-            maxplus.put(width.entry, np.maximum.reduce(scores, axis=1))
-            self.row.put(width.entry, np.arange(len(scores)))
-            self.widths[width.width] = scores, width.children.reshape(2, len(scores), -1)
+            scores = ((columns + left) + right).reshape(-1, len(width.entry))
+            maxplus.put(width.entry, np.maximum.reduce(scores, axis=0))
+            children = width.children.reshape(2, len(scores), -1)
+            self.widths[width.width] = scores, children, width.starts
         self.hyps: dict[int, list[_Cell]] = {}
         self.wmax: dict[int, list[float]] = {}
         for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
             self.hyps[entry] = [_Cell(lp[rule], rule)]
             self.wmax[entry] = [lp[rule]]
-        self.frontier: dict[int, tuple[list, list[_Cell], dict[int, tuple]]] = {}
+        self.frontier: dict[int, tuple[list, list[_Cell], dict[int, tuple], int]] = {}
 
     def ask(self, entry: int, index: int) -> None:
         """Extend an entry's list until it holds ``index`` < n or is whole.
@@ -235,25 +238,31 @@ class _Lists:
             else:
                 stack += self._extend(top)
 
-    def _start(self, entry: int, width: int) -> tuple:
+    def _row(self, entry: int, start: int, width: int) -> int:
+        """The row of a binary entry of span (start, start + width): its
+        span's place among the width's spans times ``L``, plus its
+        left-hand side's table row."""
+        place = bisect_left(self.widths[width][2], start)
+        return place * self.n_lhs + self.lhs_row[entry % self.n_nt]
+
+    def _start(self, entry: int, start: int, width: int) -> tuple:
         """Start an entry's frontier: the first join of every column of its
         row that scores above -inf, keyed by its max-plus score."""
-        row = self.widths[width][0][self.row.item(entry)]
-        cols = (row > NEG_INF).nonzero()[0]
-        heap = [(-key, col, 0, 0) for col, key in zip(cols.tolist(), row.take(cols).tolist())]
+        r = self._row(entry, start, width)
+        row = self.widths[width][0][:, r].tolist()
+        heap = [(-key, col, 0, 0) for col, key in enumerate(row) if key > NEG_INF]
         heapify(heap)
         self.hyps[entry], self.wmax[entry] = [], []
-        state = self.frontier[entry] = (heap, [], {})
+        state = self.frontier[entry] = (heap, [], {}, r)
         return state
 
-    def _candidate(self, entry: int, width: int, col: int) -> tuple[int, int, int]:
-        """Rule id and left and right child entries of column ``col`` of an
-        entry's row, read from the layout (see ``chart._Width``)."""
+    def _candidate(self, width: int, r: int, col: int) -> tuple[int, int, int]:
+        """Rule id and left and right child entries of column ``col`` of row
+        ``r`` of a width, read from the layout (see ``chart._Width``)."""
         table = self.g.binary_rule_table
-        r = self.row.item(entry)
         children = self.widths[width][1]
         rule = table.item(r % table.shape[0], col % table.shape[1])
-        return rule, children.item(0, r, col), children.item(1, r, col)
+        return rule, children.item(0, col, r), children.item(1, col, r)
 
     def _extend(self, entry: int) -> list[tuple[int, int]]:
         """Append an open entry's next window, or close it.  Returns
@@ -265,8 +274,8 @@ class _Lists:
         width = end - start
         state = frontier.get(entry)
         if state is None:
-            state = self._start(entry, width)
-        heap, pending, cands = state
+            state = self._start(entry, start, width)
+        heap, pending, cands, r = state
         slack = _SLACK * (2 * width - 1)  # rules in every hypothesis of the span
         while True:
             # a join not yet popped scores at most the top key, so the first
@@ -288,7 +297,7 @@ class _Lists:
             _, col, li, ri = heap[0]
             cand = cands.get(col)
             if cand is None:
-                cand = cands[col] = self._candidate(entry, width, col)
+                cand = cands[col] = self._candidate(width, r, col)
             rule, left, right = cand
             # popping (li, ri) pushes (li, ri + 1), and (li + 1, 0) when ri
             # is 0, so the children must first hold those indexes, where

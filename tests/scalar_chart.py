@@ -135,7 +135,7 @@ def rule_scales(g, weights):
     return [split(w) for w in weights]
 
 
-def inside(g, sentence, brackets=None) -> InsideTable:
+def _inside_chart(g, sentence, brackets):
     scales = rule_scales(g, g.log_probs)
 
     def combine(cands):
@@ -145,8 +145,22 @@ def inside(g, sentence, brackets=None) -> InsideTable:
             scored.append(((m * lm) * rm, (e + le) + re))
         return _scaled_sum(scored)[0]
 
-    tokens, chart = _cky(g, sentence, brackets, lambda rule: scales[rule.id], combine)
+    return _cky(g, sentence, brackets, lambda rule: scales[rule.id], combine)
+
+
+def inside(g, sentence, brackets=None) -> InsideTable:
+    tokens, chart = _inside_chart(g, sentence, brackets)
     return InsideTable(tuple(tokens), _table(g, tokens, chart, lambda me: log_of(*me)))
+
+
+def inside_scaled(g, sentence, brackets=None) -> dict[tuple[int, int, int], tuple[float, int]]:
+    """The present inside entries as ``{(i, j, a): (mantissa, exponent)}``."""
+    _, chart = _inside_chart(g, sentence, brackets)
+    return {
+        (i, j, g.nt_index[lhs]): entry
+        for (i, j), cell in chart.items()
+        for lhs, entry in cell.items()
+    }
 
 
 def inside_log(g, sentence, brackets=None, weights=None) -> InsideTable:

@@ -24,7 +24,7 @@ from pcfgtk import (
     replay_derivation,
     viterbi,
 )
-from pcfgtk.chart import _cky, _inside_pass, _scaled_pass, _scales, expected_counts
+from pcfgtk.chart import _cky, _inside_pass, _plain_pass, _scaled_pass, _scales, expected_counts
 from pcfgtk.logmath import NEG_INF, exp_split, logsumexp
 from pcfgtk.oracle import catalan
 
@@ -126,6 +126,13 @@ class TestInside:
     def test_toy_aaaa(self):
         chart = inside(toy(0.5), ["a"] * 4)
         assert abs(chart.log_string_prob - math.log(5 / 128)) < 1e-12
+
+    def test_charts_compare_and_hash_by_identity(self):
+        g = parse_grammar("S -> S S 0.5\nS -> a 0.5\n")
+        chart, again = inside(g, ["a", "a"]), inside(g, ["a", "a"])
+        assert chart == chart and chart != again
+        assert hash(chart) == hash(chart)
+        assert len({chart, again, chart}) == 2
 
     def test_not_in_language_is_flagged_not_raised(self):
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
@@ -446,6 +453,66 @@ class TestScalarReference:
     def test_g100(self):
         g, cases = g100_pin_cases()
         for tokens, brackets in cases[:-1]:
+            assert_matches_scalar_reference(g, tokens, brackets)
+
+
+# S alone has binary rules, so each width of a^n has one row per span: the
+# widest span's row is its width's only one
+FOLD = "S -> S S 0.3\nS -> S A 0.2\nS -> A S 0.15\nS -> A A 0.1\nS -> a 0.25\nA -> a 1.0\n"
+
+
+def pairwise_rows(g, tokens, brackets=None) -> list[tuple[int, int]]:
+    """(rows of its width, columns) of each row of the scaled pass whose
+    pairwise sum, ``np.sum``, differs from its terms added left to right."""
+    kept = []
+    _scaled_pass(g, _cky(g, tokens, brackets), *_scales(g, g.log_probs), kept=kept)
+    found = []
+    for _, _, terms, _ in kept:
+        for row in terms.T:
+            total = 0.0
+            for term in row.tolist():
+                total += term
+            if np.sum(row) != total:
+                found.append(terms.shape[::-1])
+    return found
+
+
+def assert_passes_match_scalar(g, tokens, brackets=None):
+    """The plain and the scaled pass give the scalar chart's mantissa and
+    exponent of every present entry, bit for bit, and no other entry."""
+    want = {
+        cell: (m.hex(), e) for cell, (m, e) in scalar_chart.inside_scaled(g, tokens, brackets).items()
+    }
+    trav = _cky(g, tokens, brackets)
+    shape = (len(tokens) + 1,) + trav.shape[1:]
+    for chart in (_plain_pass, _scaled_pass):
+        mant, expo = (a.reshape(shape) for a in chart(g, trav, *_scales(g, g.log_probs)))
+        got = {
+            (i, j, a): (mant[i, j, a].hex(), int(expo[i, j, a]))
+            for i, j, a in zip(*(axis.tolist() for axis in mant.nonzero()))
+        }
+        assert got == want, chart.__name__
+
+
+class TestFoldOrder:
+    """Each row sums its columns left to right, as the scalar chart does,
+    also where numpy's pairwise ``np.sum`` rounds differently: in a width of
+    several rows and in a width of a single row."""
+
+    def test_single_row_widths(self):
+        g = parse_grammar(FOLD)
+        tokens = ["a"] * 8
+        found = pairwise_rows(g, tokens)
+        assert (1, 28) in found  # the widest span: 7 splits of 4 rules
+        assert any(rows > 1 for rows, _ in found)
+        assert_passes_match_scalar(g, tokens)
+        assert_matches_scalar_reference(g, tokens, n_bests=(1, 2))
+
+    def test_g100_rows(self):
+        g, cases = g100_pin_cases()
+        for tokens, brackets in (cases[1], cases[5]):  # block line 2, bracketed and plain
+            assert pairwise_rows(g, tokens, brackets)
+            assert_passes_match_scalar(g, tokens, brackets)
             assert_matches_scalar_reference(g, tokens, brackets)
 
 

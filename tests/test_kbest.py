@@ -200,9 +200,9 @@ def assert_decoder_matches_scalar_layout(g, tokens, brackets=None):
     for entry in (lists.maxplus > -math.inf).nonzero()[0].tolist():
         i, j = divmod(entry // n_nt, n1)
         if j - i > 1:
-            row = lists.widths[j - i][0][lists.row.item(entry)]
-            cols = (row > -math.inf).nonzero()[0].tolist()
-            got[entry] = [lists._candidate(entry, j - i, col) for col in cols]
+            r = lists._row(entry, i, j - i)
+            cols = (lists.widths[j - i][0][:, r] > -math.inf).nonzero()[0].tolist()
+            got[entry] = [lists._candidate(j - i, r, col) for col in cols]
     assert got == want
 
 

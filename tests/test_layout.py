@@ -164,8 +164,15 @@ class TestSharing:
     def test_layout_is_read_only(self):
         g = load_grammar(G100)
         inside(g, SIXTEEN_TOKENS)
-        for entry, children in g.layout_slot.layout.widths:
-            assert not entry.flags.writeable and not children.flags.writeable
+        plain = g.layout_slot.layout.plain
+        assert isinstance(plain, tuple) and len(plain) == 17
+        for n, widths in enumerate(plain):
+            # every length keeps one view per width, each over n's spans
+            assert isinstance(widths, tuple)
+            assert [w.width for w in widths] == list(range(2, n + 1))
+            for width, starts, entry, children in widths:
+                assert starts == range(n - width + 1) and children.shape[3] == len(starts)
+                assert not entry.flags.writeable and not children.flags.writeable
 
     def test_train_builds_once_per_new_longest_length(self, monkeypatch):
         built = []

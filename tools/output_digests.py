@@ -17,8 +17,16 @@ the range of the plain inside pass from three tokens on (``chart._E_MIN``),
 so its rows compare the scaled pass too: ``validate``, ``inside``,
 ``viterbi`` and ``nbest --n 10`` on its plain corpus, and one ``train`` with
 a complete competing set at ``--eta 30``, whose objective leaves the range
-after the first step as well.  A command's digest covers its exit code, stdout, stderr and the files
-it writes (``--out-grammar``, ``--report``).
+after the first step as well.  Last, ``inside`` and one ``train`` with a
+complete competing set read the toy grammar on a twelve tokens long
+sentence, whose widest span has a single row of eleven candidates, the one
+row shape that the chart sums other than by adding column after column
+(``chart._row_sums``).  That row summed pairwise moves the ``train``
+row's digest; ``inside`` prints 12 significant digits, too few to show a
+last-bit change.  They stay off ``nbest`` and ``oracle-enum``, as every toy
+derivation ties and those would list all 58,786 of them.  A command's
+digest covers its exit code, stdout, stderr and the files it writes
+(``--out-grammar``, ``--report``).
 
 Two checkouts print the same lines exactly when every command behaves the
 same to the byte.  Given a second checkout ``OTHER``, the script runs each
@@ -52,6 +60,7 @@ TOY = "S -> S S 0.4\nS -> a 0.6\n"
 TOY_PLAIN = "a\na a\na a a\na a a a a\n"
 TOY_BRACKETED = "( a a ) ( a a )\n( ( a a ) a )\na ( a a ) a a\n"
 TOY_DESCENDING = "a a a a a a\na a a a\na a\na\n"
+TOY_LONG = " ".join(["a"] * 12) + "\n"
 TINY = "S -> S S 1e-60\nS -> a 1.0\n"
 TINY_PLAIN = "a a\na a a\na a a a a a a a\na a a a a\n"
 
@@ -67,7 +76,8 @@ OUTPUTS = ("out.g", "out.csv")
 
 def write_inputs(work: Path) -> None:
     """Write each of ``GRAMMARS`` into ``work`` with its plain, bracketed and
-    falling-length corpus, and the tiny-mass grammar with its corpus."""
+    falling-length corpus, the toy grammar's long sentence, and the
+    tiny-mass grammar with its corpus."""
     block = (DATA / "g100-seed0-block.txt").read_text(encoding="utf-8")
     plain = "".join(" ".join(line.replace("(", " ").replace(")", " ").split()) + "\n"
                     for line in block.splitlines())
@@ -80,6 +90,7 @@ def write_inputs(work: Path) -> None:
         "toy.txt": TOY_PLAIN,
         "toy-bracketed.txt": TOY_BRACKETED,
         "toy-descending.txt": TOY_DESCENDING,
+        "toy-long.txt": TOY_LONG,
         "tiny.g": TINY,
         "tiny.txt": TINY_PLAIN,
     }
@@ -111,6 +122,15 @@ def fallback_commands() -> list[list[str]]:
     return [["validate", "tiny.g"]] + [[p[0], "tiny.g", "tiny.txt", *p[1:]] for p in parses] + [
         ["train", "tiny.g", "tiny.txt", "--out-grammar", "out.g", "--report", "out.csv",
          "--ref-mode", "viterbi", "--comp-mode", "all", "--eta", "30", *TRAIN_FLAGS]
+    ]
+
+
+def long_commands() -> list[list[str]]:
+    """The rows of the toy grammar's single-row widest span."""
+    return [
+        ["inside", "toy.g", "toy-long.txt"],
+        ["train", "toy.g", "toy-long.txt", "--out-grammar", "out.g", "--report", "out.csv",
+         "--ref-mode", "viterbi", "--comp-mode", "all", *TRAIN_FLAGS],
     ]
 
 
@@ -160,7 +180,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
-        for command in [c for stem in GRAMMARS for c in commands(stem)] + fallback_commands():
+        matrix = [c for stem in GRAMMARS for c in commands(stem)]
+        for command in matrix + fallback_commands() + long_commands():
             runs = [run(command, work, env) for env in envs]
             digests = dict.fromkeys(d for d, _ in runs)
             print(f"{'  '.join(digests)}  {' '.join(command)}", flush=True)
