@@ -91,36 +91,43 @@ def _walk(g: Grammar, rules, sentence_len: int | None = None):
     symbol, or not of ``sentence_len`` tokens when that is given.
     """
     lhs_rhs = g.rule_lhs_rhs
+    n_rules = len(lhs_rhs)
     pending = [g.start]  # leftmost pending nonterminal on top
-    open_nodes: list[tuple[str, int, list]] = []  # binary nodes awaiting children
+    pop = pending.pop
+    # binary nodes awaiting children: [label, start, left child or None]
+    open_nodes: list[list] = []
     tokens: list[str] = []
     spans: list[tuple[int, int]] = []
     tree = None
+    end = 0  # tokens read
     for rid in rules:
-        if not 0 <= rid < len(lhs_rhs):
+        if not 0 <= rid < n_rules:
             raise ValueError(f"rule id {rid} out of range")
         lhs, rhs = lhs_rhs[rid]
-        if not pending:
-            raise ValueError(f"rule {g.rules[rid]} applied after the derivation completed")
-        top = pending.pop()
+        try:
+            top = pop()
+        except IndexError:
+            raise ValueError(f"rule {g.rules[rid]} applied after the derivation completed") from None
         if top != lhs:
             raise ValueError(f"rule {g.rules[rid]} cannot rewrite pending nonterminal {top}")
         if len(rhs) == 2:
             pending += (rhs[1], rhs[0])
-            open_nodes.append((lhs, len(tokens), []))
+            open_nodes.append([lhs, end, None])
             continue
         tokens.append(rhs[0])
-        spans.append((len(tokens) - 1, len(tokens)))
+        spans.append((end, end + 1))
+        end += 1
         node = (lhs, rhs)  # a lexical rule's rhs is its one terminal
         # a finished subtree completes every ancestor whose right child it ends
         while open_nodes:
-            lhs, start, children = open_nodes[-1]
-            children.append(node)
-            if len(children) < 2:
+            parent = open_nodes[-1]
+            if parent[2] is None:
+                parent[2] = node
                 break
             open_nodes.pop()
-            node = (lhs, tuple(children))
-            spans.append((start, len(tokens)))
+            label, start, first = parent
+            node = (label, (first, node))
+            spans.append((start, end))
         else:
             tree = node
     if pending:
@@ -159,10 +166,13 @@ def format_tree(tree) -> str:
     stack = [tree]  # subtrees to render and literal text, next on top
     while stack:
         item = stack.pop()
-        if not isinstance(item, tuple):
+        if item.__class__ is str:
             parts.append(item)
             continue
         label, children = item
+        if len(children) == 1 and children[0].__class__ is str:
+            parts.append(f"({label} {children[0]})")  # a lexical node
+            continue
         parts.append(f"({label}")
         stack.append(")")
         for child in reversed(children):

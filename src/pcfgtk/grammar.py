@@ -261,6 +261,14 @@ class Grammar:
         return self._binary_tables[2]
 
     @cached_property
+    def binary_table_lists(self) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
+        """The binary rule table as Python objects, for lookups one at a
+        time: the table row of each ``nt_index`` in ``binary_table_lhs``,
+        and each row of ``binary_rule_table``."""
+        table, lhs, _ = self._binary_tables
+        return dict(zip(lhs.tolist(), range(len(lhs)))), tuple(map(tuple, table.tolist()))
+
+    @cached_property
     def rules_by_lhs(self) -> dict[str, tuple[Rule, ...]]:
         groups: dict[str, list[Rule]] = {nt: [] for nt in self.nonterminals}
         for rule in self.rules:

@@ -42,7 +42,12 @@ j is 0, the left child for i + 1 (at most n - 1 either way), which starts
 a child not yet started.  A window is final once its lowest member lies
 further than rounding distance above the top key, or the frontier is empty
 (see ``_SLACK``).  The root is asked for n hypotheses; requests wait on an
-explicit stack, not on Python recursion.
+explicit stack, not on Python recursion.  A request for an entry's index i
+appends final windows until the entry holds i or is whole, and gives way
+only when a join needs a child's hypothesis first: the child's request
+goes above it and it resumes where it stopped.  A final window of one
+hypothesis, the common case, is appended as it stands; only a longer one
+is ranked.
 """
 from __future__ import annotations
 
@@ -50,7 +55,7 @@ import numbers
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -187,16 +192,20 @@ class _Lists:
     incremental score in its window.  An entry that has started and is
     still open keeps in ``frontier`` its heap of ``(-key, column, left
     index, right index)`` joins, the joins popped but not yet in a final
-    window, by descending score, its (rule, left entry, right entry)
-    candidates by column, each read back when a join of its column is first
-    about to be popped, and its row.  An entry in ``hyps`` but not in
-    ``frontier`` holds its whole list, at most n long.  No data here refers
-    back to the object, so it is freed without the cycle collector.
+    window, by descending score, its candidates by column as (rule log
+    probability, rule id, split, left entry, right entry), each read back
+    when a join of its column is first about to be popped, its width, its
+    row and the slack of its cut test.  An entry in ``hyps`` but not in
+    ``frontier`` holds its whole list, at most n long.  A request (entry,
+    index) extends the entry until it holds the index or is whole, window
+    by window (see ``ask`` and ``_extend``).  No data here refers back to
+    the object, so it is freed without the cycle collector.
     """
 
     def __init__(self, g: Grammar, trav: _Traversal, n: int):
         self.g, self.n = g, n
         self.n1, _, self.n_nt = trav.shape
+        self.lhs_row, self.rule_rows = g.binary_table_lists
         lp = g.log_probs
         # the max-plus pass: a candidate scores (lp[rule] + M_left) +
         # M_right, -inf where a child is absent or the column is padding
@@ -206,8 +215,6 @@ class _Lists:
         columns = w.take(g.binary_rule_table.T)[:, None, :]
         maxplus = self.maxplus = np.full(trav.size, NEG_INF)
         maxplus.put(trav.leaf_entry, w.take(trav.leaf_rule))
-        n_lhs = self.n_lhs = len(g.binary_table_lhs)
-        self.lhs_row = dict(zip(g.binary_table_lhs.tolist(), range(n_lhs)))
         self.widths: dict[int, tuple[np.ndarray, np.ndarray, Sequence[int]]] = {}
         for width in trav.widths:
             left, right = maxplus.take(width.children, mode="clip")
@@ -220,131 +227,153 @@ class _Lists:
         for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
             self.hyps[entry] = [_Cell(lp[rule], rule)]
             self.wmax[entry] = [lp[rule]]
-        self.frontier: dict[int, tuple[list, list[_Cell], dict[int, tuple], int]] = {}
+        self.frontier: dict[int, tuple[list, list[_Cell], dict[int, tuple], int, int, float]] = {}
 
     def ask(self, entry: int, index: int) -> None:
         """Extend an entry's list until it holds ``index`` < n or is whole.
 
         Requests wait on an explicit stack: an entry that needs a child's
-        hypothesis first pushes that request above its own.
+        hypothesis first pushes that request above its own, and a request
+        is dropped once ``_extend`` returns without one.
         """
-        hyps, frontier = self.hyps, self.frontier
+        hyps, frontier, extend = self.hyps, self.frontier, self._extend
         stack = [(entry, index)]
         while stack:
             top, i = stack[-1]
             have = hyps.get(top)
             if have is not None and (i < len(have) or top not in frontier):
                 stack.pop()
+                continue
+            need = extend(top, i)
+            if need:
+                stack += need
             else:
-                stack += self._extend(top)
+                stack.pop()
 
     def _row(self, entry: int, start: int, width: int) -> int:
         """The row of a binary entry of span (start, start + width): its
         span's place among the width's spans times ``L``, plus its
         left-hand side's table row."""
         place = bisect_left(self.widths[width][2], start)
-        return place * self.n_lhs + self.lhs_row[entry % self.n_nt]
+        return place * len(self.rule_rows) + self.lhs_row[entry % self.n_nt]
 
-    def _start(self, entry: int, start: int, width: int) -> tuple:
+    def _start(self, entry: int) -> tuple:
         """Start an entry's frontier: the first join of every column of its
         row that scores above -inf, keyed by its max-plus score."""
+        start, end = divmod(entry // self.n_nt, self.n1)
+        width = end - start
         r = self._row(entry, start, width)
         row = self.widths[width][0][:, r].tolist()
         heap = [(-key, col, 0, 0) for col, key in enumerate(row) if key > NEG_INF]
         heapify(heap)
         self.hyps[entry], self.wmax[entry] = [], []
-        state = self.frontier[entry] = (heap, [], {}, r)
+        slack = _SLACK * (2 * width - 1)  # rules in every hypothesis of the span
+        state = self.frontier[entry] = (heap, [], {}, width, r, slack)
         return state
 
     def _candidate(self, width: int, r: int, col: int) -> tuple[int, int, int]:
         """Rule id and left and right child entries of column ``col`` of row
         ``r`` of a width, read from the layout (see ``chart._Width``)."""
-        table = self.g.binary_rule_table
+        rules = self.rule_rows[r % len(self.rule_rows)]
         children = self.widths[width][1]
-        rule = table.item(r % table.shape[0], col % table.shape[1])
-        return rule, children.item(0, col, r), children.item(1, col, r)
+        return rules[col % len(rules)], children.item(0, col, r), children.item(1, col, r)
 
-    def _extend(self, entry: int) -> list[tuple[int, int]]:
-        """Append an open entry's next window, or close it.  Returns
-        instead the child requests (entry, index) that must be met first,
-        if any, having stopped between two joins."""
+    def _extend(self, entry: int, index: int) -> list[tuple[int, int]]:
+        """Append an open entry's final windows until it holds ``index`` or
+        closes.  Returns instead the child requests (entry, index) that
+        must be met first, if any, having stopped between two joins.
+
+        A window of one hypothesis, the common case, is appended as it
+        stands; a longer one is ranked canonically first.  The list is
+        truncated at n, which closes the entry.
+        """
         hyps, wmax, frontier, n = self.hyps, self.wmax, self.frontier, self.n
-        lp, n1, n_nt = self.g.log_probs, self.n1, self.n_nt
-        start, end = divmod(entry // n_nt, n1)
-        width = end - start
         state = frontier.get(entry)
         if state is None:
-            state = self._start(entry, start, width)
-        heap, pending, cands, r = state
-        slack = _SLACK * (2 * width - 1)  # rules in every hypothesis of the span
+            state = self._start(entry)
+        heap, pending, cands, width, r, slack = state
+        mine, mine_wmax = hyps[entry], wmax[entry]
         while True:
-            # a join not yet popped scores at most the top key, so the first
-            # window is final once its lowest member and the top key pass
-            # the cut test (see _SLACK); its top member is tested first to
-            # skip the scan while the key is near, as holding a
-            # final window back costs only more pops
-            if pending and (not heap or _cut(pending[0].score, -heap[0][0], slack)):
-                k = 1
-                while k < len(pending) and not _cut(pending[k - 1].score, pending[k].score, slack):
-                    k += 1
-                if not heap or _cut(pending[k - 1].score, -heap[0][0], slack):
-                    self._append(entry, pending[:k])
-                    del pending[:k]
-                    return []
+            # a join not yet popped scores at most the top key U, so the
+            # first window is final once its lowest member a passes the cut
+            # test a - U > slack * (|a| + |U|) (see _SLACK); its top member
+            # is tested first to skip the scan while the key is near, as
+            # holding a final window back costs only more pops
+            if pending:
+                top = pending[0].score
+                if heap:
+                    bound = -heap[0][0]
+                if not heap or top - bound > slack * -(top + bound):
+                    k, low = 1, top
+                    while k < len(pending):
+                        score = pending[k].score
+                        if low - score > slack * -(low + score):
+                            break
+                        k, low = k + 1, score
+                    if k == 1 or not heap or low - bound > slack * -(low + bound):
+                        if k == 1:
+                            mine.append(pending[0])
+                            mine_wmax.append(top)
+                            del pending[0]
+                        else:
+                            window = pending[:k]
+                            del pending[:k]
+                            _rank(self.g, window)
+                            mine += window
+                            mine_wmax += [top] * k
+                        if len(mine) >= n:
+                            del mine[n:], mine_wmax[n:]
+                            del frontier[entry]
+                            return []
+                        if len(mine) > index:
+                            return []
+                        continue
             if not heap:
                 del frontier[entry]
                 return []
             _, col, li, ri = heap[0]
             cand = cands.get(col)
             if cand is None:
-                cand = cands[col] = self._candidate(width, r, col)
-            rule, left, right = cand
+                rule, left, right = self._candidate(width, r, col)
+                split = left // self.n_nt % self.n1  # the left child's span (start, split)
+                cand = cands[col] = (self.g.log_probs[rule], rule, split, left, right)
+            lpr, rule, split, left, right = cand
             # popping (li, ri) pushes (li, ri + 1), and (li + 1, 0) when ri
             # is 0, so the children must first hold those indexes, where
             # they can (a child not yet started holds no hypotheses)
             lefts, rights = hyps.get(left), hyps.get(right)
-            need = []
+            wait_right = rights is None or len(rights) <= ri + 1 and right in frontier
             if ri == 0 and (lefts is None or len(lefts) <= li + 1 and left in frontier):
-                need.append((left, min(li + 1, n - 1)))
-            if rights is None or len(rights) <= ri + 1 and right in frontier:
-                need.append((right, min(ri + 1, n - 1)))
-            if need:
+                need = [(left, min(li + 1, n - 1))]
+                if wait_right:
+                    need.append((right, min(ri + 1, n - 1)))
                 return need
-            heappop(heap)
+            if wait_right:
+                return [(right, min(ri + 1, n - 1))]
             lcell, rcell = lefts[li], rights[ri]
-            split = left // n_nt % n1  # the left child's span (start, split)
-            cell = _Cell((lp[rule] + lcell.score) + rcell.score, rule, split, lcell, rcell)
-            insort(pending, cell, key=_descending)
+            cell = _Cell((lpr + lcell.score) + rcell.score, rule, split, lcell, rcell)
+            if pending and cell.score > pending[-1].score:
+                insort(pending, cell, key=_descending)
+            else:
+                pending.append(cell)
+            # the heap's joins are distinct, so replacing its top pops the
+            # same joins in the same order as a pop and a push
             if ri + 1 < len(rights):
-                heappush(heap, (-((lp[rule] + wmax[left][li]) + wmax[right][ri + 1]), col, li, ri + 1))
+                heapreplace(heap, (-((lpr + wmax[left][li]) + wmax[right][ri + 1]), col, li, ri + 1))
+            else:
+                heappop(heap)
             if ri == 0 and li + 1 < len(lefts):
-                heappush(heap, (-((lp[rule] + wmax[left][li + 1]) + wmax[right][0]), col, li + 1, 0))
+                heappush(heap, (-((lpr + wmax[left][li + 1]) + wmax[right][0]), col, li + 1, 0))
 
-    def _append(self, entry: int, window: list[_Cell]) -> None:
-        """Rank a final window canonically and append it to the entry's
-        list, truncating the list at n (which closes the entry)."""
-        g = self.g
-        top = window[0].score
-        if len(window) > 1:
-            window.sort(
-                key=lambda cell: (-score_rules(g, _preorder(cell)), _backpointer_key(cell))
-            )
-        hyps, wmax = self.hyps[entry], self.wmax[entry]
-        hyps += window
-        wmax += [top] * len(window)
-        if len(hyps) >= self.n:
-            del hyps[self.n :], wmax[self.n :]
-            del self.frontier[entry]
+
+def _rank(g: Grammar, window: list[_Cell]) -> None:
+    """Sort a final window of several hypotheses canonically: by descending
+    ``score_rules`` of its rules, then by backpointer key."""
+    window.sort(key=lambda cell: (-score_rules(g, _preorder(cell)), _backpointer_key(cell)))
 
 
 def _descending(cell: _Cell) -> float:
     return -cell.score
-
-
-def _cut(a: float, b: float, slack: float) -> bool:
-    """Whether score a lies above b (both <= 0) by more than rounding
-    distance, ``slack * (|a| + |b|)``."""
-    return a - b > slack * -(a + b)
 
 
 def _backpointer_key(cell: _Cell) -> list[int]:

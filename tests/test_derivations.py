@@ -177,7 +177,7 @@ def render_recursively(tree) -> str:
     """The bracketed rendering spelled recursively, to check format_tree by."""
     label, children = tree
     parts = [c if isinstance(c, str) else render_recursively(c) for c in children]
-    return f"({label} {' '.join(parts)})"
+    return f"({label}{''.join(' ' + part for part in parts)})"
 
 
 class TestSpansAndTrees:
@@ -200,6 +200,21 @@ class TestSpansAndTrees:
         g = toy(0.5)
         tree = derivation_tree(g, Derivation.build(g, TOY_AA, 2))
         assert format_tree(tree) == "(S (S a) (S a))"
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            ("A", ("x",)),  # a lexical node
+            ("A", (("B", ("x",)),)),  # one child, a subtree
+            ("A", (("B", ("x",)), ("C", ("y",)), ("D", ("z",)))),
+            ("A", ("x", "y", "z")),
+            ("A", ("x", ("B", (("C", ("y",)), ("D", ("z",)))), "w")),
+            ("A", ()),
+        ],
+        ids=["lexical", "one-subtree", "three-subtrees", "three-terminals", "mixed", "empty"],
+    )
+    def test_tree_shapes(self, tree):
+        assert format_tree(tree) == render_recursively(tree)
 
     def test_replay_round_trip_random(self):
         for seed in range(30):

@@ -20,6 +20,7 @@ from pcfgtk import (
     parse_grammar,
     read_bracketed_corpus,
     replay_derivation,
+    serialize_grammar,
     viterbi,
 )
 
@@ -345,6 +346,44 @@ class TestOrderingProperties:
             assert len(seqs) == len(set(seqs))
 
 
+def request_state(lists):
+    """The started entries of a ``_Lists`` with each one's hypotheses (rule
+    ids in preorder and incremental score) and window tops."""
+    hyps = {
+        entry: [(kbest._preorder(cell), cell.score) for cell in cells]
+        for entry, cells in lists.hyps.items()
+    }
+    return hyps, lists.wmax
+
+
+def assert_one_request_equals_many(g, tokens, brackets):
+    """Asking the root for n - 1 at once leaves every list as asking it for
+    0, 1, ..., n - 1 in turn does."""
+    trav = kbest._cky(g, tokens, brackets)
+    for n in (1, 3, 10):
+        once, stepwise = kbest._Lists(g, trav, n), kbest._Lists(g, trav, n)
+        if once.maxplus[trav.root] == -math.inf:
+            continue
+        once.ask(trav.root, n - 1)
+        for index in range(n):
+            stepwise.ask(trav.root, index)
+        assert request_state(once) == request_state(stepwise)
+
+
+class TestRequests:
+    def test_g100(self):
+        g, cases = g100_cases()
+        for tokens, brackets in cases:
+            assert_one_request_equals_many(g, tokens, brackets)
+
+    def test_random_grammars_plain_and_bracketed(self):
+        for seed in range(40):
+            rng = np.random.default_rng(15500 + seed)
+            g = random_grammar(rng)
+            for tokens, brackets in corpus_and_bracketed(g, rng):
+                assert_one_request_equals_many(g, tokens, brackets)
+
+
 class TestG100:
     def test_lists_are_pinned(self):
         g, cases = g100_cases()
@@ -357,6 +396,26 @@ class TestG100:
         for tokens, brackets in cases:
             best = scalar_chart.viterbi(g, tokens, brackets)[0]
             assert nbest(g, tokens, 1, brackets).derivations == (best,)
+
+    def test_probability_copies_decode_as_fresh_grammars(self):
+        # with_probs shares the grammar's cached tables, so they must not
+        # depend on the probabilities: a copy made after g has parsed must
+        # list what a grammar parsed from the copy's text lists
+        g, cases = g100_cases()
+        for tokens, brackets in cases:
+            nbest(g, tokens, 10, brackets)
+        rng = np.random.default_rng(16500)
+        for _ in range(3):
+            q = [0.0] * len(g.rules)
+            for rules in g.rules_by_lhs.values():
+                weights = rng.random(len(rules)) + 0.1
+                for rule, p in zip(rules, (weights / weights.sum()).tolist()):
+                    q[rule.id] = p
+            copy = g.with_probs(q)
+            fresh = parse_grammar(serialize_grammar(copy))
+            for tokens, brackets in cases:
+                assert nbest(copy, tokens, 10, brackets) == nbest(fresh, tokens, 10, brackets)
+                assert viterbi(copy, tokens, brackets) == viterbi(fresh, tokens, brackets)
 
     def test_max_plus_key_is_the_window_top(self, started_lists):
         g, cases = g100_cases()

@@ -24,9 +24,13 @@ row shape that the chart sums other than by adding column after column
 (``chart._row_sums``).  That row summed pairwise moves the ``train``
 row's digest; ``inside`` prints 12 significant digits, too few to show a
 last-bit change.  They stay off ``nbest`` and ``oracle-enum``, as every toy
-derivation ties and those would list all 58,786 of them.  A command's
-digest covers its exit code, stdout, stderr and the files it writes
-(``--out-grammar``, ``--report``).
+derivation ties and those would list all 58,786 of them.  So two rows run
+``hex_digits.py`` (``HEX_SCRIPT``, written next to the inputs) rather than
+the command line, on the G100 plain and bracketed corpus: per sentence it
+prints ``float.hex()`` of the ``inside`` log probability and each
+``nbest(..., 10)`` derivation's rule ids and ``float.hex()`` log
+probability, every bit of each.  A command's digest covers its exit code,
+stdout, stderr and the files it writes (``--out-grammar``, ``--report``).
 
 Two checkouts print the same lines exactly when every command behaves the
 same to the byte.  Given a second checkout ``OTHER``, the script runs each
@@ -70,14 +74,28 @@ TRAIN_FLAGS = ["--h", "0.5", "--n-ref", "2", "--n-comp", "3", "--iters", "3"]
 
 # "path:line: SomeWarning: message" and the source line echoed below it
 _WARNING = re.compile(r"^.*:\d+: (\w+Warning: .*\n)(?:  .*\n)?", re.MULTILINE)
-_NUMBER = re.compile(r"[-+]?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+_NUMBER = re.compile(
+    r"[-+]?(?:inf|nan|0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]?\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
+)
 OUTPUTS = ("out.g", "out.csv")
+
+HEX_SCRIPT_NAME = "hex_digits.py"
+HEX_SCRIPT = """\
+import sys
+from pcfgtk import inside, load_grammar, nbest, read_bracketed_corpus, read_corpus
+g = load_grammar(sys.argv[1])
+read = read_bracketed_corpus if sys.argv[3:] == ["--bracketed"] else read_corpus
+for s in read(sys.argv[2]):
+    print(inside(g, s.tokens, s.brackets).log_string_prob.hex())
+    for d in nbest(g, s.tokens, 10, s.brackets).derivations:
+        print(*d.rules, d.log_prob.hex())
+"""
 
 
 def write_inputs(work: Path) -> None:
     """Write each of ``GRAMMARS`` into ``work`` with its plain, bracketed and
-    falling-length corpus, the toy grammar's long sentence, and the
-    tiny-mass grammar with its corpus."""
+    falling-length corpus, the toy grammar's long sentence, the tiny-mass
+    grammar with its corpus, and ``HEX_SCRIPT``."""
     block = (DATA / "g100-seed0-block.txt").read_text(encoding="utf-8")
     plain = "".join(" ".join(line.replace("(", " ").replace(")", " ").split()) + "\n"
                     for line in block.splitlines())
@@ -93,6 +111,7 @@ def write_inputs(work: Path) -> None:
         "toy-long.txt": TOY_LONG,
         "tiny.g": TINY,
         "tiny.txt": TINY_PLAIN,
+        HEX_SCRIPT_NAME: HEX_SCRIPT,
     }
     for name, text in files.items():
         (work / name).write_text(text, encoding="utf-8")
@@ -134,12 +153,23 @@ def long_commands() -> list[list[str]]:
     ]
 
 
+def hex_commands() -> list[list[str]]:
+    """The rows that print every bit of G100's inside and n-best scores."""
+    return [
+        [HEX_SCRIPT_NAME, "g100.g", "g100.txt"],
+        [HEX_SCRIPT_NAME, "g100.g", "g100-bracketed.txt", "--bracketed"],
+    ]
+
+
 def run(argv: list[str], work: Path, env: dict) -> tuple[str, list[str]]:
-    """A command's digest, and its stdout and the files it wrote."""
+    """A command's digest, and its stdout and the files it wrote; a
+    command naming ``HEX_SCRIPT_NAME`` runs that script, any other the
+    pcfgtk command line."""
     for name in OUTPUTS:
         (work / name).unlink(missing_ok=True)
+    program = [] if argv[0] == HEX_SCRIPT_NAME else ["-m", "pcfgtk"]
     proc = subprocess.run(
-        [sys.executable, "-m", "pcfgtk", *argv], cwd=work, env=env, capture_output=True, text=True
+        [sys.executable, *program, *argv], cwd=work, env=env, capture_output=True, text=True
     )
     h = hashlib.sha256()
     for part in (str(proc.returncode), proc.stdout, _WARNING.sub(r"\1", proc.stderr)):
@@ -161,7 +191,7 @@ def largest_relative_difference(a: list[str], b: list[str]) -> float | None:
         return None
     largest = 0.0
     for ta, tb in zip(a, b):
-        for x, y in zip(map(float, _NUMBER.findall(ta)), map(float, _NUMBER.findall(tb))):
+        for x, y in zip(map(_float, _NUMBER.findall(ta)), map(_float, _NUMBER.findall(tb))):
             if x == y or math.isnan(x) and math.isnan(y):
                 continue
             scale = max(abs(x), abs(y))
@@ -169,6 +199,10 @@ def largest_relative_difference(a: list[str], b: list[str]) -> float | None:
                 return math.inf
             largest = max(largest, abs(x - y) / scale)
     return largest
+
+
+def _float(number: str) -> float:
+    return float.fromhex(number) if "x" in number else float(number)
 
 
 def main(argv: list[str]) -> int:
@@ -181,7 +215,7 @@ def main(argv: list[str]) -> int:
         work = Path(tmp)
         write_inputs(work)
         matrix = [c for stem in GRAMMARS for c in commands(stem)]
-        for command in matrix + fallback_commands() + long_commands():
+        for command in matrix + fallback_commands() + long_commands() + hex_commands():
             runs = [run(command, work, env) for env in envs]
             digests = dict.fromkeys(d for d, _ in runs)
             print(f"{'  '.join(digests)}  {' '.join(command)}", flush=True)
