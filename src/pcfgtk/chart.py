@@ -69,6 +69,15 @@ terms one at a time in index order); ``np.exp``, ``np.log`` and pairwise
 reductions such as ``np.sum``, or ``np.add.reduce`` along a single row,
 round differently and are never used.
 
+A call builds nothing that depends on the grammar alone.  The layout and
+the lexical rules of each terminal (``Grammar.terminal_leaves``) are kept
+per rule set; the weights of a pass over the grammar's own probabilities,
+by rule id and gathered into the columns of ``binary_rule_table``
+(``Grammar.plain_weights`` and ``scaled_weights``, see
+``grammar.PassWeights``), are kept per probability vector.  Other weights,
+such as ``eta * g.log_probs`` for eta other than 1, are split and gathered
+per call.  Nothing is kept per sentence.
+
 All functions are pure; one grammar may be shared by concurrent calls over
 different sentences.  A kept layout is read-only and never changed; a call
 that needs a longer one builds it under the slot's lock and replaces the
@@ -86,7 +95,7 @@ import numpy as np
 
 from .corpus import Bracketing
 from .derivations import Derivation
-from .grammar import Grammar
+from .grammar import Grammar, PassWeights
 from .logmath import NEG_INF, ZERO_EXPONENT, exp_split, log_scaled, log_split
 
 
@@ -228,17 +237,19 @@ def _cky(g: Grammar, sentence, brackets: Bracketing | None) -> _Traversal:
     if not tokens:
         raise ValueError("sentence is empty")
     n, n_nt = len(tokens), len(g.nonterminals)
-    leaves = []
-    for i, tok in enumerate(tokens):
-        rules = g.rules_for_terminal(tok)
-        if not rules:
-            raise UnknownTokenError(tok, i)
-        leaves += [(i, rule) for rule in rules]
+    lexicon = g.terminal_leaves
+    try:
+        leaves = [lexicon[tok] for tok in tokens]
+    except KeyError:
+        i = next(i for i, tok in enumerate(tokens) if tok not in lexicon)
+        raise UnknownTokenError(tokens[i], i) from None
     ok = None if brackets is None else brackets.compatible_spans(n)
     layout = _layout(g, n)
     n1 = layout.n1
-    leaf_entry = [(i * n1 + i + 1) * n_nt + g.nt_index[rule.lhs] for i, rule in leaves]
-    leaf_rule = [rule.id for _, rule in leaves]
+    # the lexical entry of nonterminal a at position i is cell (i, i + 1, a)
+    step = (n1 + 1) * n_nt
+    leaf_entry = [i * step + n_nt + a for i, (lhs, _) in enumerate(leaves) for a in lhs]
+    leaf_rule = [rule for _, rules in leaves for rule in rules]
     if ok is None:
         widths = layout.plain[n]
     else:
@@ -312,11 +323,15 @@ def _in_range(lo: int, hi: int) -> bool:
     return _E_MIN <= lo and hi <= min(_E_MAX, lo + _E_SPREAD)
 
 
-def _scales(g: Grammar, weights) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_weights(g: Grammar, weights) -> tuple[PassWeights, PassWeights]:
     """The mantissas and exponents of ``exp(w)`` for log rule weights w:
     where they equal the grammar's log probabilities, the exact split of
-    its probabilities, else ``logmath.exp_split``, one ``math.exp`` a rule."""
-    return g.prob_scales if tuple(weights) == g.log_probs else exp_split(weights)
+    its probabilities that it keeps, else ``logmath.exp_split``, one
+    ``math.exp`` a rule."""
+    if tuple(weights) == g.log_probs:
+        return g.scaled_weights
+    mant, expo = exp_split(weights)
+    return g.pass_weights(mant), g.pass_weights(expo)
 
 
 def _root_log(mant: np.ndarray, expo: np.ndarray, root: int) -> float:
@@ -333,27 +348,33 @@ def _inside_pass(g: Grammar, trav: _Traversal, weights) -> tuple[np.ndarray, np.
     its range, and the scaled pass otherwise; within the range both give
     the same bits (see ``_E_MIN``).
     """
-    scales = _scales(g, weights)
-    chart = _plain_pass(g, trav, *scales)
-    return _scaled_pass(g, trav, *scales) if chart is None else chart
+    scaled = _scaled_weights(g, weights)
+    if scaled is g.scaled_weights:
+        plain, (lo, hi) = g.plain_weights, g.prob_exponents
+    else:
+        (mant, _), (expo, _) = scaled
+        lo, hi = int(expo[:-1].min()), int(expo[:-1].max())  # the last splits 0
+        plain = None
+    chart = None
+    if _in_range(lo, hi):
+        if plain is None:
+            plain = g.pass_weights(np.ldexp(mant, expo))  # exact: each weight is normal
+        chart = _plain_pass(trav, plain, lo, hi)
+    return _scaled_pass(trav, *scaled) if chart is None else chart
 
 
 def _plain_pass(
-    g: Grammar, trav: _Traversal, m_rule: np.ndarray, e_rule: np.ndarray
+    trav: _Traversal, weights: PassWeights, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_scaled_pass``'s charts by plain float64 arithmetic, or None when
-    a weight or an entry leaves the range where the two agree.
+    """``_scaled_pass``'s charts by plain float64 arithmetic, from rule
+    weights whose exponents lie from lo to hi, within the range where the
+    two agree; None when an entry leaves that range.
 
     A candidate's mass is ``(p_rule * p_left) * p_right``, 0 where a child
     is absent or the column is padding, and an entry's the sum of its row,
     left to right by ``_row_sums``; ``frexp`` splits the chart.
     """
-    e_weights = e_rule[:-1]  # the last entry splits 0, for the padding
-    lo, hi = int(e_weights.min()), int(e_weights.max())
-    if not _in_range(lo, hi):
-        return None
-    p_rule = np.ldexp(m_rule, e_rule)  # exact: each weight is normal
-    p_cols = p_rule.take(g.binary_rule_table.T)[:, None, :]
+    p_rule, p_cols = weights
     chart = np.zeros(trav.size)
     chart.put(trav.leaf_entry, p_rule.take(trav.leaf_rule))
     # beyond the range a product may overflow; the check below rejects it
@@ -372,7 +393,7 @@ def _plain_pass(
 
 
 def _scaled_pass(
-    g: Grammar, trav: _Traversal, m_rule: np.ndarray, e_rule: np.ndarray, kept: list | None = None
+    trav: _Traversal, mants: PassWeights, expos: PassWeights, kept: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_inside_pass``'s charts in scaled probability space, from the
     weights' mantissas and exponents, filled narrowest width first.
@@ -388,9 +409,8 @@ def _scaled_pass(
     present (its product above 0), their terms, column-major as the
     candidates, and the row totals are appended to ``kept`` if given.
     """
-    table = g.binary_rule_table.T
-    m_cols = m_rule.take(table)[:, None, :]
-    e_cols = e_rule.take(table)[:, None, :]
+    m_rule, m_cols = mants
+    e_rule, e_cols = expos
     mant = np.zeros(trav.size)
     expo = np.full(trav.size, ZERO_EXPONENT)
     mant.put(trav.leaf_entry, m_rule.take(trav.leaf_rule))
@@ -504,7 +524,7 @@ def expected_counts(
     """
     trav = _cky(g, sentence, brackets)
     by_width: list[tuple[_Width, np.ndarray, np.ndarray, np.ndarray]] = []
-    mant, expo = _scaled_pass(g, trav, *_scales(g, weights), kept=by_width)
+    mant, expo = _scaled_pass(trav, *_scaled_weights(g, weights), kept=by_width)
     if not mant[trav.root]:
         return NEG_INF, np.zeros(len(g.rules))
     table = g.binary_rule_table

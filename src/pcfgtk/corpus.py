@@ -51,8 +51,11 @@ class Bracketing:
             raise ValueError(f"bracket span exceeds sentence length {n}")
         ok = np.ones((n + 1, n + 1), dtype=bool)
         for a, b in self.spans:
-            ok[:a, a + 1 : b] = False  # i < a < j < b
-            ok[a + 1 : b, b + 1 :] = False  # a < i < b < j
+            # a bracket one token wide or over the whole sentence crosses
+            # no span, and both its slices are empty
+            if 1 < b - a < n:
+                ok[:a, a + 1 : b] = False  # i < a < j < b
+                ok[a + 1 : b, b + 1 :] = False  # a < i < b < j
         return ok
 
     def max_position(self) -> int:

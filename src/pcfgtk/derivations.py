@@ -173,6 +173,10 @@ def format_tree(tree) -> str:
         if len(children) == 1 and children[0].__class__ is str:
             parts.append(f"({label} {children[0]})")  # a lexical node
             continue
+        if len(children) == 2:  # a binary node, in one push
+            parts.append(f"({label} ")
+            stack += (")", children[1], " ", children[0])
+            continue
         parts.append(f"({label}")
         stack.append(")")
         for child in reversed(children):

@@ -17,24 +17,33 @@ is exactly 1.0.
 Checks come in three layers.  ``parse_grammar`` reads the file format only
 (line shape, symbol naming, numbers, ``%start``).  Constructing a
 ``Grammar`` checks its rule set once (symbols, dense ids, LHS, CNF shape,
-duplicates); every cached index depends on the rule set alone.  Every
-probability vector, the constructor's or one given to ``with_probs``, is
-then checked (alignment, range ]0, 1], properness) and renormalized, so a
-rule-set fault is reported before a probability fault.  An error in a file
-names its line in either case.
+duplicates).  Every probability vector, the constructor's or one given to
+``with_probs``, is then checked (alignment, range ]0, 1], properness) and
+renormalized, so a rule-set fault is reported before a probability fault.
+An error in a file names its line in either case.
+
+What the parsers derive from the grammar alone is made once per grammar,
+never once per call.  Indexes of the rule set (the binary rule table, the
+lexical rules of each terminal, the CKY layout) are cached on first use
+and shared by every ``with_probs`` copy.  Arrays of the probabilities (the
+weights and weight columns that ``chart``'s and ``kbest``'s forward passes
+read, see ``PassWeights``) are set with each probability vector, so each
+copy has its own.  Nothing is kept per sentence: a benchmark that meets
+each sentence many times would read such a cache as a gain that a corpus
+of distinct sentences never sees.
 """
 from __future__ import annotations
 
-import copy
 import math
 import re
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .logmath import ZERO_EXPONENT
+from .logmath import NEG_INF, ZERO_EXPONENT
 
 NONTERMINAL_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
@@ -68,8 +77,8 @@ class LayoutSlot:
     while it is replaced.
 
     A grammar and its ``with_probs`` copies share one slot, since the layout
-    depends on the rule set alone.  A pickled or deep-copied grammar gets an
-    empty slot of its own.
+    depends on the rule set alone.  A pickled or deep-copied grammar is
+    built anew and gets an empty slot of its own.
     """
 
     __slots__ = ("layout", "lock")
@@ -78,8 +87,20 @@ class LayoutSlot:
         self.layout = None
         self.lock = threading.Lock()
 
-    def __reduce__(self):
-        return LayoutSlot, ()
+
+class PassWeights(NamedTuple):
+    """Rule weights in the form that one forward pass reads, both arrays
+    read-only.
+
+    ``rules`` is indexed by rule id and ends with one more entry, the
+    weight of padding (rule id -1).  ``columns`` is ``rules`` gathered by
+    ``binary_rule_table.T`` to shape (Q, 1, L): the weight of table row
+    a's q-th rule at [q, 0, a], which broadcasts over a width's candidates
+    (see ``chart._Width``).
+    """
+
+    rules: np.ndarray
+    columns: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,9 +128,12 @@ class Grammar:
     """A proper PCFG in CNF.
 
     Immutable after construction (safe to share across threads) but for the
-    ``layout_slot`` cache, which ``chart`` replaces under its lock; rule ids
-    are dense indices into ``rules`` and ``probs``.  Construction checks the
-    rule set, then installs the probabilities (see ``_install_probs``).
+    ``layout_slot`` cache, which ``chart`` replaces under its lock, and the
+    rule-set indexes cached on first use; rule ids are dense indices into
+    ``rules`` and ``probs``.  Construction checks the rule set, then
+    installs the probabilities (see ``_install_probs``).  A pickled or
+    deep-copied grammar is constructed anew from its rules and
+    probabilities, so its arrays are read-only and its caches its own.
     """
 
     nonterminals: tuple[str, ...]
@@ -118,7 +142,10 @@ class Grammar:
     rules: tuple[Rule, ...]
     probs: tuple[float, ...]
     log_probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    prob_scales: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    maxplus_weights: PassWeights = field(init=False, repr=False, compare=False)
+    plain_weights: PassWeights = field(init=False, repr=False, compare=False)
+    scaled_weights: tuple[PassWeights, PassWeights] = field(init=False, repr=False, compare=False)
+    prob_exponents: tuple[int, int] = field(init=False, repr=False, compare=False)
     layout_slot: LayoutSlot = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -126,6 +153,11 @@ class Grammar:
         self._validate_rules()
         self._install_probs(self.probs)
         object.__setattr__(self, "layout_slot", LayoutSlot())
+
+    def __reduce__(self):
+        # pickle and deepcopy construct the grammar anew, as copied arrays
+        # would come back writeable
+        return type(self), (self.nonterminals, self.terminals, self.start, self.rules, self.probs)
 
     def _validate_symbols(self):
         nts = set(self.nonterminals)
@@ -164,9 +196,13 @@ class Grammar:
 
     def _install_probs(self, probs) -> None:
         """Check a probability vector against the rule set, renormalize each
-        block and set ``probs``, ``log_probs`` and ``prob_scales``: each
-        probability as mantissa and exponent, followed by 0, in the form of
-        ``logmath.exp_split`` that chart's sum-product passes read."""
+        block and set ``probs``, ``log_probs`` and the weights that the
+        forward passes read when they run over the grammar's probabilities:
+        ``maxplus_weights``, the log probabilities for ``kbest``'s max-plus
+        pass; ``plain_weights``, the probabilities for ``chart``'s plain
+        pass; ``scaled_weights``, each probability as mantissa and exponent
+        in the form of ``logmath.exp_split``, for its scaled pass; and
+        ``prob_exponents``, the smallest and the largest of those exponents."""
         probs = list(probs)
         if len(probs) != len(self.rules):
             raise GrammarError("rules and probabilities are misaligned")
@@ -185,12 +221,24 @@ class Grammar:
                 probs[r] = p
         object.__setattr__(self, "probs", tuple(probs))
         object.__setattr__(self, "log_probs", tuple(map(math.log, probs)))
-        # frexp is exact: the split of p, which exp_split of log p rounds
-        mant, expo = np.frexp(probs + [0.0])
+        weights = self.pass_weights
+        object.__setattr__(self, "maxplus_weights", weights(np.array(self.log_probs + (NEG_INF,))))
+        # frexp is exact: the split of p, which exp_split of log p rounds,
+        # and p is its mantissa times 2 to its exponent
+        plain = np.array(probs + [0.0])
+        mant, expo = np.frexp(plain)
         expo = expo.astype(np.int64)
         expo[-1] = ZERO_EXPONENT
-        mant.flags.writeable = expo.flags.writeable = False
-        object.__setattr__(self, "prob_scales", (mant, expo))
+        object.__setattr__(self, "plain_weights", weights(plain))
+        object.__setattr__(self, "scaled_weights", (weights(mant), weights(expo)))
+        object.__setattr__(self, "prob_exponents", (int(expo[:-1].min()), int(expo[:-1].max())))
+
+    def pass_weights(self, rules: np.ndarray) -> PassWeights:
+        """Weights by rule id, followed by the weight of padding, with their
+        columns; marks ``rules`` read-only."""
+        columns = rules.take(self.binary_rule_table.T)
+        rules.flags.writeable = columns.flags.writeable = False
+        return PassWeights(rules, columns[:, None, :])
 
     # -- derived indexes (computed once, from the rule set alone) --
 
@@ -286,12 +334,23 @@ class Grammar:
     def rules_for_terminal(self, token: str) -> tuple[Rule, ...]:
         return self._lexical_index.get(token, ())
 
+    @cached_property
+    def terminal_leaves(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per terminal, the ``nt_index`` of each of its lexical rules'
+        left-hand sides and the rules' ids, in rule-id order."""
+        nt_index = self.nt_index
+        return {
+            t: (tuple(nt_index[r.lhs] for r in rules), tuple(r.id for r in rules))
+            for t, rules in self._lexical_index.items()
+        }
+
     def with_probs(self, probs) -> "Grammar":
         """A grammar over the same rule set with new probabilities: a shallow
         copy sharing every cached index and the ``layout_slot``, with
-        ``probs`` checked and renormalized as the constructor does; the rule
-        set is not rechecked."""
-        g = copy.copy(self)
+        ``probs`` checked and renormalized as the constructor does and its
+        own weights for the passes; the rule set is not rechecked."""
+        g = object.__new__(type(self))
+        g.__dict__.update(self.__dict__)
         g._install_probs(probs)
         return g
 

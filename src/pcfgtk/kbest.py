@@ -4,8 +4,10 @@ n-best runs in two phases (Huang and Chiang 2005, "Better k-best
 Parsing", Alg. 3).  The first is a forward pass in log space over the
 chart's layout, the max-plus pass: each width's candidate scores,
 ``(lp[rule] + M_left) + M_right``, and each (span, lhs) entry's highest,
-its max-plus score M (``_Lists`` runs it; the sum-product passes of
-``chart`` compute in scaled probability space instead).  The second makes
+its max-plus score M (``_Lists`` runs it over the log probabilities and
+their columns that the grammar keeps per probability vector,
+``Grammar.maxplus_weights``; the sum-product passes of ``chart`` compute
+in scaled probability space instead).  The second makes
 each entry's ranked hypotheses lazily, top-down from the root.
 A lexical entry holds its one hypothesis; a span's hypotheses join a left
 hypothesis with a right one under a candidate (rule, left child entry,
@@ -209,10 +211,7 @@ class _Lists:
         lp = g.log_probs
         # the max-plus pass: a candidate scores (lp[rule] + M_left) +
         # M_right, -inf where a child is absent or the column is padding
-        w = np.empty(len(lp) + 1)
-        w[:-1] = lp
-        w[-1] = NEG_INF  # the weight of padding, rule id -1
-        columns = w.take(g.binary_rule_table.T)[:, None, :]
+        w, columns = g.maxplus_weights
         maxplus = self.maxplus = np.full(trav.size, NEG_INF)
         maxplus.put(trav.leaf_entry, w.take(trav.leaf_rule))
         self.widths: dict[int, tuple[np.ndarray, np.ndarray, Sequence[int]]] = {}

@@ -24,7 +24,7 @@ from pcfgtk import (
     replay_derivation,
     viterbi,
 )
-from pcfgtk.chart import _cky, _inside_pass, _plain_pass, _scaled_pass, _scales, expected_counts
+from pcfgtk.chart import _cky, _inside_pass, _plain_pass, _scaled_pass, _scaled_weights, expected_counts
 from pcfgtk.logmath import NEG_INF, exp_split, logsumexp
 from pcfgtk.oracle import catalan
 
@@ -110,7 +110,7 @@ def assert_passes_agree(g, tokens, brackets=None, weights=None, *, plain=True):
     trav = _cky(g, tokens, brackets)
     with mock.patch("pcfgtk.chart._scaled_pass", wraps=_scaled_pass) as scaled:
         got = _inside_pass(g, trav, weights)
-    want = _scaled_pass(g, trav, *_scales(g, weights))
+    want = _scaled_pass(trav, *_scaled_weights(g, weights))
     assert scaled.call_count == (0 if plain else 1), (tokens, plain)
     for got_chart, want_chart in zip(got, want, strict=True):
         assert got_chart.dtype == want_chart.dtype
@@ -465,7 +465,7 @@ def pairwise_rows(g, tokens, brackets=None) -> list[tuple[int, int]]:
     """(rows of its width, columns) of each row of the scaled pass whose
     pairwise sum, ``np.sum``, differs from its terms added left to right."""
     kept = []
-    _scaled_pass(g, _cky(g, tokens, brackets), *_scales(g, g.log_probs), kept=kept)
+    _scaled_pass(_cky(g, tokens, brackets), *g.scaled_weights, kept=kept)
     found = []
     for _, _, terms, _ in kept:
         for row in terms.T:
@@ -485,13 +485,17 @@ def assert_passes_match_scalar(g, tokens, brackets=None):
     }
     trav = _cky(g, tokens, brackets)
     shape = (len(tokens) + 1,) + trav.shape[1:]
-    for chart in (_plain_pass, _scaled_pass):
-        mant, expo = (a.reshape(shape) for a in chart(g, trav, *_scales(g, g.log_probs)))
+    passes = {
+        "plain": _plain_pass(trav, g.plain_weights, *g.prob_exponents),
+        "scaled": _scaled_pass(trav, *g.scaled_weights),
+    }
+    for name, charts in passes.items():
+        mant, expo = (a.reshape(shape) for a in charts)
         got = {
             (i, j, a): (mant[i, j, a].hex(), int(expo[i, j, a]))
             for i, j, a in zip(*(axis.tolist() for axis in mant.nonzero()))
         }
-        assert got == want, chart.__name__
+        assert got == want, name
 
 
 class TestFoldOrder:
@@ -593,7 +597,7 @@ class TestPlainPassRange:
             taken = set()
             for root, a, b, lo, hi in sweep:
                 weights = (near(root) - 2 * near(a), near(a), near(b))
-                mant, expo = _scaled_pass(g, trav, *_scales(g, weights))
+                mant, expo = _scaled_pass(trav, *_scaled_weights(g, weights))
                 exponents = np.concatenate([exp_split(weights)[1][:-1], expo[mant > 0]])
                 assert (exponents.min(), exponents.max()) == (lo, hi)
                 plain = lo >= -339 and hi <= 320 and hi - lo <= 339
@@ -614,9 +618,9 @@ class TestPlainPassRange:
         weights = [(339 - 0.01) * LN2] * len(g.rules)
         trav = _cky(g, ["a", "a"], None)
         with np.errstate(over="ignore"):
-            plain = np.ldexp(*_scales(g, weights))[:-1]
+            plain = np.ldexp(*exp_split(weights))[:-1]
             assert np.isinf(plain[0] * plain[0] * plain[0] * 144)
-        assert math.isfinite(_scaled_pass(g, trav, *_scales(g, weights))[0][trav.root])
+        assert math.isfinite(_scaled_pass(trav, *_scaled_weights(g, weights))[0][trav.root])
         assert_passes_agree(g, ["a", "a"], weights=weights, plain=False)
 
 

@@ -285,3 +285,40 @@ class TestTrain:
             assert code == 0
             outputs.append(out + out_g.read_text())
         assert outputs[0] == outputs[1]
+
+
+class TestHashSeeds:
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # pcfgtk keeps dicts keyed by symbol (the leaf lists by terminal,
+        # the rule blocks by nonterminal), whose string hashes change with
+        # PYTHONHASHSEED; no output byte may follow them
+        g100, block = str(G100), str(G100_BLOCK)
+        commands = [
+            ["viterbi", g100, "--bracketed-corpus", block],
+            ["nbest", g100, "--bracketed-corpus", block, "--n", "10"],
+            [
+                "train", g100, "--bracketed-corpus", block,
+                "--out-grammar", "out.g", "--report", "out.csv",
+                "--ref-mode", "bracketed_viterbi", "--comp-mode", "all",
+                "--h", "0.3", "--eta", "0.5", "--iters", "2",
+            ],
+        ]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for seed in ("1", "12345"):
+            workdir = tmp_path / seed
+            workdir.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-m", "pcfgtk", *argv],
+                    cwd=workdir, capture_output=True, env=env, timeout=120,
+                )
+                for argv in commands
+            ]
+            assert [proc.returncode for proc in runs] == [0, 0, 0], runs[-1].stderr
+            files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+            assert sorted(files) == ["out.csv", "out.g"]
+            outputs.append(([(proc.stdout, proc.stderr) for proc in runs], files))
+        assert outputs[0] == outputs[1]

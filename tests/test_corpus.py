@@ -45,6 +45,27 @@ class TestBracketing:
             want = [[b.compatible(i, j) for j in range(n + 1)] for i in range(n + 1)]
             assert b.compatible_spans(n).tolist() == want
 
+    def test_compatible_spans_of_tree_bracketings(self):
+        # bracketings as the corpus files write them: spans of a random
+        # binary tree, many one token wide and often the whole sentence
+        # (both cross nothing), read at the sentence's length and beyond
+        def tree_spans(rng, i, j, out):
+            if rng.random() < 0.6:
+                out.add((i, j))
+            if j - i > 1:
+                k = int(rng.integers(i + 1, j))
+                tree_spans(rng, i, k, out)
+                tree_spans(rng, k, j, out)
+            return out
+
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(1, 14))
+            b = Bracketing(frozenset(tree_spans(rng, 0, n, set())))
+            for m in (n, n + 2):
+                want = [[b.compatible(i, j) for j in range(m + 1)] for i in range(m + 1)]
+                assert b.compatible_spans(m).tolist() == want
+
     def test_compatible_spans_rejects_a_bracket_past_the_sentence(self):
         # such a bracket used to be clipped silently
         b = Bracketing(frozenset({(1, 4)}))

@@ -1,7 +1,9 @@
 """n-best lists versus Viterbi and the full enumeration."""
+import copy
 import gc
 import inspect
 import math
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -14,6 +16,7 @@ from conftest import random_grammar, sample_bracketing, sample_corpus, sample_ru
 from pcfgtk import (
     derivation_spans,
     enumerate_derivations,
+    inside,
     kbest,
     load_grammar,
     nbest,
@@ -23,6 +26,7 @@ from pcfgtk import (
     serialize_grammar,
     viterbi,
 )
+from pcfgtk.chart import expected_counts
 
 # perfbench's seed-0 G100 grammar (10 nonterminals, 100 rules) and its
 # bracketed block of four short sentences; the longer sentences below were
@@ -130,6 +134,34 @@ def g100_cases():
     block = read_bracketed_corpus(G100_BLOCK)
     cases = [(s.tokens, s.brackets) for s in block] + [(s.tokens, None) for s in block]
     return g, cases + [(TWELVE_TOKENS, None)]
+
+
+def decoded(g, tokens, brackets=None):
+    """What every parser makes of a sentence, bit for bit: the 10-best
+    list, the Viterbi derivation, the inside table and the expected counts
+    at eta 1 and 0.5."""
+    out = [nbest(g, tokens, 10, brackets), viterbi(g, tokens, brackets)]
+    out.append(inside(g, tokens, brackets).table.tobytes())
+    for eta in (1.0, 0.5):
+        mass, counts = expected_counts(g, tokens, [eta * lp for lp in g.log_probs], brackets)
+        out += [mass.hex(), counts.tobytes()]
+    return out
+
+
+def cached_arrays(g) -> list[np.ndarray]:
+    """Every array a grammar keeps: in its attributes and cached indexes,
+    and in its layout, through tuples, lists and dict values."""
+    found = []
+    stack = list(vars(g).values()) + [g.layout_slot.layout]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (tuple, list)):
+            stack += value
+        elif isinstance(value, dict):
+            stack += value.values()
+    return found
 
 
 def corpus_and_bracketed(g, rng):
@@ -398,9 +430,11 @@ class TestG100:
             assert nbest(g, tokens, 1, brackets).derivations == (best,)
 
     def test_probability_copies_decode_as_fresh_grammars(self):
-        # with_probs shares the grammar's cached tables, so they must not
-        # depend on the probabilities: a copy made after g has parsed must
-        # list what a grammar parsed from the copy's text lists
+        # with_probs shares the grammar's rule-set tables and sets its own
+        # weights for the passes, so no cached array outlives its
+        # probabilities: a copy made after g has parsed, and that copy
+        # pickled or deep-copied, must decode as a grammar parsed from the
+        # copy's text does, and g as before
         g, cases = g100_cases()
         for tokens, brackets in cases:
             nbest(g, tokens, 10, brackets)
@@ -411,11 +445,17 @@ class TestG100:
                 weights = rng.random(len(rules)) + 0.1
                 for rule, p in zip(rules, (weights / weights.sum()).tolist()):
                     q[rule.id] = p
-            copy = g.with_probs(q)
-            fresh = parse_grammar(serialize_grammar(copy))
-            for tokens, brackets in cases:
-                assert nbest(copy, tokens, 10, brackets) == nbest(fresh, tokens, 10, brackets)
-                assert viterbi(copy, tokens, brackets) == viterbi(fresh, tokens, brackets)
+            copied = g.with_probs(q)
+            fresh = parse_grammar(serialize_grammar(copied))
+            want = [decoded(fresh, tokens, brackets) for tokens, brackets in cases]
+            for other in (copied, pickle.loads(pickle.dumps(copied)), copy.deepcopy(copied)):
+                assert [decoded(other, tokens, brackets) for tokens, brackets in cases] == want
+        fresh = parse_grammar(serialize_grammar(g))
+        assert [decoded(g, *case) for case in cases] == [decoded(fresh, *case) for case in cases]
+        for other in (g, copied, fresh, pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            arrays = cached_arrays(other)
+            assert len(arrays) >= 11  # four pass weights and their columns, three binary tables
+            assert not any(array.flags.writeable for array in arrays)
 
     def test_max_plus_key_is_the_window_top(self, started_lists):
         g, cases = g100_cases()

@@ -5,6 +5,7 @@ import copy
 import pickle
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -216,3 +217,37 @@ class TestConcurrency:
             sys.setswitchinterval(interval)
         assert got == want
         assert laid_out(shared) == 16
+
+    def test_four_threads_fill_a_fresh_grammars_caches(self):
+        # a grammar that has parsed nothing, and a with_probs copy of one,
+        # taken by four threads at once: they fill the rule-set indexes,
+        # the leaf lists and the layout together, each thread going through
+        # the sentences from its own starting point
+        bracketed, descending = g100_cases()
+        cases = with_bracketings(bracketed) + [(tokens, None) for tokens in descending]
+        g = load_grammar(G100)
+        q = list(g.probs)
+        for rules in g.rules_by_lhs.values():
+            for rule, p in zip(rules, [g.probs[r.id] for r in reversed(rules)]):
+                q[rule.id] = p
+        for make in (lambda: load_grammar(G100), lambda: load_grammar(G100).with_probs(q)):
+            shared = make()
+            reference = parse_grammar(str(shared))
+            want = [results(reference, tokens, brackets) for tokens, brackets in cases]
+            barrier = threading.Barrier(4)
+
+            def work(first):
+                barrier.wait()
+                order = list(range(first, len(cases))) + list(range(first))
+                return order, [results(shared, *cases[k]) for k in order]
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(work, first) for first in (0, 3, 7, 11)]
+                    done = [future.result(timeout=120) for future in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            for order, got in done:
+                assert got == [want[k] for k in order]
