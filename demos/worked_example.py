@@ -49,8 +49,10 @@ print("=" * 72)
 acc = accumulate(g, CORPUS, SPEC, eta=1.0)
 print(f"  D_ref [S->SS] = {acc.d_rule_ref[0]:.6f}   D_ref [S->a] = {acc.d_rule_ref[1]:.6f}")
 print(f"  D_comp[S->SS] = {acc.d_rule_comp[0]:.6f}   D_comp[S->a] = {acc.d_rule_comp[1]:.6f}")
-s = g.nt_index["S"]
-print(f"  D_ref [S]     = {acc.d_nt_ref[s]:.6f}   D_comp[S]    = {acc.d_nt_comp[s]:.6f}")
+# a nonterminal's totals are the block sums of its rules' statistics
+s_rules = [r.id for r in g.rules_by_lhs["S"]]
+d_ref_s, d_comp_s = sum(acc.d_rule_ref[s_rules]), sum(acc.d_rule_comp[s_rules])
+print(f"  D_ref [S]     = {d_ref_s:.6f}   D_comp[S]    = {d_comp_s:.6f}")
 print("""
   The best derivations contribute integer counts (1+3 binary uses, 2+4
   lexical uses).  The competing sets contribute the same numbers here

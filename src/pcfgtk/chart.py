@@ -565,7 +565,7 @@ def viterbi(
 
     The best derivation is the first entry of the n-best list, made by the
     n-best engine at n = 1 (see ``kbest``): the highest canonical score (the
-    count-ordered ``score_counts`` of its rules), ties broken by the
+    count-ordered ``score_rules`` of its rules), ties broken by the
     smallest flattened (split, rule id) backpointer key, so the result is
     deterministic even when several derivations have exactly equal
     probability.  The returned log probability is canonical.  Returns None

@@ -1,15 +1,14 @@
-"""Derivations as leftmost rule sequences, with usage counts and replay.
+"""Derivations as leftmost rule sequences, with canonical scores and replay.
 
 A derivation is stored as the sequence of rule ids applied by a leftmost
 derivation from the start symbol; for context-free grammars this is in
 bijection with parse trees.  All log probabilities in the package are
-computed by one canonical formula, ``score_counts``: the dot product of
+computed by one canonical formula, ``score_rules``: the dot product of
 rule-usage counts with rule log probabilities, added one at a time in
-ascending rule-id order on every Python (``score_rules`` adds the same
-terms in the same order straight from a rule sequence).  Because that sum
-is independent of tree shape, derivations that use the same multiset of
-rules receive bit-identical scores, which makes the deterministic
-tie-breaking in the parsers reproducible.
+ascending rule-id order on every Python.  Because that sum is independent
+of tree shape, derivations that use the same multiset of rules receive
+bit-identical scores, which makes the deterministic tie-breaking in the
+parsers reproducible.
 
 One iterative walker, ``_walk``, validates a rule sequence and reads off its
 tokens, constituent spans and tree in a single left-to-right pass;
@@ -40,28 +39,10 @@ class Derivation:
         return len(self.rules)
 
 
-def count_vector(g: Grammar, rules) -> tuple[int, ...]:
-    counts = [0] * len(g.rules)
-    for rid in rules:
-        if not 0 <= rid < len(g.rules):
-            raise ValueError(f"rule id {rid} out of range for grammar with {len(g.rules)} rules")
-        counts[rid] += 1
-    return tuple(counts)
-
-
-def score_counts(g: Grammar, counts) -> float:
-    """Canonical log probability of a (partial) derivation from its counts."""
-    total = 0
-    for c, lp in zip(counts, g.log_probs):
-        if c:
-            total += c * lp
-    return total
-
-
 def score_rules(g: Grammar, rules) -> float:
-    """``score_counts(g, count_vector(g, rules))`` without the count vector:
-    the same products N(rule) * log p(rule), added in the same ascending
-    rule-id order, in time that does not grow with the grammar."""
+    """Canonical log probability of a (partial) derivation: the products
+    N(rule) * log p(rule), added in ascending rule-id order, in time that
+    does not grow with the grammar."""
     ids = sorted(rules)
     if ids and not (0 <= ids[0] and ids[-1] < len(g.rules)):
         rid = ids[0] if ids[0] < 0 else ids[-1]

@@ -5,10 +5,10 @@ and a competing derivation set (Viterbi / n-best / bracket-constrained
 variants, or the complete set), accumulates posterior-weighted rule-usage
 statistics D over both sets, and applies the growth transformation
 
-    p'(A -> alpha) = (D_ref[rule] - h * D_comp[rule] + p * C) /
-                     (D_ref[A]    - h * D_comp[A]    + C)
+    p'(A -> alpha) = N(A -> alpha) / sum over A's rules r of N(r),
+    N(r) = D_ref[r] - h * D_comp[r] + p(r) * C,
 
-where the offset constant C is chosen so every numerator stays positive.
+where the offset constant C is chosen so every numerator N stays positive.
 The discrimination weight h in [0, 1) scales how strongly competing
 derivations push against the reference mass; h = 0 with a single best
 reference derivation reduces to Viterbi-score relative-frequency
@@ -128,22 +128,17 @@ class HParams:
 
 @dataclass
 class Accumulators:
-    """Sufficient statistics for one growth step.
-
-    Float64 arrays: ``d_rule_*`` indexed by rule id, ``d_nt_*`` by
-    ``Grammar.nt_index``.
-    """
+    """Sufficient statistics for one growth step: float64 arrays indexed by
+    rule id.  A nonterminal's totals are its rules' block sums, which the
+    growth step forms from its numerators."""
 
     d_rule_ref: np.ndarray
     d_rule_comp: np.ndarray
-    d_nt_ref: np.ndarray
-    d_nt_comp: np.ndarray
     skipped: int = 0
 
     @classmethod
     def zeros(cls, g: Grammar) -> "Accumulators":
-        n_rules, n_nts = len(g.rules), len(g.nonterminals)
-        return cls(np.zeros(n_rules), np.zeros(n_rules), np.zeros(n_nts), np.zeros(n_nts))
+        return cls(np.zeros(len(g.rules)), np.zeros(len(g.rules)))
 
 
 @dataclass(frozen=True)
@@ -297,20 +292,19 @@ def accumulate_realized(
     acc.skipped = len(realized) - len(kept)
     total = 0.0
     for rd in kept:
-        total += _add_set(g, acc.d_rule_ref, acc.d_nt_ref, rd.ref, eta)
-        total -= h * _add_set(g, acc.d_rule_comp, acc.d_nt_comp, rd.comp, eta, rd.complete)
+        total += _add_set(g, acc.d_rule_ref, rd.ref, eta)
+        total -= h * _add_set(g, acc.d_rule_comp, rd.comp, eta, rd.complete)
     return acc, total
 
 
-def _add_set(g: Grammar, rule_acc, nt_acc, derivs, eta: float, complete=None) -> float:
+def _add_set(g: Grammar, rule_acc, derivs, eta: float, complete=None) -> float:
     # Derivation by derivation, so every entry sees the same sequence of
     # IEEE adds as a scalar loop would; adding w * 0 to an unused entry
     # leaves it unchanged.  A complete set comes first, as one term: its
     # log mass and expected counts under the weights p ** eta.  Returns the
     # set's log mass, the log of its summed p ** eta.
-    n_rules, n_nts = len(g.rules), len(g.nonterminals)
     logs = [eta * d.log_prob for d in derivs]
-    terms = [np.bincount(d.rules, minlength=n_rules) for d in derivs]
+    terms = [np.bincount(d.rules, minlength=len(g.rules)) for d in derivs]
     if complete is not None:
         weights = [eta * lp for lp in g.log_probs]
         mass, counts = expected_counts(g, complete.tokens, weights, complete.brackets)
@@ -318,7 +312,6 @@ def _add_set(g: Grammar, rule_acc, nt_acc, derivs, eta: float, complete=None) ->
         terms.insert(0, counts)
     for counts, w in zip(terms, normalized_weights(logs)):
         rule_acc += w * counts
-        nt_acc += w * np.bincount(g.rule_lhs_index, counts, n_nts)
     return logsumexp(logs)
 
 
@@ -329,46 +322,39 @@ def compute_ctilde(acc: Accumulators, g: Grammar, h: float, epsilon: float) -> f
     -(D_ref[rule] - h * D_comp[rule]) / p(rule) across rules, clamped at 0.
     The numerator of the rule that sets it keeps only the margin
     p(rule) * epsilon, which rounds away when that probability is tiny (a
-    rule at the ``min_prob`` floor, say).  Only then, when some numerator or
-    denominator of the growth step would not be positive, the epsilon term
-    is doubled until all of them are.
+    rule at the ``min_prob`` floor, say).  Only then, when some numerator of
+    the growth step would not be positive, the epsilon term is doubled until
+    every numerator is positive.
     """
     num = acc.d_rule_ref - h * acc.d_rule_comp
     base = float(np.max(-num / np.array(g.probs), initial=0.0))
     ctilde = base + epsilon
-    while math.isfinite(ctilde) and not _step_terms(g, acc, h, ctilde)[2]:
+    while math.isfinite(ctilde) and (_numerators(g, acc, h, ctilde) <= 0.0).any():
         epsilon *= 2.0
         ctilde = base + epsilon
     return ctilde
 
 
-def _step_terms(g: Grammar, acc: Accumulators, h: float, ctilde: float):
-    """The growth step's numerators and denominators, both indexed by rule
-    id, and whether none of them is zero or negative."""
-    num = acc.d_rule_ref - h * acc.d_rule_comp + np.array(g.probs) * ctilde
-    den = (acc.d_nt_ref - h * acc.d_nt_comp + ctilde)[g.rule_lhs_index]
-    return num, den, not ((den <= 0.0).any() or (num <= 0.0).any())
+def _numerators(g: Grammar, acc: Accumulators, h: float, ctilde: float) -> np.ndarray:
+    """The growth step's numerators, indexed by rule id."""
+    return acc.d_rule_ref - h * acc.d_rule_comp + np.array(g.probs) * ctilde
 
 
 def _raw_transform(g: Grammar, acc: Accumulators, h: float, ctilde: float) -> list[float]:
-    num, den, positive = _step_terms(g, acc, h, ctilde)
-    if not positive:
-        # report the first offender: nonterminals in order, each block's
-        # denominator before its numerators
+    # each numerator over its block's sum, added in rule-id order; a sum of
+    # positive numerators is positive, so only the numerators are checked
+    num = _numerators(g, acc, h, ctilde)
+    if (num <= 0.0).any():
+        # report the first offender: nonterminals in order, rules by id
         for nt in g.nonterminals:
-            rules = g.rules_by_lhs[nt]
-            if rules and den[rules[0].id] <= 0.0:
-                raise EstimationError(
-                    f"denominator for {nt} is {float(den[rules[0].id])!r}; "
-                    "the offset constant is too small"
-                )
-            for rule in rules:
+            for rule in g.rules_by_lhs[nt]:
                 if num[rule.id] <= 0.0:
                     raise EstimationError(
                         f"numerator for {rule} is {float(num[rule.id])!r}; "
                         "the offset constant is too small"
                     )
-    return (num / den).tolist()
+    lhs = g.rule_lhs_index
+    return (num / np.bincount(lhs, num, len(g.nonterminals))[lhs]).tolist()
 
 
 def _finalize(g: Grammar, raw: list[float], min_prob: float) -> Grammar:

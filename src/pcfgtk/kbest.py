@@ -16,8 +16,8 @@ rule's log probability plus the two children's scores, with its rule id, its
 split and its two children, so building one costs two float additions and no
 count vector.
 
-Ordering is by descending canonical log probability (``score_counts`` of
-the subtree's rule counts) with the backpointer key as secondary
+Ordering is by descending canonical log probability (``score_rules`` of
+the subtree's rules) with the backpointer key as secondary
 criterion: the flattened (split, rule id) tuples of the hypothesis tree,
 compared lexicographically.  An entry's list is a run of windows: its
 hypotheses in incremental-score order, cut wherever two neighbours lie
@@ -73,7 +73,7 @@ from .logmath import NEG_INF
 # the same way by their canonical scores.  A derivation's m rule log
 # probabilities l_t are all <= 0, so their exact sum S has |S| = sum |l_t|.
 # The incremental score sums the l_t along the tree with m - 1 roundings and
-# the canonical ``score_counts`` sums at most m rounded products c * l, so by
+# the canonical ``score_rules`` sums at most m rounded products c * l, so by
 # the standard summation bound (Higham 2002, sec. 4.2) each lies within
 # gamma_m |S| of S, with gamma_m = m u / (1 - m u) and u = 2**-53.  The two
 # scores of one derivation thus differ by at most 2 gamma_m |S|, which is

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .corpus import Bracketing, Sentence
-from .derivations import Derivation, count_vector, score_counts
+from .derivations import Derivation
 from .estimator import Accumulators, EstimationError, _finalize
 from .grammar import Grammar
 from .logmath import logsumexp, normalized_weights
@@ -35,6 +35,26 @@ class Enumeration:
 
     def __len__(self) -> int:
         return len(self.derivations)
+
+
+def count_vector(g: Grammar, rules) -> tuple[int, ...]:
+    """How often each rule is used, indexed by rule id."""
+    counts = [0] * len(g.rules)
+    for rid in rules:
+        if not 0 <= rid < len(g.rules):
+            raise ValueError(f"rule id {rid} out of range for grammar with {len(g.rules)} rules")
+        counts[rid] += 1
+    return tuple(counts)
+
+
+def score_counts(g: Grammar, counts) -> float:
+    """Log probability of a (partial) derivation from its counts: the
+    products N(rule) * log p(rule), added in ascending rule-id order."""
+    total = 0
+    for c, lp in zip(counts, g.log_probs):
+        if c:
+            total += c * lp
+    return total
 
 
 @dataclass(frozen=True)
@@ -139,41 +159,35 @@ def oracle_accumulate(g: Grammar, corpus, spec, eta: float = 1.0):
             present = {r.rules for r in comp}
             comp = comp + [r for r in ref if r.rules not in present]
         effective += 1
-        _add_weighted(g, acc.d_rule_ref, acc.d_nt_ref, ref, eta)
-        _add_weighted(g, acc.d_rule_comp, acc.d_nt_comp, comp, eta)
+        _add_weighted(g, acc.d_rule_ref, ref, eta)
+        _add_weighted(g, acc.d_rule_comp, comp, eta)
     if effective == 0:
         raise EstimationError("all sentences were skipped" if acc.skipped else "corpus is empty")
     return acc
 
 
-def _add_weighted(g: Grammar, rule_acc, nt_acc, records: list[_Record], eta: float):
+def _add_weighted(g: Grammar, rule_acc, records: list[_Record], eta: float):
     weights = normalized_weights([eta * r.score for r in records])
     for rec, w in zip(records, weights):
         for rid, c in enumerate(count_vector(g, rec.rules)):
             if c:
                 rule_acc[rid] += w * c
-                nt_acc[g.nt_index[g.rules[rid].lhs]] += w * c
 
 
 def growth_step_single_ref(g: Grammar, acc, h: float, ctilde: float, min_prob: float = 1e-12):
     """The growth step as a scalar loop over nonterminals and their rules.
 
-    A second spelling of ``estimator.growth_step``'s transform (reference
-    counts minus h-weighted competing expectations, offset by ctilde); it
-    shares ``estimator._finalize`` (floor and renormalize), and the two must
-    agree bit for bit on shared accumulators, error messages included.
+    A second spelling of ``estimator.growth_step``'s transform: per
+    nonterminal, each rule's numerator (reference counts minus h-weighted
+    competing expectations, plus its probability times ctilde) over the sum
+    of its block's numerators.  It shares ``estimator._finalize`` (floor and
+    renormalize), and the two must agree bit for bit on shared
+    accumulators, error messages included.
     """
     raw = [0.0] * len(g.rules)
     for nt in g.nonterminals:
         rules = g.rules_by_lhs[nt]
-        if not rules:
-            continue
-        i = g.nt_index[nt]
-        denom = float(acc.d_nt_ref[i]) - h * float(acc.d_nt_comp[i]) + ctilde
-        if denom <= 0.0:
-            raise EstimationError(
-                f"denominator for {nt} is {denom!r}; the offset constant is too small"
-            )
+        nums = []
         for rule in rules:
             best_count = float(acc.d_rule_ref[rule.id])
             competing = float(acc.d_rule_comp[rule.id])
@@ -182,6 +196,11 @@ def growth_step_single_ref(g: Grammar, acc, h: float, ctilde: float, min_prob: f
                 raise EstimationError(
                     f"numerator for {rule} is {num!r}; the offset constant is too small"
                 )
+            nums.append(num)
+        denom = 0.0
+        for num in nums:  # left to right; sum() compensates from Python 3.12 on
+            denom += num
+        for rule, num in zip(rules, nums):
             raw[rule.id] = num / denom
     return _finalize(g, raw, min_prob)
 

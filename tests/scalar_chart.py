@@ -26,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from pcfgtk import Bracketing, Derivation, KBestList, UnknownTokenError
-from pcfgtk.derivations import count_vector, score_counts
 from pcfgtk.logmath import NEG_INF, logsumexp
+from pcfgtk.oracle import count_vector, score_counts
 
 # the rounding bound documented next to ``pcfgtk.kbest._SLACK``
 _SLACK = 4 * 2.0**-53

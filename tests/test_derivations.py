@@ -17,8 +17,9 @@ from pcfgtk import (
     parse_grammar,
     replay_derivation,
 )
-from pcfgtk.derivations import count_vector, score_counts, score_rules
+from pcfgtk.derivations import score_rules
 from pcfgtk.logmath import logsumexp, normalized_weights
+from pcfgtk.oracle import count_vector, score_counts
 
 TOY_AA = (0, 1, 1)  # S -> S S, then two S -> a
 TOY_AAAA_LEFT = (0, 0, 0, 1, 1, 1, 1)  # fully left-branching tree over four tokens

@@ -34,9 +34,8 @@ from pcfgtk import (
     viterbi,
 )
 from pcfgtk import estimator
-from pcfgtk.derivations import count_vector
 from pcfgtk.estimator import COMP_MODES, REF_MODES, accumulate_realized
-from pcfgtk.oracle import catalan, growth_step_single_ref
+from pcfgtk.oracle import catalan, count_vector, growth_step_single_ref
 
 TOY_CORPUS = [["a", "a"], ["a", "a", "a", "a"]]
 VIT_ALL = DeltaSpec(ref_mode="viterbi", comp_mode="all")
@@ -140,10 +139,8 @@ class TestAccumulate:
         acc = accumulate(g, TOY_CORPUS, VIT_ALL, eta=1.0)
         assert acc.d_rule_ref[0] == pytest.approx(4.0, abs=1e-12)
         assert acc.d_rule_ref[1] == pytest.approx(6.0, abs=1e-12)
-        assert acc.d_nt_ref[g.nt_index["S"]] == pytest.approx(10.0, abs=1e-12)
         assert acc.d_rule_comp[0] == pytest.approx(4.0, abs=1e-12)
         assert acc.d_rule_comp[1] == pytest.approx(6.0, abs=1e-12)
-        assert acc.d_nt_comp[g.nt_index["S"]] == pytest.approx(10.0, abs=1e-12)
         assert acc.skipped == 0
 
     def test_single_rule_grammar(self):
@@ -194,25 +191,6 @@ class TestAccumulate:
         with pytest.raises(EstimationError, match="empty"):
             accumulate(toy(0.5), [], VIT_ALL)
 
-    def test_nonterminal_totals_match_rule_sums(self):
-        for seed in range(25):
-            rng = np.random.default_rng(11_000 + seed)
-            g = random_grammar(rng, ensure_binary=True)
-            corpus = sample_corpus(g, rng, 3, max_len=5)
-            if not corpus:
-                continue
-            acc = accumulate(g, corpus, VIT_ALL)
-            for which in (
-                (acc.d_rule_ref, acc.d_nt_ref),
-                (acc.d_rule_comp, acc.d_nt_comp),
-            ):
-                rules_map, nt_map = which
-                for nt in g.nonterminals:
-                    total = sum(rules_map[r.id] for r in g.rules_by_lhs[nt])
-                    assert nt_map[g.nt_index[nt]] == pytest.approx(total, rel=1e-9, abs=1e-12)
-                for value in (*rules_map, *nt_map):
-                    assert math.isfinite(value) and value >= 0.0
-
     @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
     def test_matches_oracle_on_random_instances(self, eta):
         specs = [
@@ -247,9 +225,6 @@ class TestAccumulate:
             for rid in range(len(g.rules)):
                 assert got.d_rule_ref[rid] == pytest.approx(want.d_rule_ref[rid], rel=1e-10, abs=1e-10)
                 assert got.d_rule_comp[rid] == pytest.approx(want.d_rule_comp[rid], rel=1e-10, abs=1e-10)
-            for i in range(len(g.nonterminals)):
-                assert got.d_nt_ref[i] == pytest.approx(want.d_nt_ref[i], rel=1e-10, abs=1e-10)
-                assert got.d_nt_comp[i] == pytest.approx(want.d_nt_comp[i], rel=1e-10, abs=1e-10)
             done += 1
         assert done >= 40
         assert appended >= 10
@@ -422,8 +397,7 @@ class TestSubsetEnforcement:
         want = oracle_accumulate(g, [sent, ["a", "b", "b"]], spec)
         assert got.skipped == want.skipped == 1
         assert got.d_rule_ref.tolist() == want.d_rule_ref.tolist() == [1.0, 1.0, 1.0, 2.0]
-        for name in ("d_rule_comp", "d_nt_ref", "d_nt_comp"):
-            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        assert got.d_rule_comp.tolist() == want.d_rule_comp.tolist()
 
     @pytest.mark.parametrize("enforce", [True, False])
     @pytest.mark.parametrize(
@@ -560,8 +534,6 @@ class TestComputeCtilde:
         acc = Accumulators.zeros(g)
         acc.d_rule_ref[:] = [0.0, 1.0]
         acc.d_rule_comp[:] = [0.7, 1.0]
-        acc.d_nt_ref[:] = [1.0]
-        acc.d_nt_comp[:] = [1.7]
         h, epsilon = 0.3, 1e-6
         plain = h * 0.7 / g.probs[0] + epsilon
         with pytest.raises(EstimationError, match="numerator for S -> S S is 0.0"):
@@ -578,8 +550,6 @@ class TestComputeCtilde:
             acc = Accumulators.zeros(g)
             for stat in (acc.d_rule_ref, acc.d_rule_comp):
                 stat[:] = rng.uniform(0.0, 3.0, size=len(stat))
-            acc.d_nt_ref[:] = np.bincount(g.rule_lhs_index, acc.d_rule_ref, len(g.nonterminals))
-            acc.d_nt_comp[:] = np.bincount(g.rule_lhs_index, acc.d_rule_comp, len(g.nonterminals))
             h, epsilon = float(rng.uniform(0.0, 1.0)), float(10.0 ** rng.uniform(-8, 0))
             num = acc.d_rule_ref - h * acc.d_rule_comp
             plain = max(0.0, max(-num[r] / g.probs[r] for r in range(len(g.rules)))) + epsilon
@@ -634,10 +604,25 @@ class TestGrowthStep:
         acc = accumulate(g, [["a"]], VIT_ALL)
         acc.d_rule_ref[0] = 0.0
         acc.d_rule_comp[0] = 2.0
-        acc.d_nt_ref[g.nt_index["S"]] = 1.0
-        acc.d_nt_comp[g.nt_index["S"]] = 3.0
         with pytest.raises(EstimationError, match="too small"):
             growth_step(g, acc, 0.9, 0.05)
+
+    def test_denominator_is_the_block_sum_of_the_numerators(self):
+        # statistics set by hand, rules only: each raw probability is its
+        # numerator over the sum of its nonterminal's numerators
+        g = parse_grammar(
+            "S -> S B 0.5\nS -> a 0.5\nB -> B B 0.2\nB -> S S 0.3\nB -> b 0.5\n"
+        )
+        acc = Accumulators.zeros(g)
+        acc.d_rule_ref[:] = [3.0, 1.0, 2.0, 0.5, 4.0]
+        acc.d_rule_comp[:] = [1.0, 2.0, 1.5, 0.5, 1.0]
+        h, ct = 0.4, 2.0
+        num = acc.d_rule_ref - h * acc.d_rule_comp + np.array(g.probs) * ct
+        assert (num > 0.0).all()
+        want = [num[r] / sum(num[s.id] for s in g.rules_by_lhs[g.rules[r].lhs]) for r in range(5)]
+        assert min(want) > 0.1  # no floor applies
+        assert estimator._raw_transform(g, acc, h, ct) == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert growth_step(g, acc, h, ct).probs == pytest.approx(want, rel=0.0, abs=1e-12)
 
     def test_probability_floor_applies(self):
         g = toy(0.5)
@@ -681,13 +666,13 @@ class TestGrowthStep:
 
     def test_single_ref_form_raises_the_same_error(self):
         # arbitrary statistics and offsets, so many steps have a nonpositive
-        # denominator or numerator; both spellings must name the same one
+        # numerator; both spellings must name the same one
         raised = 0
         for seed in range(60):
             rng = np.random.default_rng(14_500 + seed)
             g = random_grammar(rng)
             acc = Accumulators.zeros(g)
-            for stat in (acc.d_rule_ref, acc.d_rule_comp, acc.d_nt_ref, acc.d_nt_comp):
+            for stat in (acc.d_rule_ref, acc.d_rule_comp):
                 stat[:] = rng.uniform(-0.5, 3.0, size=len(stat))
             h, ct = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 2.0))
             outcomes = []

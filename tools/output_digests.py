@@ -37,9 +37,11 @@ same to the byte.  Given a second checkout ``OTHER``, the script runs each
 command under both, prints both digests where they differ, and exits with
 status 1 if any command differs, so a change meant to keep every output is
 checked by one run naming its parent and the change.  Below a command that
-differs it prints the largest relative difference between the numbers of
-the two outputs (stdout, the report CSV and the output grammar, read in
-order), so a change that moves low bits shows how far in the same run; or
+differs it prints the largest absolute and the largest relative difference
+between the numbers of the two outputs (stdout, the report CSV and the
+output grammar, read in order), so a change that moves low bits shows how
+far in the same run (a number near zero, such as a step size at rounding
+level, can move far relative to itself and little in absolute terms); or
 that the outputs differ in more than their numbers.  Inputs and outputs
 live in a temporary directory that is the commands' working directory, and
 a warning's source location (its file path and line number, which name the
@@ -183,22 +185,24 @@ def run(argv: list[str], work: Path, env: dict) -> tuple[str, list[str]]:
     return h.hexdigest(), texts
 
 
-def largest_relative_difference(a: list[str], b: list[str]) -> float | None:
-    """The largest ``|x - y| / max(|x|, |y|)`` over the numbers of two
-    commands' outputs, paired in order (0 where both are equal); None when
-    the outputs differ in more than their numbers."""
+def largest_differences(a: list[str], b: list[str]) -> tuple[float, float] | None:
+    """The largest ``|x - y|`` and the largest ``|x - y| / max(|x|, |y|)``
+    over the numbers of two commands' outputs, paired in order (0 where
+    both are equal); None when the outputs differ in more than their
+    numbers."""
     if [_NUMBER.sub("#", t) for t in a] != [_NUMBER.sub("#", t) for t in b]:
         return None
-    largest = 0.0
+    absolute = relative = 0.0
     for ta, tb in zip(a, b):
         for x, y in zip(map(_float, _NUMBER.findall(ta)), map(_float, _NUMBER.findall(tb))):
             if x == y or math.isnan(x) and math.isnan(y):
                 continue
             scale = max(abs(x), abs(y))
             if math.isnan(x) or math.isnan(y) or math.isinf(scale):
-                return math.inf
-            largest = max(largest, abs(x - y) / scale)
-    return largest
+                return math.inf, math.inf
+            absolute = max(absolute, abs(x - y))
+            relative = max(relative, abs(x - y) / scale)
+    return absolute, relative
 
 
 def _float(number: str) -> float:
@@ -221,11 +225,11 @@ def main(argv: list[str]) -> int:
             print(f"{'  '.join(digests)}  {' '.join(command)}", flush=True)
             if len(digests) > 1:
                 differ += 1
-                moved = largest_relative_difference(runs[0][1], runs[1][1])
+                moved = largest_differences(runs[0][1], runs[1][1])
                 print(
                     "    outputs differ in more than their numbers"
                     if moved is None
-                    else f"    largest relative difference {moved:.3g}",
+                    else "    largest absolute difference {:.3g}, relative {:.3g}".format(*moved),
                     flush=True,
                 )
     if differ:
