@@ -37,21 +37,23 @@ the weights.  Both give the same bits wherever the first applies (see
 ``_E_MIN``), and neither takes an exponential: only a rule weight's split
 (``logmath.exp_split``) does, one ``math.exp`` per rule where the weights
 are not the grammar's own probabilities, which ``frexp`` splits exactly.
-``inside`` runs the pass over the grammar's probabilities and keeps its
-scaled chart; it takes the log of a cell only when read
-(``logmath.log_scaled``), so its full-span start entry gives the log string
-probability (the sum over all derivations) for one ``math.log``.
-``expected_counts`` runs the scaled pass over arbitrary log rule weights
-and walks the rows back top-down (the outside pass) for expected rule
-counts, each entry's share being a candidate's term over its row's total.
-``kbest.nbest`` runs its
-own forward pass in log space, the max-plus pass, and keeps each width's
-candidate scores and children; it reads a column back as a candidate (its
-rule id from ``binary_rule_table``, its children from ``_Width.children``)
-only for the entries a parent asks for, making their hypotheses top-down
-from the root and ranking them canonically only within rounding distance of
-each other.  ``viterbi`` is the first entry of that list, made by the same
-engine at n = 1, so this module holds no tie-breaking or rounding logic.
+Every pass reads its rule weights, in each form it computes in, from one
+``grammar.PassWeights`` value.  ``inside`` runs the pass over the grammar's
+probabilities and keeps its scaled chart; it takes the log of a cell only
+when read (``logmath.log_scaled``), so its full-span start entry gives the
+log string probability (the sum over all derivations) for one
+``math.log``.  ``log_total`` runs it over any weights and reads that entry
+alone.  ``expected_counts`` runs the scaled pass over any weights and walks
+the rows back top-down (the outside pass) for expected rule counts, each
+entry's share being a candidate's term over its row's total.
+``kbest.nbest`` runs its own forward pass in log space, the max-plus pass,
+over the same value's log weights, and keeps each width's candidate scores
+and children; it reads a column back as a candidate (its rule id from
+``binary_rule_table``, its children from ``_Width.children``) only for the
+entries a parent asks for, making their hypotheses top-down from the root
+and ranking them canonically only within rounding distance of each other.
+``viterbi`` is the first entry of that list, made by the same engine at
+n = 1, so this module holds no tie-breaking or rounding logic.
 
 Every result is bit-identical to the span-by-span scalar chart of the
 tests, which performs the same operations one candidate at a time, whatever
@@ -69,14 +71,14 @@ terms one at a time in index order); ``np.exp``, ``np.log`` and pairwise
 reductions such as ``np.sum``, or ``np.add.reduce`` along a single row,
 round differently and are never used.
 
-A call builds nothing that depends on the grammar alone.  The layout and
-the lexical rules of each terminal (``Grammar.terminal_leaves``) are kept
-per rule set; the weights of a pass over the grammar's own probabilities,
-by rule id and gathered into the columns of ``binary_rule_table``
-(``Grammar.plain_weights`` and ``scaled_weights``, see
-``grammar.PassWeights``), are kept per probability vector.  Other weights,
-such as ``eta * g.log_probs`` for eta other than 1, are split and gathered
-per call.  Nothing is kept per sentence.
+A call builds nothing that depends on the grammar or its weights alone.
+The layout and the lexical rules of each terminal
+(``Grammar.terminal_leaves``) are kept per rule set.  The weights, by rule
+id and gathered into the columns of ``binary_rule_table``, come as a
+``PassWeights`` value: the grammar's own (``Grammar.weights``), kept per
+probability vector, or one that the caller made by ``Grammar.weights_of``
+(for ``eta * g.log_probs`` with eta other than 1, say) once for every
+sentence it weighs.  Nothing is kept per sentence.
 
 All functions are pure; one grammar may be shared by concurrent calls over
 different sentences.  A kept layout is read-only and never changed; a call
@@ -96,7 +98,7 @@ import numpy as np
 from .corpus import Bracketing
 from .derivations import Derivation
 from .grammar import Grammar, PassWeights
-from .logmath import NEG_INF, ZERO_EXPONENT, exp_split, log_scaled, log_split
+from .logmath import NEG_INF, ZERO_EXPONENT, log_scaled, log_split
 
 
 class UnknownTokenError(ValueError):
@@ -323,58 +325,30 @@ def _in_range(lo: int, hi: int) -> bool:
     return _E_MIN <= lo and hi <= min(_E_MAX, lo + _E_SPREAD)
 
 
-def _scaled_weights(g: Grammar, weights) -> tuple[PassWeights, PassWeights]:
-    """The mantissas and exponents of ``exp(w)`` for log rule weights w:
-    where they equal the grammar's log probabilities, the exact split of
-    its probabilities that it keeps, else ``logmath.exp_split``, one
-    ``math.exp`` a rule."""
-    if tuple(weights) == g.log_probs:
-        return g.scaled_weights
-    mant, expo = exp_split(weights)
-    return g.pass_weights(mant), g.pass_weights(expo)
-
-
-def _root_log(mant: np.ndarray, expo: np.ndarray, root: int) -> float:
-    """The log of an ``_inside_pass`` chart's root entry; -inf if absent."""
-    return log_scaled(mant.item(root), expo.item(root))
-
-
-def _inside_pass(g: Grammar, trav: _Traversal, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Flat charts of each entry's inside mass under the log rule
-    ``weights``, as mantissas in [0.5, 1) (0 where absent) and exponents
+def _inside_pass(trav: _Traversal, w: PassWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Flat charts of each entry's inside mass under the weights ``w``, as
+    mantissas in [0.5, 1) (0 where absent) and exponents
     (``logmath.ZERO_EXPONENT`` where absent; see ``logmath.exp_split``).
 
     The plain pass computes them when every weight and entry lies within
     its range, and the scaled pass otherwise; within the range both give
     the same bits (see ``_E_MIN``).
     """
-    scaled = _scaled_weights(g, weights)
-    if scaled is g.scaled_weights:
-        plain, (lo, hi) = g.plain_weights, g.prob_exponents
-    else:
-        (mant, _), (expo, _) = scaled
-        lo, hi = int(expo[:-1].min()), int(expo[:-1].max())  # the last splits 0
-        plain = None
-    chart = None
-    if _in_range(lo, hi):
-        if plain is None:
-            plain = g.pass_weights(np.ldexp(mant, expo))  # exact: each weight is normal
-        chart = _plain_pass(trav, plain, lo, hi)
-    return _scaled_pass(trav, *scaled) if chart is None else chart
+    chart = _plain_pass(trav, w) if _in_range(w.lo, w.hi) else None
+    return _scaled_pass(trav, w) if chart is None else chart
 
 
-def _plain_pass(
-    trav: _Traversal, weights: PassWeights, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _plain_pass(trav: _Traversal, w: PassWeights) -> tuple[np.ndarray, np.ndarray] | None:
     """``_scaled_pass``'s charts by plain float64 arithmetic, from rule
-    weights whose exponents lie from lo to hi, within the range where the
-    two agree; None when an entry leaves that range.
+    weights ``w.plain`` whose exponents lie from ``w.lo`` to ``w.hi``,
+    within the range where the two agree; None when an entry leaves that
+    range.
 
     A candidate's mass is ``(p_rule * p_left) * p_right``, 0 where a child
     is absent or the column is padding, and an entry's the sum of its row,
     left to right by ``_row_sums``; ``frexp`` splits the chart.
     """
-    p_rule, p_cols = weights
+    p_rule, p_cols = w.plain
     chart = np.zeros(trav.size)
     chart.put(trav.leaf_entry, p_rule.take(trav.leaf_rule))
     # beyond the range a product may overflow; the check below rejects it
@@ -385,15 +359,15 @@ def _plain_pass(
             chart.put(width.entry, _row_sums(prods))
     mant, expo = np.frexp(chart)
     present = mant != 0.0
-    lo = int(expo.min(where=present, initial=lo))
-    hi = int(expo.max(where=present, initial=hi))
+    lo = int(expo.min(where=present, initial=w.lo))
+    hi = int(expo.max(where=present, initial=w.hi))
     if not _in_range(lo, hi):
         return None
     return mant, np.where(present, expo, np.int64(ZERO_EXPONENT))
 
 
 def _scaled_pass(
-    trav: _Traversal, mants: PassWeights, expos: PassWeights, kept: list | None = None
+    trav: _Traversal, w: PassWeights, kept: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_inside_pass``'s charts in scaled probability space, from the
     weights' mantissas and exponents, filled narrowest width first.
@@ -409,8 +383,8 @@ def _scaled_pass(
     present (its product above 0), their terms, column-major as the
     candidates, and the row totals are appended to ``kept`` if given.
     """
-    m_rule, m_cols = mants
-    e_rule, e_cols = expos
+    m_rule, m_cols = w.mant
+    e_rule, e_cols = w.expo
     mant = np.zeros(trav.size)
     expo = np.full(trav.size, ZERO_EXPONENT)
     mant.put(trav.leaf_entry, m_rule.take(trav.leaf_rule))
@@ -485,37 +459,46 @@ def inside(g: Grammar, sentence, brackets: Bracketing | None = None) -> InsideCh
     trav = _cky(g, sentence, brackets)
     n1, _, n_nt = trav.shape
     rows = len(trav.tokens) + 1
-    mant, expo = _inside_pass(g, trav, g.log_probs)
+    mant, expo = _inside_pass(trav, g.weights)
     shape = (rows, n1, n_nt)
     return InsideChart(
         g, tuple(trav.tokens), mant.reshape(shape)[:, :rows], expo.reshape(shape)[:, :rows]
     )
 
 
+def log_total(g: Grammar, sentence, w: PassWeights, brackets: Bracketing | None = None) -> float:
+    """Log total mass of the complete derivation set under the weights ``w``
+    (see ``expected_counts``), by the inside pass alone; -inf when the
+    sentence has no (compatible) derivation."""
+    trav = _cky(g, sentence, brackets)
+    mant, expo = _inside_pass(trav, w)
+    return log_scaled(mant.item(trav.root), expo.item(trav.root))
+
+
 def expected_counts(
-    g: Grammar, sentence, weights, brackets: Bracketing | None = None
+    g: Grammar, sentence, w: PassWeights, brackets: Bracketing | None = None
 ) -> tuple[float, np.ndarray]:
     """Log total mass and expected rule counts over the complete derivation set.
 
-    A derivation weighs the exp of its rules' ``weights`` (finite log
-    weights indexed by rule id; ``g.log_probs`` gives probabilities, ``eta *
-    g.log_probs`` gives ``p ** eta``).  With brackets, only derivations that
-    nest with every bracket count.  Returns log Z, the log of the summed
-    weights, and the float64 array of sum_d (w(d) / Z) N(rule, d) indexed by
-    rule id; ``(-inf, zeros)`` when the sentence has no (compatible)
-    derivation.
+    A derivation weighs the exp of its rules' log weights, as a
+    ``PassWeights`` value of ``g``: ``g.weights`` gives probabilities, and
+    ``g.weights_of(eta * lp for lp in g.log_probs)`` gives ``p ** eta``.
+    With brackets, only derivations that nest with every bracket count.
+    Returns log Z, the log of the summed weights, and the float64 array of
+    sum_d (w(d) / Z) N(rule, d) indexed by rule id; ``(-inf, zeros)`` when
+    the sentence has no (compatible) derivation.
 
-    The inside pass is the scaled pass, whichever pass ``inside`` takes,
-    run over the given weights; since the two agree, with ``g.log_probs``
-    its total is bit-identical to ``inside``'s.  It stays scaled because
-    the outside pass reads its terms: a share ``flow * term / total`` could
-    round differently where ``flow * term`` would be subnormal in plain
-    arithmetic.  The outside pass is its backward pass (Eisner 2016):
-    widest spans first, right to left, each entry hands its posterior
-    probability to its candidates in proportion to their terms, ``flow *
-    term / total`` with the terms and row totals the forward pass kept, and
-    each candidate passes its share to its rule's count and to both
-    children.  Within a span, entries go in the order of their first
+    The inside pass is the scaled pass, whichever pass ``log_total`` takes
+    over the same weights; since the two agree, its total is bit-identical
+    to ``log_total``'s (with ``g.weights``, to ``inside``'s).  It stays
+    scaled because the outside pass reads its terms: a share ``flow * term
+    / total`` could round differently where ``flow * term`` would be
+    subnormal in plain arithmetic.  The outside pass is its backward pass
+    (Eisner 2016): widest spans first, right to left, each entry hands its
+    posterior probability to its candidates in proportion to their terms,
+    ``flow * term / total`` with the terms and row totals the forward pass
+    kept, and each candidate passes its share to its rule's count and to
+    both children.  Within a span, entries go in the order of their first
     candidates and ``np.add.at`` adds the shares one at a time, so every
     float sum is added up in the scalar chart's order.  The kept terms and
     candidates are column-major, so the walk reads a row's present
@@ -524,7 +507,7 @@ def expected_counts(
     """
     trav = _cky(g, sentence, brackets)
     by_width: list[tuple[_Width, np.ndarray, np.ndarray, np.ndarray]] = []
-    mant, expo = _scaled_pass(trav, *_scaled_weights(g, weights), kept=by_width)
+    mant, expo = _scaled_pass(trav, w, kept=by_width)
     if not mant[trav.root]:
         return NEG_INF, np.zeros(len(g.rules))
     table = g.binary_rule_table
@@ -555,7 +538,7 @@ def expected_counts(
         children = width.children.reshape(2, n_cols, n_rows)[:, cols, rows]
         np.add.at(flow, children.T.ravel(), shares.repeat(2))
     np.add.at(counts, trav.leaf_rule[::-1], flow.take(trav.leaf_entry[::-1]))
-    return _root_log(mant, expo, trav.root), counts
+    return log_scaled(mant.item(trav.root), expo.item(trav.root)), counts
 
 
 def viterbi(

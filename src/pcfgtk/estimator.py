@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import _cky, _inside_pass, _root_log, expected_counts
+from .chart import expected_counts, log_total
 from .consistency import check_consistency
 from .corpus import Sentence
 from .derivations import Derivation, derivation_probability, derivation_spans
@@ -290,23 +290,23 @@ def accumulate_realized(
     kept = _kept(realized)
     acc = Accumulators.zeros(g)
     acc.skipped = len(realized) - len(kept)
+    weights = g.weights_of(eta * lp for lp in g.log_probs)
     total = 0.0
     for rd in kept:
         total += _add_set(g, acc.d_rule_ref, rd.ref, eta)
-        total -= h * _add_set(g, acc.d_rule_comp, rd.comp, eta, rd.complete)
+        total -= h * _add_set(g, acc.d_rule_comp, rd.comp, eta, rd.complete, weights)
     return acc, total
 
 
-def _add_set(g: Grammar, rule_acc, derivs, eta: float, complete=None) -> float:
+def _add_set(g: Grammar, rule_acc, derivs, eta: float, complete=None, weights=None) -> float:
     # Derivation by derivation, so every entry sees the same sequence of
     # IEEE adds as a scalar loop would; adding w * 0 to an unused entry
     # leaves it unchanged.  A complete set comes first, as one term: its
-    # log mass and expected counts under the weights p ** eta.  Returns the
-    # set's log mass, the log of its summed p ** eta.
+    # log mass and expected counts under ``weights``, those of p ** eta.
+    # Returns the set's log mass, the log of its summed p ** eta.
     logs = [eta * d.log_prob for d in derivs]
     terms = [np.bincount(d.rules, minlength=len(g.rules)) for d in derivs]
     if complete is not None:
-        weights = [eta * lp for lp in g.log_probs]
         mass, counts = expected_counts(g, complete.tokens, weights, complete.brackets)
         logs.insert(0, mass)
         terms.insert(0, counts)
@@ -390,14 +390,13 @@ def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:
     contributes its inside total over the weights ``eta * log p`` under
     ``g``.
     """
-    weights = [eta * lp for lp in g.log_probs]
+    weights = g.weights_of(eta * lp for lp in g.log_probs)
     total = 0.0
     for rd in _kept(realized):
         total += logsumexp([eta * derivation_probability(g, d) for d in rd.ref])
         comp = [eta * derivation_probability(g, d) for d in rd.comp]
         if rd.complete is not None:
-            trav = _cky(g, rd.complete.tokens, rd.complete.brackets)
-            comp.insert(0, _root_log(*_inside_pass(g, trav, weights), trav.root))
+            comp.insert(0, log_total(g, rd.complete.tokens, weights, rd.complete.brackets))
         total -= h * logsumexp(comp)
     return total
 

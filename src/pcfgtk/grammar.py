@@ -25,12 +25,13 @@ An error in a file names its line in either case.
 What the parsers derive from the grammar alone is made once per grammar,
 never once per call.  Indexes of the rule set (the binary rule table, the
 lexical rules of each terminal, the CKY layout) are cached on first use
-and shared by every ``with_probs`` copy.  Arrays of the probabilities (the
-weights and weight columns that ``chart``'s and ``kbest``'s forward passes
-read, see ``PassWeights``) are set with each probability vector, so each
-copy has its own.  Nothing is kept per sentence: a benchmark that meets
-each sentence many times would read such a cache as a gain that a corpus
-of distinct sentences never sees.
+and shared by every ``with_probs`` copy.  The weights that ``chart``'s and
+``kbest``'s forward passes read, each form in one ``PassWeights`` value,
+are set with each probability vector, so each copy has its own; other log
+weights get theirs from ``weights_of``, made once for every pass that reads
+them.  Nothing is kept per sentence: a benchmark that meets each sentence
+many times would read such a cache as a gain that a corpus of distinct
+sentences never sees.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logmath import NEG_INF, ZERO_EXPONENT
+from .logmath import NEG_INF, ZERO_EXPONENT, exp_split
 
 NONTERMINAL_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
@@ -89,18 +90,26 @@ class LayoutSlot:
 
 
 class PassWeights(NamedTuple):
-    """Rule weights in the form that one forward pass reads, both arrays
-    read-only.
+    """Log rule weights w in each form that a forward pass reads (Goodman
+    1999: one semiring value in several representations).
 
-    ``rules`` is indexed by rule id and ends with one more entry, the
-    weight of padding (rule id -1).  ``columns`` is ``rules`` gathered by
-    ``binary_rule_table.T`` to shape (Q, 1, L): the weight of table row
-    a's q-th rule at [q, 0, a], which broadcasts over a width's candidates
-    (see ``chart._Width``).
+    Each form is a pair of read-only arrays: one by rule id, ending with the
+    weight of padding (rule id -1), and that one gathered by
+    ``binary_rule_table.T`` to shape (Q, 1, L), the weight of table row a's
+    q-th rule at [q, 0, a], which broadcasts over a width's candidates (see
+    ``chart._Width``).  ``log`` is w, for ``kbest``'s max-plus pass;
+    ``mant`` and ``expo`` split exp(w) as ``logmath.exp_split`` does, for
+    ``chart``'s scaled pass; ``plain`` is exp(w), for its plain pass, which
+    runs only where ``lo`` and ``hi``, the least and the greatest exponent
+    of a rule, lie within its range.
     """
 
-    rules: np.ndarray
-    columns: np.ndarray
+    log: tuple[np.ndarray, np.ndarray]
+    plain: tuple[np.ndarray, np.ndarray]
+    mant: tuple[np.ndarray, np.ndarray]
+    expo: tuple[np.ndarray, np.ndarray]
+    lo: int
+    hi: int
 
 
 @dataclass(frozen=True)
@@ -142,10 +151,7 @@ class Grammar:
     rules: tuple[Rule, ...]
     probs: tuple[float, ...]
     log_probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    maxplus_weights: PassWeights = field(init=False, repr=False, compare=False)
-    plain_weights: PassWeights = field(init=False, repr=False, compare=False)
-    scaled_weights: tuple[PassWeights, PassWeights] = field(init=False, repr=False, compare=False)
-    prob_exponents: tuple[int, int] = field(init=False, repr=False, compare=False)
+    weights: PassWeights = field(init=False, repr=False, compare=False)
     layout_slot: LayoutSlot = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -175,6 +181,8 @@ class Grammar:
     def _validate_rules(self):
         nts = set(self.nonterminals)
         ts = set(self.terminals)
+        if not self.rules:
+            raise GrammarError("grammar has no rules")
         seen = set()
         for i, rule in enumerate(self.rules):
             if rule.id != i:
@@ -196,13 +204,8 @@ class Grammar:
 
     def _install_probs(self, probs) -> None:
         """Check a probability vector against the rule set, renormalize each
-        block and set ``probs``, ``log_probs`` and the weights that the
-        forward passes read when they run over the grammar's probabilities:
-        ``maxplus_weights``, the log probabilities for ``kbest``'s max-plus
-        pass; ``plain_weights``, the probabilities for ``chart``'s plain
-        pass; ``scaled_weights``, each probability as mantissa and exponent
-        in the form of ``logmath.exp_split``, for its scaled pass; and
-        ``prob_exponents``, the smallest and the largest of those exponents."""
+        block and set ``probs``, ``log_probs`` and ``weights``, the
+        ``PassWeights`` of the log probabilities."""
         probs = list(probs)
         if len(probs) != len(self.rules):
             raise GrammarError("rules and probabilities are misaligned")
@@ -221,24 +224,36 @@ class Grammar:
                 probs[r] = p
         object.__setattr__(self, "probs", tuple(probs))
         object.__setattr__(self, "log_probs", tuple(map(math.log, probs)))
-        weights = self.pass_weights
-        object.__setattr__(self, "maxplus_weights", weights(np.array(self.log_probs + (NEG_INF,))))
         # frexp is exact: the split of p, which exp_split of log p rounds,
         # and p is its mantissa times 2 to its exponent
         plain = np.array(probs + [0.0])
         mant, expo = np.frexp(plain)
         expo = expo.astype(np.int64)
         expo[-1] = ZERO_EXPONENT
-        object.__setattr__(self, "plain_weights", weights(plain))
-        object.__setattr__(self, "scaled_weights", (weights(mant), weights(expo)))
-        object.__setattr__(self, "prob_exponents", (int(expo[:-1].min()), int(expo[:-1].max())))
+        object.__setattr__(self, "weights", self._pass_weights(self.log_probs, plain, mant, expo))
 
-    def pass_weights(self, rules: np.ndarray) -> PassWeights:
-        """Weights by rule id, followed by the weight of padding, with their
-        columns; marks ``rules`` read-only."""
-        columns = rules.take(self.binary_rule_table.T)
-        rules.flags.writeable = columns.flags.writeable = False
-        return PassWeights(rules, columns[:, None, :])
+    def weights_of(self, log_weights) -> PassWeights:
+        """The ``PassWeights`` of finite log weights indexed by rule id:
+        ``weights`` itself where they equal ``log_probs``, else the split
+        of ``logmath.exp_split``, one ``math.exp`` a rule."""
+        log_weights = tuple(log_weights)
+        if log_weights == self.log_probs:
+            return self.weights
+        mant, expo = exp_split(log_weights)
+        with np.errstate(over="ignore", under="ignore"):  # exact where the plain pass runs
+            plain = np.ldexp(mant, expo)
+        return self._pass_weights(log_weights, plain, mant, expo)
+
+    def _pass_weights(self, log_weights: tuple, *split: np.ndarray) -> PassWeights:
+        """The forms of log weights given exp(w) and its split, by rule id
+        with padding; marks them read-only."""
+        forms = []
+        for rules in (np.array(log_weights + (NEG_INF,)), *split):
+            columns = rules.take(self.binary_rule_table.T)
+            rules.flags.writeable = columns.flags.writeable = False
+            forms.append((rules, columns[:, None, :]))
+        expo = split[-1][:-1]  # the last splits 0
+        return PassWeights(*forms, int(expo.min()), int(expo.max()))
 
     # -- derived indexes (computed once, from the rule set alone) --
 
@@ -348,7 +363,7 @@ class Grammar:
         """A grammar over the same rule set with new probabilities: a shallow
         copy sharing every cached index and the ``layout_slot``, with
         ``probs`` checked and renormalized as the constructor does and its
-        own weights for the passes; the rule set is not rechecked."""
+        own ``weights``; the rule set is not rechecked."""
         g = object.__new__(type(self))
         g.__dict__.update(self.__dict__)
         g._install_probs(probs)

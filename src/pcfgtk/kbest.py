@@ -6,7 +6,7 @@ chart's layout, the max-plus pass: each width's candidate scores,
 ``(lp[rule] + M_left) + M_right``, and each (span, lhs) entry's highest,
 its max-plus score M (``_Lists`` runs it over the log probabilities and
 their columns that the grammar keeps per probability vector,
-``Grammar.maxplus_weights``; the sum-product passes of ``chart`` compute
+``Grammar.weights.log``; the sum-product passes of ``chart`` compute
 in scaled probability space instead).  The second makes
 each entry's ranked hypotheses lazily, top-down from the root.
 A lexical entry holds its one hypothesis; a span's hypotheses join a left
@@ -211,7 +211,7 @@ class _Lists:
         lp = g.log_probs
         # the max-plus pass: a candidate scores (lp[rule] + M_left) +
         # M_right, -inf where a child is absent or the column is padding
-        w, columns = g.maxplus_weights
+        w, columns = g.weights.log
         maxplus = self.maxplus = np.full(trav.size, NEG_INF)
         maxplus.put(trav.leaf_entry, w.take(trav.leaf_rule))
         self.widths: dict[int, tuple[np.ndarray, np.ndarray, Sequence[int]]] = {}

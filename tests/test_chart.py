@@ -24,7 +24,7 @@ from pcfgtk import (
     replay_derivation,
     viterbi,
 )
-from pcfgtk.chart import _cky, _inside_pass, _plain_pass, _scaled_pass, _scaled_weights, expected_counts
+from pcfgtk.chart import _cky, _inside_pass, _plain_pass, _scaled_pass, expected_counts, log_total
 from pcfgtk.logmath import NEG_INF, exp_split, logsumexp
 from pcfgtk.oracle import catalan
 
@@ -64,7 +64,7 @@ G100_VITERBI = [
         "-0x1.f6a9ce4dbde39p+5",
     ),
 ]
-# ``expected_counts(g, tokens, g.log_probs, brackets)`` as (log Z, counts),
+# ``expected_counts(g, tokens, g.weights, brackets)`` as (log Z, counts),
 # the counts of G100 as {rule id: hex} for the nonzero ones
 TOY_A13_COUNTS = (
     "-0x1.b5b3c35fc6076p+2",
@@ -106,11 +106,11 @@ TINY = "S -> S S 1e-60\nS -> a 1.0\n"
 def assert_passes_agree(g, tokens, brackets=None, weights=None, *, plain=True):
     """``_inside_pass`` returns the scaled pass's charts byte for byte, and
     takes the plain pass (no scaled pass at all) exactly when ``plain``."""
-    weights = g.log_probs if weights is None else weights
+    w = g.weights if weights is None else g.weights_of(weights)
     trav = _cky(g, tokens, brackets)
     with mock.patch("pcfgtk.chart._scaled_pass", wraps=_scaled_pass) as scaled:
-        got = _inside_pass(g, trav, weights)
-    want = _scaled_pass(trav, *_scaled_weights(g, weights))
+        got = _inside_pass(trav, w)
+    want = _scaled_pass(trav, w)
     assert scaled.call_count == (0 if plain else 1), (tokens, plain)
     for got_chart, want_chart in zip(got, want, strict=True):
         assert got_chart.dtype == want_chart.dtype
@@ -326,13 +326,13 @@ class TestPins:
 
     def test_toy_a13_expected_counts(self):
         g = toy(0.3)
-        mass, counts = expected_counts(g, ["a"] * 13, g.log_probs)
+        mass, counts = expected_counts(g, ["a"] * 13, g.weights)
         assert (mass.hex(), [c.hex() for c in counts]) == TOY_A13_COUNTS
 
     def test_g100_bracketed_expected_counts(self):
         g, cases = g100_pin_cases()
         tokens, brackets = cases[1]
-        mass, counts = expected_counts(g, tokens, g.log_probs, brackets)
+        mass, counts = expected_counts(g, tokens, g.weights, brackets)
         got = {rule: c.hex() for rule, c in enumerate(counts) if c}
         assert (mass.hex(), got) == G100_BLOCK2_BRACKETED_COUNTS
 
@@ -381,7 +381,7 @@ def assert_near_log_reference(g, tokens, brackets=None, weight_sets=None):
     if weight_sets is None:
         weight_sets = (g.log_probs, tuple(0.5 * w for w in g.log_probs))
     for weights in weight_sets:
-        mass, counts = expected_counts(g, tokens, weights, brackets)
+        mass, counts = expected_counts(g, tokens, g.weights_of(weights), brackets)
         want_mass, want_counts = scalar_chart.expected_counts_log(g, tokens, weights, brackets)
         if want_mass == NEG_INF:
             assert mass == NEG_INF and not counts.any()
@@ -411,12 +411,14 @@ def assert_matches_scalar_reference(g, tokens, brackets=None, n_bests=N_BESTS):
     else:
         assert (got[0].rules, got[1].hex()) == (want[0].rules, want[1].hex())
     for weights in (g.log_probs, tuple(0.5 * w for w in g.log_probs)):
-        got = expected_counts(g, tokens, weights, brackets)
+        got = expected_counts(g, tokens, g.weights_of(weights), brackets)
         want = scalar_chart.expected_counts(g, tokens, weights, brackets)
         assert got[0].hex() == want[0].hex()
         assert got[1].tobytes() == want[1].tobytes()
+        # the inside pass alone gives the same total
+        assert log_total(g, tokens, g.weights_of(weights), brackets).hex() == want[0].hex()
     # the grammar's own weights give inside's total, bit for bit
-    total = expected_counts(g, tokens, list(g.log_probs), brackets)[0]
+    total = expected_counts(g, tokens, g.weights_of(list(g.log_probs)), brackets)[0]
     assert total.hex() == inside(g, tokens, brackets).log_string_prob.hex()
     for n in n_bests:
         got = nbest(g, tokens, n, brackets).derivations
@@ -465,7 +467,7 @@ def pairwise_rows(g, tokens, brackets=None) -> list[tuple[int, int]]:
     """(rows of its width, columns) of each row of the scaled pass whose
     pairwise sum, ``np.sum``, differs from its terms added left to right."""
     kept = []
-    _scaled_pass(_cky(g, tokens, brackets), *g.scaled_weights, kept=kept)
+    _scaled_pass(_cky(g, tokens, brackets), g.weights, kept=kept)
     found = []
     for _, _, terms, _ in kept:
         for row in terms.T:
@@ -486,8 +488,8 @@ def assert_passes_match_scalar(g, tokens, brackets=None):
     trav = _cky(g, tokens, brackets)
     shape = (len(tokens) + 1,) + trav.shape[1:]
     passes = {
-        "plain": _plain_pass(trav, g.plain_weights, *g.prob_exponents),
-        "scaled": _scaled_pass(trav, *g.scaled_weights),
+        "plain": _plain_pass(trav, g.weights),
+        "scaled": _scaled_pass(trav, g.weights),
     }
     for name, charts in passes.items():
         mant, expo = (a.reshape(shape) for a in charts)
@@ -528,7 +530,7 @@ class TestRangeEnds:
         g = parse_grammar("S -> S S 1e-200\nS -> a 1.0\n")
         want = math.log(2) + 2 * math.log(1e-200)
         assert inside(g, ["a"] * 3).log_string_prob == pytest.approx(want, rel=4 * U)
-        mass, counts = expected_counts(g, ["a"] * 3, g.log_probs)
+        mass, counts = expected_counts(g, ["a"] * 3, g.weights)
         assert mass == inside(g, ["a"] * 3).log_string_prob
         assert counts.tolist() == [2.0, 3.0]
         assert_near_log_reference(g, ["a"] * 3)
@@ -597,7 +599,7 @@ class TestPlainPassRange:
             taken = set()
             for root, a, b, lo, hi in sweep:
                 weights = (near(root) - 2 * near(a), near(a), near(b))
-                mant, expo = _scaled_pass(trav, *_scaled_weights(g, weights))
+                mant, expo = _scaled_pass(trav, g.weights_of(weights))
                 exponents = np.concatenate([exp_split(weights)[1][:-1], expo[mant > 0]])
                 assert (exponents.min(), exponents.max()) == (lo, hi)
                 plain = lo >= -339 and hi <= 320 and hi - lo <= 339
@@ -620,7 +622,7 @@ class TestPlainPassRange:
         with np.errstate(over="ignore"):
             plain = np.ldexp(*exp_split(weights))[:-1]
             assert np.isinf(plain[0] * plain[0] * plain[0] * 144)
-        assert math.isfinite(_scaled_pass(trav, *_scaled_weights(g, weights))[0][trav.root])
+        assert math.isfinite(_scaled_pass(trav, g.weights_of(weights))[0][trav.root])
         assert_passes_agree(g, ["a", "a"], weights=weights, plain=False)
 
 
@@ -655,7 +657,7 @@ class TestArrayLayoutEdgeCases:
         assert_matches_scalar_reference(g, ["a"])
         assert_matches_scalar_reference(g, ["a", "b"])
         assert viterbi(g, ["a", "b"]) is None
-        assert expected_counts(g, ["b"], g.log_probs)[1].tolist() == [0.0, 1.0]
+        assert expected_counts(g, ["b"], g.weights)[1].tolist() == [0.0, 1.0]
 
     def test_nonterminals_without_binary_rules(self):
         # A and C have lexical rules only, so their table rows are absent
@@ -702,7 +704,7 @@ class TestArrayLayoutEdgeCases:
                 (viterbi, scalar_chart.viterbi),
                 (lambda *a: nbest(a[0], a[1], 2, *a[2:]), lambda *a: scalar_chart.nbest(a[0], a[1], 2, *a[2:])),
                 (
-                    lambda *a: expected_counts(a[0], a[1], a[0].log_probs, *a[2:]),
+                    lambda *a: expected_counts(a[0], a[1], a[0].weights, *a[2:]),
                     lambda *a: scalar_chart.expected_counts(a[0], a[1], a[0].log_probs, *a[2:]),
                 ),
             ):

@@ -1,6 +1,8 @@
 """Growth-transformation estimation: accumulators, the update, training."""
 import math
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,17 +26,20 @@ from pcfgtk import (
     enumerate_derivations,
     growth_step,
     inside,
+    load_grammar,
     nbest,
     objective,
     objective_over_sets,
     oracle_accumulate,
     parse_grammar,
+    read_bracketed_corpus,
     realize_delta_sets,
     train,
     viterbi,
 )
 from pcfgtk import estimator
 from pcfgtk.estimator import COMP_MODES, REF_MODES, accumulate_realized
+from pcfgtk.logmath import exp_split
 from pcfgtk.oracle import catalan, count_vector, growth_step_single_ref
 
 TOY_CORPUS = [["a", "a"], ["a", "a", "a", "a"]]
@@ -959,3 +964,28 @@ class TestTrain:
     def test_empty_corpus(self):
         with pytest.raises(EstimationError):
             train(toy(0.4), [], VIT_ALL, HParams())
+
+
+def test_a_training_iteration_splits_weights_once_per_grammar():
+    # at eta 0.5 the weights eta * log p are not the grammar's own: the
+    # accumulation (under g) and the frozen-set objective (under each
+    # stepped grammar) each split them once for every sentence they weigh
+    data = Path(__file__).parent / "data"
+    g = load_grammar(data / "g100-seed0.g")
+    corpus = read_bracketed_corpus(data / "g100-seed0-block.txt")
+    assert len(corpus) == 4
+    weighed = []
+    weights_of = type(g).weights_of
+
+    def spy(self, log_weights):
+        weighed.append(self)
+        return weights_of(self, log_weights)
+
+    spec = DeltaSpec(ref_mode="viterbi", comp_mode="all")
+    with mock.patch.object(type(g), "weights_of", spy), mock.patch(
+        "pcfgtk.grammar.exp_split", wraps=exp_split
+    ) as split:
+        train(g, corpus, spec, HParams(h=0.5, eta=0.5, max_iters=1))
+    assert len(weighed) >= 2 and weighed[0] is g
+    assert len({id(w) for w in weighed}) == len(weighed)
+    assert split.call_count == len(weighed)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_grammar, toy
+from pcfgtk.logmath import NEG_INF, exp_split
 from pcfgtk import (
     Grammar,
     GrammarError,
@@ -188,6 +189,7 @@ INVALID_GRAMMARS = {
     "probability NaN": (dict(probs=(math.nan, 0.6)), "outside", 0, None),
     "improper block": (dict(probs=(0.3, 0.6)), "sum", None, "S"),
     # the rule set is checked before its probabilities
+    "no rules": (dict(terminals=(), rules=(), probs=()), "^grammar has no rules$", None, None),
     "probability 1.5 before a ternary": (
         dict(rules=_rules(("a",), ("S", "S", "S")), probs=(1.5, 0.6)), "CNF", 1, None
     ),
@@ -258,6 +260,79 @@ class TestBinaryRuleTable:
         assert math.fsum(h.probs) == 1.0 and h.probs != (0.6 + 1e-12, 0.4)
         assert h.log_probs == tuple(math.log(p) for p in h.probs)
         assert g.log_probs == (math.log(0.3), math.log(0.7))
+
+
+G100 = Path(__file__).parent / "data" / "g100-seed0.g"
+
+
+def weight_arrays(w):
+    """Every array of a ``PassWeights`` value, rules and columns of each form."""
+    return [array for form in (w.log, w.plain, w.mant, w.expo) for array in form]
+
+
+class TestPassWeights:
+    def test_the_grammars_own_log_weights_give_its_own_value(self):
+        g = load_grammar(G100)
+        for log_weights in (g.log_probs, list(g.log_probs), iter(g.log_probs)):
+            assert g.weights_of(log_weights) is g.weights
+
+    def test_own_weights_split_the_probabilities_exactly(self):
+        # frexp of p, which exp_split of log p rounds: the equality test of
+        # weights_of keeps these bits
+        g = load_grammar(G100)
+        w = g.weights
+        mant, expo = np.frexp(g.probs)
+        assert w.plain[0].tolist() == [*g.probs, 0.0]
+        assert w.mant[0].tobytes() == np.append(mant, 0.0).tobytes()
+        assert w.expo[0].tolist() == [*expo.tolist(), -(2**40)]
+        assert w.log[0].tolist() == [*g.log_probs, NEG_INF]
+        assert (w.lo, w.hi) == (expo.min(), expo.max())
+        assert (exp_split(g.log_probs)[0] != w.mant[0]).any()
+
+    def test_other_weights_are_split_by_exp_split(self):
+        g = load_grammar(G100)
+        log_weights = [0.5 * lp for lp in g.log_probs]
+        w = g.weights_of(log_weights)
+        mant, expo = exp_split(log_weights)
+        assert w.mant[0].tobytes() == mant.tobytes()
+        assert w.expo[0].tobytes() == expo.tobytes()
+        assert w.plain[0].tobytes() == np.ldexp(mant, expo).tobytes()
+        assert w.log[0].tolist() == [*log_weights, NEG_INF]
+        assert (w.lo, w.hi) == (expo[:-1].min(), expo[:-1].max())
+        for rules, columns in (w.log, w.plain, w.mant, w.expo):
+            want = rules.take(g.binary_rule_table.T)[:, None, :]
+            assert columns.tobytes() == want.tobytes() and columns.shape == want.shape
+
+    def test_weights_beyond_a_double_keep_their_split(self):
+        g = toy(0.3)
+        log_weights = (800.0, -800.0)
+        w = g.weights_of(log_weights)
+        assert w.mant[0].tobytes() == exp_split(log_weights)[0].tobytes()
+        assert (w.lo, w.hi) == (-1154, 1155)
+
+    def test_every_array_is_read_only(self):
+        g = load_grammar(G100)
+        for w in (g.weights, g.weights_of([2.0 * lp for lp in g.log_probs])):
+            arrays = weight_arrays(w)
+            assert len(arrays) == 8
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_with_probs_copies_have_their_own_weights(self):
+        g = toy(0.3)
+        leaves = g.terminal_leaves  # a rule-set cache, filled before the copy
+        before = [array.tobytes() for array in weight_arrays(g.weights)]
+        h = g.with_probs([0.6, 0.4])
+        assert h.weights is not g.weights
+        assert h.weights.plain[0].tolist() == [0.6, 0.4, 0.0]
+        assert h.weights_of(h.log_probs) is h.weights
+        assert g.weights_of(h.log_probs) is not g.weights
+        assert [array.tobytes() for array in weight_arrays(g.weights)] == before
+        assert h.layout_slot is g.layout_slot
+        assert h.binary_rule_table is g.binary_rule_table
+        assert h.terminal_leaves is leaves
 
 
 class TestRoundTrip:

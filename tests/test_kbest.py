@@ -143,7 +143,8 @@ def decoded(g, tokens, brackets=None):
     out = [nbest(g, tokens, 10, brackets), viterbi(g, tokens, brackets)]
     out.append(inside(g, tokens, brackets).table.tobytes())
     for eta in (1.0, 0.5):
-        mass, counts = expected_counts(g, tokens, [eta * lp for lp in g.log_probs], brackets)
+        w = g.weights_of(eta * lp for lp in g.log_probs)
+        mass, counts = expected_counts(g, tokens, w, brackets)
         out += [mass.hex(), counts.tobytes()]
     return out
 

@@ -45,7 +45,7 @@ def results(g, tokens, brackets=None):
     Viterbi derivation, the 10-best list and the expected counts."""
     table = inside(g, tokens, brackets).table
     best = viterbi(g, tokens, brackets)
-    mass, counts = expected_counts(g, tokens, g.log_probs, brackets)
+    mass, counts = expected_counts(g, tokens, g.weights, brackets)
     return (
         table.shape,
         table.tobytes(),

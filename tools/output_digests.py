@@ -29,8 +29,14 @@ derivation ties and those would list all 58,786 of them.  So two rows run
 the command line, on the G100 plain and bracketed corpus: per sentence it
 prints ``float.hex()`` of the ``inside`` log probability and each
 ``nbest(..., 10)`` derivation's rule ids and ``float.hex()`` log
-probability, every bit of each.  A command's digest covers its exit code,
-stdout, stderr and the files it writes (``--out-grammar``, ``--report``).
+probability, every bit of each.  Every other ``train`` row weighs
+derivations by the grammar's own probabilities (``--eta 1``) or leaves the
+plain pass's range (``--eta 30``), so two more run G100's bracketed
+corpus at ``--eta 0.5``, with ``viterbi``/``all`` and with
+``bracketed_viterbi``/``bracketed_all``: their weights ``eta * log p`` are
+not the grammar's own (``Grammar.weights_of`` splits them) and lie within
+the plain pass's range.  A command's digest covers its exit code, stdout,
+stderr and the files it writes (``--out-grammar``, ``--report``).
 
 Two checkouts print the same lines exactly when every command behaves the
 same to the byte.  Given a second checkout ``OTHER``, the script runs each
@@ -155,6 +161,16 @@ def long_commands() -> list[list[str]]:
     ]
 
 
+def eta_commands() -> list[list[str]]:
+    """The G100 rows whose complete sets weigh derivations by ``p ** 0.5``."""
+    return [
+        ["train", "g100.g", "--bracketed-corpus", "g100-bracketed.txt", "--out-grammar", "out.g",
+         "--report", "out.csv", "--ref-mode", ref, "--comp-mode", comp, "--eta", "0.5",
+         *TRAIN_FLAGS]
+        for ref, comp in (("viterbi", "all"), ("bracketed_viterbi", "bracketed_all"))
+    ]
+
+
 def hex_commands() -> list[list[str]]:
     """The rows that print every bit of G100's inside and n-best scores."""
     return [
@@ -219,7 +235,8 @@ def main(argv: list[str]) -> int:
         work = Path(tmp)
         write_inputs(work)
         matrix = [c for stem in GRAMMARS for c in commands(stem)]
-        for command in matrix + fallback_commands() + long_commands() + hex_commands():
+        rows = matrix + fallback_commands() + long_commands() + hex_commands() + eta_commands()
+        for command in rows:
             runs = [run(command, work, env) for env in envs]
             digests = dict.fromkeys(d for d, _ in runs)
             print(f"{'  '.join(digests)}  {' '.join(command)}", flush=True)
