@@ -42,16 +42,21 @@ Every pass reads its rule weights, in each form it computes in, from one
 probabilities and keeps its scaled chart; it takes the log of a cell only
 when read (``logmath.log_scaled``), so its full-span start entry gives the
 log string probability (the sum over all derivations) for one
-``math.log``.  ``log_total`` runs it over any weights and reads that entry
-alone.  ``expected_counts`` runs the scaled pass over any weights and walks
-the rows back top-down (the outside pass) for expected rule counts, each
-entry's share being a candidate's term over its row's total.
-``kbest.nbest`` runs its own forward pass in log space, the max-plus pass,
-over the same value's log weights, and keeps each width's candidate scores
-and children; it reads a column back as a candidate (its rule id from
-``binary_rule_table``, its children from ``_Width.children``) only for the
-entries a parent asks for, making their hypotheses top-down from the root
-and ranking them canonically only within rounding distance of each other.
+``math.log``.  ``log_total`` runs it over any weights of the grammar's rule
+set and reads that entry alone.  ``expected_counts`` runs the scaled pass
+over any such weights and walks the rows back top-down (the outside pass)
+for expected rule counts, each entry's share being a candidate's term over
+its row's total.
+The plain pass and ``kbest``'s max-plus pass are one loop, ``_forward``,
+in two semirings (Goodman 1999): the plain pass gives it multiplication
+and ``_row_sums``, and ``kbest.nbest`` addition and ``np.maximum.reduce``
+over the same value's log weights, so that a candidate's term is
+``(w * left) * right`` or ``(w + left) + right``.  ``kbest`` keeps each
+width's candidate scores and reads a column back as a candidate (its rule
+id from ``binary_rule_table``, its children from ``_Width.children``) only
+for the entries a parent asks for, making their hypotheses top-down from
+the root and ranking them canonically only within rounding distance of
+each other.
 ``viterbi`` is the first entry of that list, made by the same engine at
 n = 1, so this module holds no tie-breaking or rounding logic.
 
@@ -338,6 +343,29 @@ def _inside_pass(trav: _Traversal, w: PassWeights) -> tuple[np.ndarray, np.ndarr
     return _scaled_pass(trav, w) if chart is None else chart
 
 
+def _forward(trav: _Traversal, weights: tuple, times, fold, kept: list | None = None) -> np.ndarray:
+    """A flat chart filled by one forward pass of a semiring over the layout.
+
+    ``weights`` is one form of a ``PassWeights`` value, whose padding weight
+    is the semiring's zero and fills every absent entry.  The lexical
+    entries take their rules' weights; then, narrowest width first, a
+    candidate's term is ``times(times(w_rule, left), right)`` of its rule's
+    weight and its two children's entries, and an entry folds its row of
+    terms, column-major as the candidates, by ``fold``.  Each width and its
+    terms are appended to ``kept`` if given.
+    """
+    rule, cols = weights
+    chart = np.full(trav.size, rule[-1])
+    chart.put(trav.leaf_entry, rule.take(trav.leaf_rule))
+    for width in trav.widths:
+        left, right = chart.take(width.children, mode="clip")
+        terms = times(times(cols, left), right).reshape(-1, len(width.entry))
+        chart.put(width.entry, fold(terms))
+        if kept is not None:
+            kept.append((width, terms))
+    return chart
+
+
 def _plain_pass(trav: _Traversal, w: PassWeights) -> tuple[np.ndarray, np.ndarray] | None:
     """``_scaled_pass``'s charts by plain float64 arithmetic, from rule
     weights ``w.plain`` whose exponents lie from ``w.lo`` to ``w.hi``,
@@ -346,17 +374,12 @@ def _plain_pass(trav: _Traversal, w: PassWeights) -> tuple[np.ndarray, np.ndarra
 
     A candidate's mass is ``(p_rule * p_left) * p_right``, 0 where a child
     is absent or the column is padding, and an entry's the sum of its row,
-    left to right by ``_row_sums``; ``frexp`` splits the chart.
+    left to right by ``_row_sums``, both in the loop ``_forward``;
+    ``frexp`` splits the chart.
     """
-    p_rule, p_cols = w.plain
-    chart = np.zeros(trav.size)
-    chart.put(trav.leaf_entry, p_rule.take(trav.leaf_rule))
     # beyond the range a product may overflow; the check below rejects it
     with np.errstate(over="ignore", invalid="ignore"):
-        for width in trav.widths:
-            left, right = chart.take(width.children, mode="clip")
-            prods = ((p_cols * left) * right).reshape(-1, len(width.entry))
-            chart.put(width.entry, _row_sums(prods))
+        chart = _forward(trav, w.plain, np.multiply, _row_sums)
     mant, expo = np.frexp(chart)
     present = mant != 0.0
     lo = int(expo.min(where=present, initial=w.lo))
@@ -466,10 +489,19 @@ def inside(g: Grammar, sentence, brackets: Bracketing | None = None) -> InsideCh
     )
 
 
+def _check_weights(g: Grammar, w: PassWeights) -> None:
+    """Reject weights made for another rule set than ``g``'s: those of ``g``
+    and of its ``with_probs`` copies hold one weight per rule and columns
+    gathered by its binary rule table."""
+    if len(w.log[0]) != len(g.rules) + 1 or not np.array_equal(w.table, g.binary_rule_table):
+        raise ValueError("the weights were made for another rule set")
+
+
 def log_total(g: Grammar, sentence, w: PassWeights, brackets: Bracketing | None = None) -> float:
     """Log total mass of the complete derivation set under the weights ``w``
     (see ``expected_counts``), by the inside pass alone; -inf when the
     sentence has no (compatible) derivation."""
+    _check_weights(g, w)
     trav = _cky(g, sentence, brackets)
     mant, expo = _inside_pass(trav, w)
     return log_scaled(mant.item(trav.root), expo.item(trav.root))
@@ -503,8 +535,10 @@ def expected_counts(
     float sum is added up in the scalar chart's order.  The kept terms and
     candidates are column-major, so the walk reads a row's present
     candidates off their transpose, row by row, and each term and child at
-    its (column, row).
+    its (column, row).  Raises ValueError, before any chart work, when
+    ``w`` was made for another rule set.
     """
+    _check_weights(g, w)
     trav = _cky(g, sentence, brackets)
     by_width: list[tuple[_Width, np.ndarray, np.ndarray, np.ndarray]] = []
     mant, expo = _scaled_pass(trav, w, kept=by_width)

@@ -101,7 +101,9 @@ class PassWeights(NamedTuple):
     ``mant`` and ``expo`` split exp(w) as ``logmath.exp_split`` does, for
     ``chart``'s scaled pass; ``plain`` is exp(w), for its plain pass, which
     runs only where ``lo`` and ``hi``, the least and the greatest exponent
-    of a rule, lie within its range.
+    of a rule, lie within its range.  ``table`` is the binary rule table
+    that gathered the columns, by which ``chart`` tells a value made for
+    another rule set apart.
     """
 
     log: tuple[np.ndarray, np.ndarray]
@@ -110,6 +112,7 @@ class PassWeights(NamedTuple):
     expo: tuple[np.ndarray, np.ndarray]
     lo: int
     hi: int
+    table: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -235,8 +238,11 @@ class Grammar:
     def weights_of(self, log_weights) -> PassWeights:
         """The ``PassWeights`` of finite log weights indexed by rule id:
         ``weights`` itself where they equal ``log_probs``, else the split
-        of ``logmath.exp_split``, one ``math.exp`` a rule."""
+        of ``logmath.exp_split``, one ``math.exp`` a rule.  Raises
+        ValueError unless there is exactly one finite weight per rule."""
         log_weights = tuple(log_weights)
+        if len(log_weights) != len(self.rules) or not all(map(math.isfinite, log_weights)):
+            raise ValueError(f"expected {len(self.rules)} finite log weights, one per rule")
         if log_weights == self.log_probs:
             return self.weights
         mant, expo = exp_split(log_weights)
@@ -253,7 +259,7 @@ class Grammar:
             rules.flags.writeable = columns.flags.writeable = False
             forms.append((rules, columns[:, None, :]))
         expo = split[-1][:-1]  # the last splits 0
-        return PassWeights(*forms, int(expo.min()), int(expo.max()))
+        return PassWeights(*forms, int(expo.min()), int(expo.max()), self.binary_rule_table)
 
     # -- derived indexes (computed once, from the rule set alone) --
 

@@ -4,10 +4,11 @@ n-best runs in two phases (Huang and Chiang 2005, "Better k-best
 Parsing", Alg. 3).  The first is a forward pass in log space over the
 chart's layout, the max-plus pass: each width's candidate scores,
 ``(lp[rule] + M_left) + M_right``, and each (span, lhs) entry's highest,
-its max-plus score M (``_Lists`` runs it over the log probabilities and
-their columns that the grammar keeps per probability vector,
-``Grammar.weights.log``; the sum-product passes of ``chart`` compute
-in scaled probability space instead).  The second makes
+its max-plus score M.  ``_Lists`` runs it by ``chart._forward``, the loop
+of the plain inside pass, in the max-plus semiring (Goodman 1999): over
+the grammar's log probabilities and their columns,
+``Grammar.weights.log``, with addition for the product and
+``np.maximum.reduce`` folding each row.  The second makes
 each entry's ranked hypotheses lazily, top-down from the root.
 A lexical entry holds its one hypothesis; a span's hypotheses join a left
 hypothesis with a right one under a candidate (rule, left child entry,
@@ -19,16 +20,16 @@ count vector.
 Ordering is by descending canonical log probability (``score_rules`` of
 the subtree's rules) with the backpointer key as secondary
 criterion: the flattened (split, rule id) tuples of the hypothesis tree,
-compared lexicographically.  An entry's list is a run of windows: its
-hypotheses in incremental-score order, cut wherever two neighbours lie
-further apart than rounding distance (see ``_SLACK``).  Across a cut
-the incremental order is the canonical one, so only windows with more than
-one member are ranked, by canonical score and key, both rebuilt from the
-child references.  Whole windows are kept until the list holds n
-hypotheses, and the last one is truncated after ranking.  ``chart.viterbi``
-is this engine at n = 1, so ``nbest(..., 1)`` returns the Viterbi
-derivation by construction.  With a large enough n the result is the
-complete derivation set.
+compared lexicographically.  An entry's list is a run of windows in
+incremental-score order, with a cut after each window: the last member
+of one and the first of the next lie further apart than rounding distance
+(see ``_SLACK``).  Across a cut the incremental order is the canonical
+one, so only windows with more than one member are ranked, by canonical
+score and key, both rebuilt from the child references.  Whole windows are
+kept until the list holds n hypotheses, and the last one is truncated
+after ranking.  ``chart.viterbi`` is this engine at n = 1, so
+``nbest(..., 1)`` returns the Viterbi derivation by construction.  With a
+large enough n the result is the complete derivation set.
 
 An entry starts when it is first asked for a hypothesis: its heap frontier
 of joins (column, left index, right index) starts with the first join of
@@ -41,10 +42,11 @@ Popping (i, j) pushes (i, j + 1), and (i + 1, 0) only when j is 0, so each
 join but the first has one predecessor and none is pushed twice.  Before
 join (i, j) is popped, the right child is asked for index j + 1 and, when
 j is 0, the left child for i + 1 (at most n - 1 either way), which starts
-a child not yet started.  A window is final once its lowest member lies
-further than rounding distance above the top key, or the frontier is empty
-(see ``_SLACK``).  The root is asked for n hypotheses; requests wait on an
-explicit stack, not on Python recursion.  A request for an entry's index i
+a child not yet started.  The hypotheses popped and not yet appended are
+one window, final once its lowest member lies further than rounding
+distance above the top key, or the frontier is empty (see ``_SLACK``).
+The root is asked for n hypotheses; requests wait on an explicit stack,
+not on Python recursion.  A request for an entry's index i
 appends final windows until the entry holds i or is whole, and gives way
 only when a join needs a child's hypothesis first: the child's request
 goes above it and it resumes where it stopped.  A final window of one
@@ -61,7 +63,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
-from .chart import _cky, _Traversal
+from .chart import _cky, _forward, _Traversal, _Width
 from .corpus import Bracketing
 from .derivations import Derivation, score_rules
 from .grammar import Grammar
@@ -91,8 +93,10 @@ from .logmath import NEG_INF
 # exceeds the gap s_a - s_b by (s_x - s_a) + (s_b - s_y), while the pair's
 # slack exceeds the neighbours' by _SLACK * m ((s_b - s_y) - (s_x - s_a)),
 # which is less because _SLACK * m < 1.  So the canonical order agrees with
-# the incremental one across every cut, and only the windows between cuts
-# need canonical ranking.
+# the incremental one across every cut: a block of hypotheses with a cut on
+# either side, ranked canonically, takes its place in the complete canonical
+# list, and two runs on either side of a cut, ranked as one, keep their
+# incremental order.
 #
 # An entry makes its hypotheses lazily, joining child hypotheses i and j of a
 # candidate only once a heap frontier pops (i, j).  The first join of each
@@ -110,12 +114,14 @@ from .logmath import NEG_INF
 # path of such steps from a heap member; each step raises an index, so keys
 # never increase along the path, and the top key U bounds its score.  Within
 # a child's window the incremental order is not the canonical one, so joins
-# are popped by their bound, never by their own score.  The popped joins'
-# first window, with lowest member a, is final once a and U pass the cut test
-# (or nothing is left to pop): by the straddling argument with U in the place
-# of s_b, every join still to come lies beyond a cut from a.  So each window
-# holds what it would in the complete sorted list, whatever order the joins
-# were popped in.
+# are popped by their bound, never by their own score.  The joins popped and
+# not yet appended are one window; with lowest member a, it is final once a
+# and U pass the cut test (or nothing is left to pop): by the straddling
+# argument with U in the place of s_b, every join still to come lies beyond a
+# cut from each of its members.  So the windows, each ranked, make the
+# complete canonical list, whatever order the joins were popped in.  A window
+# may hold a cut of its own, where a popped join scored far below its key;
+# ranking it whole keeps the runs on either side in their order.
 _SLACK = 4 * 2.0**-53
 
 
@@ -185,19 +191,19 @@ class _Lists:
     ``maxplus`` is a flat chart of each entry's max-plus score M, the
     highest incremental score over its candidates (-inf where absent);
     ``widths[w]`` holds the candidate scores ``(lp[rule] + M_left) +
-    M_right`` of the spans w tokens wide, their children and the spans'
-    starts, column-major as ``chart._Width`` lays them out:
-    ``scores[col, row]`` and ``children[:, col, row]`` for one column per
+    M_right`` of the spans w tokens wide, as ``chart._forward`` keeps them,
+    their children and the spans' starts, column-major as ``chart._Width``
+    lays them out: ``scores[col, row]`` and ``children[:, col, row]`` for one column per
     (split, rule) and one row per (span, lhs); ``_row`` finds an entry's
     row from its span and left-hand side.  ``hyps[entry]`` holds a started
     entry's hypotheses so far and ``wmax[entry]``, for each, the highest
     incremental score in its window.  An entry that has started and is
     still open keeps in ``frontier`` its heap of ``(-key, column, left
-    index, right index)`` joins, the joins popped but not yet in a final
-    window, by descending score, its candidates by column as (rule log
-    probability, rule id, split, left entry, right entry), each read back
-    when a join of its column is first about to be popped, its width, its
-    row and the slack of its cut test.  An entry in ``hyps`` but not in
+    index, right index)`` joins, the joins popped but not yet appended, one
+    window by descending incremental score, its candidates by column as
+    (rule log probability, rule id, split, left entry, right entry), each
+    read back when a join of its column is first about to be popped, its
+    width, its row and the slack of its cut test.  An entry in ``hyps`` but not in
     ``frontier`` holds its whole list, at most n long.  A request (entry,
     index) extends the entry until it holds the index or is whole, window
     by window (see ``ask`` and ``_extend``).  No data here refers back to
@@ -211,16 +217,12 @@ class _Lists:
         lp = g.log_probs
         # the max-plus pass: a candidate scores (lp[rule] + M_left) +
         # M_right, -inf where a child is absent or the column is padding
-        w, columns = g.weights.log
-        maxplus = self.maxplus = np.full(trav.size, NEG_INF)
-        maxplus.put(trav.leaf_entry, w.take(trav.leaf_rule))
-        self.widths: dict[int, tuple[np.ndarray, np.ndarray, Sequence[int]]] = {}
-        for width in trav.widths:
-            left, right = maxplus.take(width.children, mode="clip")
-            scores = ((columns + left) + right).reshape(-1, len(width.entry))
-            maxplus.put(width.entry, np.maximum.reduce(scores, axis=0))
-            children = width.children.reshape(2, len(scores), -1)
-            self.widths[width.width] = scores, children, width.starts
+        kept: list[tuple[_Width, np.ndarray]] = []
+        self.maxplus = _forward(trav, g.weights.log, np.add, np.maximum.reduce, kept)
+        self.widths: dict[int, tuple[np.ndarray, np.ndarray, Sequence[int]]] = {
+            width.width: (scores, width.children.reshape(2, len(scores), -1), width.starts)
+            for width, scores in kept
+        }
         self.hyps: dict[int, list[_Cell]] = {}
         self.wmax: dict[int, list[float]] = {}
         for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
@@ -282,9 +284,13 @@ class _Lists:
         closes.  Returns instead the child requests (entry, index) that
         must be met first, if any, having stopped between two joins.
 
-        A window of one hypothesis, the common case, is appended as it
-        stands; a longer one is ranked canonically first.  The list is
-        truncated at n, which closes the entry.
+        Every hypothesis popped and not yet appended is in one window,
+        final once its lowest member passes the cut test against the top
+        key, or no join is left (see ``_SLACK``).  A window of one
+        hypothesis, the common case, is appended as it stands; a longer
+        one is ranked canonically first.  Each member's ``wmax`` is the
+        window's top incremental score.  The list is truncated at n, which
+        closes the entry.
         """
         hyps, wmax, frontier, n = self.hyps, self.wmax, self.frontier, self.n
         state = frontier.get(entry)
@@ -294,39 +300,29 @@ class _Lists:
         mine, mine_wmax = hyps[entry], wmax[entry]
         while True:
             # a join not yet popped scores at most the top key U, so the
-            # first window is final once its lowest member a passes the cut
-            # test a - U > slack * (|a| + |U|) (see _SLACK); its top member
-            # is tested first to skip the scan while the key is near, as
-            # holding a final window back costs only more pops
+            # popped joins are a final window once their lowest member a
+            # passes the cut test a - U > slack * (|a| + |U|) (see _SLACK)
             if pending:
-                top = pending[0].score
+                low = pending[-1].score
                 if heap:
                     bound = -heap[0][0]
-                if not heap or top - bound > slack * -(top + bound):
-                    k, low = 1, top
-                    while k < len(pending):
-                        score = pending[k].score
-                        if low - score > slack * -(low + score):
-                            break
-                        k, low = k + 1, score
-                    if k == 1 or not heap or low - bound > slack * -(low + bound):
-                        if k == 1:
-                            mine.append(pending[0])
-                            mine_wmax.append(top)
-                            del pending[0]
-                        else:
-                            window = pending[:k]
-                            del pending[:k]
-                            _rank(self.g, window)
-                            mine += window
-                            mine_wmax += [top] * k
-                        if len(mine) >= n:
-                            del mine[n:], mine_wmax[n:]
-                            del frontier[entry]
-                            return []
-                        if len(mine) > index:
-                            return []
-                        continue
+                if not heap or low - bound > slack * -(low + bound):
+                    if len(pending) == 1:
+                        mine.append(pending.pop())
+                        mine_wmax.append(low)
+                    else:
+                        top = pending[0].score
+                        _rank(self.g, pending)
+                        mine += pending
+                        mine_wmax += [top] * len(pending)
+                        pending.clear()
+                    if len(mine) >= n:
+                        del mine[n:], mine_wmax[n:]
+                        del frontier[entry]
+                        return []
+                    if len(mine) > index:
+                        return []
+                    continue
             if not heap:
                 del frontier[entry]
                 return []

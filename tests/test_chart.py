@@ -2,6 +2,7 @@
 reference chart and pins recorded from it."""
 import hashlib
 import math
+import pickle
 import re
 from pathlib import Path
 from unittest import mock
@@ -22,6 +23,7 @@ from pcfgtk import (
     parse_grammar,
     read_bracketed_corpus,
     replay_derivation,
+    serialize_grammar,
     viterbi,
 )
 from pcfgtk.chart import _cky, _inside_pass, _plain_pass, _scaled_pass, expected_counts, log_total
@@ -712,3 +714,49 @@ class TestArrayLayoutEdgeCases:
                     call(reference)
                 with pytest.raises(type(want.value), match=re.escape(str(want.value))):
                     call(ours)
+
+
+class TestWeightsOfAnotherRuleSet:
+    """``expected_counts`` and ``log_total`` read only a ``PassWeights``
+    value made for the grammar's rule set, and reject any other before
+    laying out the sentence."""
+
+    @staticmethod
+    def assert_rejected(g, w):
+        tokens = read_bracketed_corpus(G100_BLOCK)[0].tokens
+        for call in (expected_counts, log_total):
+            for sentence in (tokens, []):  # the empty sentence is never read
+                with pytest.raises(ValueError, match="weights were made for another rule set"):
+                    call(g, sentence, w)
+
+    def test_weights_of_a_smaller_rule_set(self):
+        # read unchecked, G100's lexical rule ids run past these weights
+        small = parse_grammar("S -> A A 1.0\nA -> a 1.0\n")
+        self.assert_rejected(load_grammar(G100), small.weights)
+
+    def test_weights_of_as_many_rules_in_another_table(self):
+        g = load_grammar(G100)
+        start, *lines = serialize_grammar(g).splitlines()
+        other = parse_grammar("\n".join([start, *reversed(lines)]) + "\n")
+        assert len(other.rules) == len(g.rules)
+        assert other.binary_rule_table.shape == g.binary_rule_table.shape
+        for w in (other.weights, other.weights_of(0.5 * lp for lp in other.log_probs)):
+            self.assert_rejected(g, w)
+
+    def test_the_values_of_the_grammar_and_its_copies_are_read(self):
+        # a pickled copy is built anew: its binary rule table is equal to
+        # g's, not the same array
+        g = load_grammar(G100)
+        sent = read_bracketed_corpus(G100_BLOCK)[1]
+        tokens, brackets = sent.tokens, sent.brackets
+        copied = g.with_probs([1.0 / len(g.rules_by_lhs[r.lhs]) for r in g.rules])
+        rebuilt = pickle.loads(pickle.dumps(copied))
+        assert rebuilt.binary_rule_table is not g.binary_rule_table
+        for w in (copied.weights, copied.weights_of(0.5 * lp for lp in copied.log_probs)):
+            want_counts = expected_counts(copied, tokens, w, brackets)
+            want_total = log_total(copied, tokens, w, brackets)
+            for h in (g, copied, rebuilt):
+                mass, counts = expected_counts(h, tokens, w, brackets)
+                assert mass.hex() == want_counts[0].hex()
+                assert counts.tobytes() == want_counts[1].tobytes()
+                assert log_total(h, tokens, w, brackets).hex() == want_total.hex()

@@ -74,6 +74,15 @@ class TestConsistency:
         assert lines[0] == "spectral_radius,verdict,iterations,converged"
         assert lines[1].split(",")[1] == "consistent"
 
+    def test_csv_at_radius_exactly_one(self, tmp_path, capsys):
+        # 2 * 0.5: the power iteration settles on 1.0 itself, neither below
+        # nor above the tolerance band
+        grammar = tmp_path / "critical.g"
+        grammar.write_text("S -> S S 0.5\nS -> a 0.5\n", encoding="utf-8")
+        code, out, err = run(capsys, "consistency", str(grammar), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == "spectral_radius,verdict,iterations,converged\n1.0,borderline,2,True\n"
+
 
 class TestParsingCommands:
     def test_viterbi_lines(self, toy_files, capsys):

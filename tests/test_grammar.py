@@ -10,6 +10,7 @@ import pytest
 from conftest import random_grammar, toy
 from pcfgtk.logmath import NEG_INF, exp_split
 from pcfgtk import (
+    ConsistencyReport,
     Grammar,
     GrammarError,
     GrammarFormatError,
@@ -199,6 +200,31 @@ PROBABILITY_CASES = [
     "improper block",
 ]
 
+# (file text, message, line) of faults in the file format itself; each lies
+# past line 1 where the format allows, so a wrong line number shows
+RULE_SHAPE = "expected 'LHS -> RHS1 [RHS2] PROB'"
+FORMAT_ERRORS = {
+    "bare %start": ("S -> a 1.0\n%start\n", "malformed %start directive", 2),
+    "%start with two symbols": ("# note\n%start S T\nS -> a 1.0\n", "malformed %start directive", 2),
+    "%start naming a terminal": (
+        "# note\n%start a\nS -> a 1.0\n", "start symbol 'a' is not a nonterminal", 2
+    ),
+    "rule without an arrow": ("S -> S S 0.4\nS a 0.6\n", RULE_SHAPE, 2),
+    "rule without a right-hand side": ("S -> a 1.0\n\nT -> 1.0\n", RULE_SHAPE, 3),
+    # a file without rules has no later line to name
+    "empty file": ("", "no rules found", 1),
+    "comments only": ("# a grammar\n\n# with no rules\n", "no rules found", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(FORMAT_ERRORS))
+def test_format_errors_name_their_line(case):
+    text, message, line = FORMAT_ERRORS[case]
+    with pytest.raises(GrammarFormatError) as err:
+        parse_grammar(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
 
 @pytest.mark.parametrize("case", list(INVALID_GRAMMARS))
 def test_grammar_rejects_invalid_input(case):
@@ -275,6 +301,22 @@ class TestPassWeights:
         g = load_grammar(G100)
         for log_weights in (g.log_probs, list(g.log_probs), iter(g.log_probs)):
             assert g.weights_of(log_weights) is g.weights
+
+    def test_weights_of_takes_one_finite_weight_per_rule(self):
+        # unchecked, 50 weights failed inside the split with an IndexError,
+        # and the two extra of 102 were ignored
+        g = load_grammar(G100)
+        lps = list(g.log_probs)
+        for bad in (
+            lps[:50],
+            lps + [-1.0, -2.0],
+            [],
+            lps[:-1] + [-math.inf],
+            lps[:-1] + [math.inf],
+            [math.nan] + lps[1:],
+        ):
+            with pytest.raises(ValueError, match="expected 100 finite log weights, one per rule"):
+                g.weights_of(bad)
 
     def test_own_weights_split_the_probabilities_exactly(self):
         # frexp of p, which exp_split of log p rounds: the equality test of
@@ -441,6 +483,12 @@ class TestConsistency:
         report = check_consistency(toy(q))
         assert report.verdict == "inconsistent"
         assert abs(report.spectral_radius - 2 * q) < 1e-10
+
+    def test_radius_exactly_one_converges_borderline(self):
+        # toy(0.5) has radius 2 * 0.5 = 1: a converged run within the
+        # tolerance band of 1 is borderline, not only a run that never settles
+        report = check_consistency(toy(0.5))
+        assert report == ConsistencyReport(1.0, "borderline", 2, True)
 
     def test_lexical_grammar_has_zero_radius(self):
         report = check_consistency(parse_grammar("S -> a 1.0"))

@@ -464,6 +464,28 @@ class TestG100:
             _, lists = started_lists(g, tokens, 10, brackets)
             assert all(m == top for m, top in key_bounds(lists))
 
+    def test_ranking_two_windows_as_one_keeps_them_apart(self, started_lists):
+        # across a cut the canonical order is the incremental one (see
+        # kbest._SLACK), so ranking two neighbouring windows of a list as one
+        # returns each in its own order, the first before the second: what
+        # lets an entry rank every hypothesis it has popped as one window
+        g, cases = g100_cases()
+        pairs = 0
+        for tokens, brackets in cases[:8]:  # the block, bracketed and plain
+            _, lists = started_lists(g, tokens, 10, brackets)
+            for entry, cells in lists.hyps.items():
+                windows = []
+                for cell, top, before in zip(cells, lists.wmax[entry], [None] + lists.wmax[entry]):
+                    if top != before:
+                        windows.append([])
+                    windows[-1].append(cell)
+                for first, second in zip(windows, windows[1:]):
+                    union = (first + second)[::-1]
+                    kbest._rank(g, union)
+                    assert list(map(id, union)) == list(map(id, first + second))
+                    pairs += 1
+        assert pairs == 36
+
     def test_sixteen_tokens_start_few_entries(self, started_lists):
         # an entry starts only once a popped join needs one of its
         # hypotheses: 136 of the 1,007 binary entries present, where
