@@ -52,8 +52,9 @@ in two semirings (Goodman 1999): the plain pass gives it multiplication
 and ``_row_sums``, and ``kbest.nbest`` addition and ``np.maximum.reduce``
 over the same value's log weights, so that a candidate's term is
 ``(w * left) * right`` or ``(w + left) + right``.  ``kbest`` keeps each
-width's candidate scores and reads a column back as a candidate (its rule
-id from ``binary_rule_table``, its children from ``_Width.children``) only
+width's candidate scores, looks up an entry's row in a flat array filled
+from ``_Width.entry``, and reads a column back as a candidate (its rule id
+from ``binary_rule_table``, its children from ``_Width.children``) only
 for the entries a parent asks for, making their hypotheses top-down from
 the root and ranking them canonically only within rounding distance of
 each other.
@@ -93,7 +94,6 @@ slot's reference, and each call reads the layout it took throughout.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -122,8 +122,10 @@ class _Width(NamedTuple):
     With ``L, Q = g.binary_rule_table.shape``, row ``s * L + a`` holds the
     candidates of the ``s``-th compatible span of this width (by start)
     whose left-hand side is table row ``a``, its flat chart index being
-    ``entry[s * L + a]`` and its start ``starts[s]``; column ``k * Q + q``
-    holds the span's ``k``-th split and that table row's ``q``-th rule.
+    ``entry[s * L + a]``: the one record of which span and left-hand side a
+    row holds, from which ``kbest`` looks up an entry's row.  Column
+    ``k * Q + q`` holds the span's ``k``-th split and that table row's
+    ``q``-th rule.
     Each row thus lists its candidates in ascending (split, rule id) order.
     ``children`` has shape (2, splits, Q, spans, L): the flat chart index of
     each candidate's left and right child, so that each column is one
@@ -135,7 +137,6 @@ class _Width(NamedTuple):
     """
 
     width: int  # tokens in each span
-    starts: Sequence[int]  # ascending: a range, or the compatible starts
     entry: np.ndarray  # flat chart index of each row's (span, lhs) entry
     children: np.ndarray
 
@@ -184,12 +185,7 @@ def _build_layout(g: Grammar, n_max: int) -> _Layout:
     # a shorter sentence's rows are a prefix of each column
     plain = [
         tuple(
-            _Width(
-                width,
-                range(n - width + 1),
-                entry[: (n - width + 1) * n_lhs],
-                children[:, :, :, : n - width + 1],
-            )
+            _Width(width, entry[: (n - width + 1) * n_lhs], children[:, :, :, : n - width + 1])
             for width, entry, children in full[: n - 1]
         )
         for n in range(2, n1)
@@ -262,13 +258,11 @@ def _cky(g: Grammar, sentence, brackets: Bracketing | None) -> _Traversal:
     else:
         n_lhs = g.binary_rule_table.shape[0]
         widths = []
-        for width, _, entry, children in layout.plain[-1][: n - 1]:
+        for width, entry, children in layout.plain[-1][: n - 1]:
             starts = ok.diagonal(width).nonzero()[0]
             if starts.size:
                 rows = entry.reshape(-1, n_lhs).take(starts, axis=0).ravel()
-                widths.append(
-                    _Width(width, starts.tolist(), rows, children.take(starts, axis=3))
-                )
+                widths.append(_Width(width, rows, children.take(starts, axis=3)))
         widths = tuple(widths)
     root = n * n_nt + g.nt_index[g.start]
     return _Traversal(

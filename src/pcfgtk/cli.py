@@ -6,8 +6,9 @@ check: a ``train`` flag sets the ``DeltaSpec`` or ``HParams`` field it is
 named after, and one left out sets nothing.  All output is deterministic:
 identical inputs and flags produce byte-identical output.  Log
 probabilities are printed with 12 significant digits next to a linear-space
-convenience column; derivations are printed as bracketed trees.  Errors
-exit nonzero after a single ``error: ...`` line on stderr.
+convenience column; derivations are printed as bracketed trees.  Errors,
+running out of memory among them, exit nonzero after a single ``error:
+...`` line on stderr, which names an error without a message by its type.
 """
 from __future__ import annotations
 
@@ -196,8 +197,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (GrammarError, EstimationError, EnumerationLimitError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (
+        GrammarError, EstimationError, EnumerationLimitError, ValueError, OSError, MemoryError
+    ) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -52,7 +52,7 @@ from .chart import expected_counts, log_total
 from .consistency import check_consistency
 from .corpus import Sentence
 from .derivations import Derivation, derivation_probability, derivation_spans
-from .grammar import Grammar, exact_normalize
+from .grammar import Grammar, PassWeights, exact_normalize
 from .kbest import nbest
 from .logmath import logsumexp, normalized_weights
 
@@ -290,12 +290,20 @@ def accumulate_realized(
     kept = _kept(realized)
     acc = Accumulators.zeros(g)
     acc.skipped = len(realized) - len(kept)
-    weights = g.weights_of(eta * lp for lp in g.log_probs)
+    weights = _complete_weights(g, kept, eta)
     total = 0.0
     for rd in kept:
         total += _add_set(g, acc.d_rule_ref, rd.ref, eta)
         total -= h * _add_set(g, acc.d_rule_comp, rd.comp, eta, rd.complete, weights)
     return acc, total
+
+
+def _complete_weights(g: Grammar, kept: list[RealizedDelta], eta: float) -> PassWeights | None:
+    """The ``PassWeights`` of ``eta * log p``, which only complete sets
+    read; None when no set is complete, so a listed set takes any eta."""
+    if any(rd.complete is not None for rd in kept):
+        return g.weights_of(eta * lp for lp in g.log_probs)
+    return None
 
 
 def _add_set(g: Grammar, rule_acc, derivs, eta: float, complete=None, weights=None) -> float:
@@ -390,9 +398,10 @@ def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:
     contributes its inside total over the weights ``eta * log p`` under
     ``g``.
     """
-    weights = g.weights_of(eta * lp for lp in g.log_probs)
+    kept = _kept(realized)
+    weights = _complete_weights(g, kept, eta)
     total = 0.0
-    for rd in _kept(realized):
+    for rd in kept:
         total += logsumexp([eta * derivation_probability(g, d) for d in rd.ref])
         comp = [eta * derivation_probability(g, d) for d in rd.comp]
         if rd.complete is not None:
@@ -407,13 +416,15 @@ def objective(g: Grammar, corpus, spec: DeltaSpec, params: HParams) -> float:
     return objective_over_sets(g, realized, params.eta, params.h)
 
 
-# f_before, the log masses that normalize the accumulated weights, and
-# f_after, a fresh scoring of the same sets, sum the same logs by different
-# routes, so where a step changes nothing they differ by rounding alone: by
-# at most 5.3e-16 relative in the runs measured (-3.6e-15 at -8.31).  A step
-# counts as downhill only when the objective falls by more than
-# _DOWNHILL_TOL relative; the downhill steps seen fell by 1e-2 relative and
-# more, and each climbed after one doubling.
+# f_before, the log masses that normalize the accumulated weights, is the
+# frozen-set objective under g bit for bit: the same logs, summed in the
+# same order (a stored score is derivation_probability's, and a complete
+# set's total from expected_counts is log_total's).  So a step that
+# changes nothing leaves the objective exactly as it was.  A step counts as
+# downhill only when the objective falls by more than _DOWNHILL_TOL
+# relative, a margin for a step that moves the probabilities by rounding
+# alone; the downhill steps seen fell by 1e-2 relative and more, and each
+# climbed after one doubling.
 _DOWNHILL_TOL = 1e-10
 _MAX_DOUBLINGS = 32  # up to 2**32 times compute_ctilde's constant
 
@@ -458,11 +469,20 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
     masses that normalize the accumulated weights, so it costs no pass of
     its own; only the post-step objective scores the frozen sets again,
     under the new grammar (a complete set by an inside pass alone, over
-    the weights ``eta * log p``).
+    the weights ``eta * log p``).  Raises ValueError before the first
+    iteration when ``min_prob`` times some nonterminal's rule count
+    exceeds 1: no block of that many probabilities summing to 1 holds
+    every floor.
     """
     corpus = list(corpus)
     if not corpus:  # fails even when no iteration runs
         raise EstimationError("corpus is empty")
+    for nt, rids in g0._blocks:
+        if params.min_prob * len(rids) > 1.0:
+            raise ValueError(
+                f"min_prob {params.min_prob!r} cannot hold for all {len(rids)} rules of {nt}: "
+                "their floors sum past 1"
+            )
     g = g0
     records: list[IterationRecord] = []
     converged = False

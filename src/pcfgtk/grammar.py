@@ -23,15 +23,19 @@ renormalized, so a rule-set fault is reported before a probability fault.
 An error in a file names its line in either case.
 
 What the parsers derive from the grammar alone is made once per grammar,
-never once per call.  Indexes of the rule set (the binary rule table, the
-lexical rules of each terminal, the CKY layout) are cached on first use
-and shared by every ``with_probs`` copy.  The weights that ``chart``'s and
-``kbest``'s forward passes read, each form in one ``PassWeights`` value,
-are set with each probability vector, so each copy has its own; other log
-weights get theirs from ``weights_of``, made once for every pass that reads
-them.  Nothing is kept per sentence: a benchmark that meets each sentence
-many times would read such a cache as a gain that a corpus of distinct
-sentences never sees.
+never once per call, and each fact has one index.  Indexes of the rule set
+(the binary rule table, with its rows as tuples for ``kbest``; the lexicon,
+``terminal_leaves``, which alone maps a terminal to its lexical rules; the
+CKY layout) are cached on first use, never at load, and shared by every
+``with_probs`` copy.  The brute-force oracle reads none of these parser
+indexes: it finds a span's rules, lexical ones too, in ``rules_by_lhs``.
+The weights that ``chart``'s and ``kbest``'s forward passes read, each
+form in one ``PassWeights`` value, are set with each probability vector,
+so each copy has its own; other log weights get theirs from
+``weights_of``, made once for every pass that reads them.  Nothing is
+kept per sentence: a benchmark that meets each sentence many times would
+read such a cache as a gain that a corpus of distinct sentences never
+sees.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logmath import NEG_INF, ZERO_EXPONENT, exp_split
+from .logmath import INV_LN2, NEG_INF, SPLIT_BOUND, ZERO_EXPONENT, exp_split
 
 NONTERMINAL_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
@@ -239,10 +243,20 @@ class Grammar:
         """The ``PassWeights`` of finite log weights indexed by rule id:
         ``weights`` itself where they equal ``log_probs``, else the split
         of ``logmath.exp_split``, one ``math.exp`` a rule.  Raises
-        ValueError unless there is exactly one finite weight per rule."""
+        ValueError unless there is exactly one finite weight per rule, and
+        for a weight w with |floor(w / ln 2)| >= 2**21 (|w| about 1.45e6
+        or more), whose reduction by a multiple of ln 2 the split cannot
+        make exactly."""
         log_weights = tuple(log_weights)
         if len(log_weights) != len(self.rules) or not all(map(math.isfinite, log_weights)):
             raise ValueError(f"expected {len(self.rules)} finite log weights, one per rule")
+        for rule, w in zip(self.rules, log_weights):
+            # |floor(x)| < 2**21 for x = w / ln 2, which may overflow to inf
+            if not 1 - SPLIT_BOUND <= w * INV_LN2 < SPLIT_BOUND:
+                raise ValueError(
+                    f"rule {rule}: log weight {w!r} is out of range; "
+                    "exp_split needs |floor(w / ln 2)| < 2**21"
+                )
         if log_weights == self.log_probs:
             return self.weights
         mant, expo = exp_split(log_weights)
@@ -330,12 +344,10 @@ class Grammar:
         return self._binary_tables[2]
 
     @cached_property
-    def binary_table_lists(self) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
-        """The binary rule table as Python objects, for lookups one at a
-        time: the table row of each ``nt_index`` in ``binary_table_lhs``,
-        and each row of ``binary_rule_table``."""
-        table, lhs, _ = self._binary_tables
-        return dict(zip(lhs.tolist(), range(len(lhs)))), tuple(map(tuple, table.tolist()))
+    def binary_table_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Each row of ``binary_rule_table`` as a tuple, for lookups one at
+        a time."""
+        return tuple(map(tuple, self.binary_rule_table.tolist()))
 
     @cached_property
     def rules_by_lhs(self) -> dict[str, tuple[Rule, ...]]:
@@ -345,25 +357,16 @@ class Grammar:
         return {nt: tuple(rs) for nt, rs in groups.items()}
 
     @cached_property
-    def _lexical_index(self) -> dict[str, tuple[Rule, ...]]:
-        index: dict[str, list[Rule]] = {}
-        for rule in self.rules:
-            if rule.is_lexical:
-                index.setdefault(rule.terminal, []).append(rule)
-        return {t: tuple(rs) for t, rs in index.items()}
-
-    def rules_for_terminal(self, token: str) -> tuple[Rule, ...]:
-        return self._lexical_index.get(token, ())
-
-    @cached_property
     def terminal_leaves(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
         """Per terminal, the ``nt_index`` of each of its lexical rules'
-        left-hand sides and the rules' ids, in rule-id order."""
-        nt_index = self.nt_index
-        return {
-            t: (tuple(nt_index[r.lhs] for r in rules), tuple(r.id for r in rules))
-            for t, rules in self._lexical_index.items()
-        }
+        left-hand sides and the rules' ids, in rule-id order: the
+        grammar's one lexicon index."""
+        leaves: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        for r in self.rules:
+            if r.is_lexical:
+                lhs, ids = leaves.get(r.terminal, ((), ()))
+                leaves[r.terminal] = (lhs + (self.nt_index[r.lhs],), ids + (r.id,))
+        return leaves
 
     def with_probs(self, probs) -> "Grammar":
         """A grammar over the same rule set with new probabilities: a shallow

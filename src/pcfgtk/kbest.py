@@ -15,7 +15,8 @@ hypothesis with a right one under a candidate (rule, left child entry,
 right child entry).  A hypothesis is a ``_Cell``: an incremental score, the
 rule's log probability plus the two children's scores, with its rule id, its
 split and its two children, so building one costs two float additions and no
-count vector.
+count vector.  Once listed it also holds ``wmax``, the top incremental score
+of its window, which the joins that use it as a child read for their keys.
 
 Ordering is by descending canonical log probability (``score_rules`` of
 the subtree's rules) with the backpointer key as secondary
@@ -31,13 +32,14 @@ after ranking.  ``chart.viterbi`` is this engine at n = 1, so
 ``nbest(..., 1)`` returns the Viterbi derivation by construction.  With a
 large enough n the result is the complete derivation set.
 
-An entry starts when it is first asked for a hypothesis: its heap frontier
-of joins (column, left index, right index) starts with the first join of
-each column of its row that scores above -inf, keyed by that column's
-max-plus score.  A column is read back from the layout as a candidate only
-when one of its joins is about to be popped.  A later join's key is an
-upper bound on its score: the rule's log probability plus, for each child,
-the highest incremental score in the child's window that holds the index.
+An entry starts when it is first asked for a hypothesis: its row is looked
+up in one flat array filled from the layout's ``_Width.entry`` indexes, and
+its heap frontier of joins (column, left index, right index) starts with
+the first join of each column of that row that scores above -inf, keyed by
+that column's max-plus score.  A column is read back from the layout as a
+candidate only when one of its joins is about to be popped.  A later join's
+key is an upper bound on its score: the rule's log probability plus, for
+each child, the ``wmax`` of the child's hypothesis at the index.
 Popping (i, j) pushes (i, j + 1), and (i + 1, 0) only when j is 0, so each
 join but the first has one predecessor and none is pushed twice.  Before
 join (i, j) is popped, the right child is asked for index j + 1 and, when
@@ -56,8 +58,7 @@ is ranked.
 from __future__ import annotations
 
 import numbers
-from bisect import bisect_left, insort
-from collections.abc import Sequence
+from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 
@@ -103,11 +104,11 @@ from .logmath import NEG_INF
 # candidate is keyed by the candidate's max-plus score (lp[rule] + M_L) +
 # M_R, M being the highest incremental score over an entry's candidates,
 # computed bottom-up; every later join by (lp[rule] + wmax_L[i]) + wmax_R[j],
-# where wmax[i] is the highest incremental score in the child's window that
-# holds index i.  By induction over widths, as IEEE rounding is monotone,
-# every hypothesis of an entry has an incremental score at most its M, so
-# wmax[i] <= wmax[0] <= M, and wmax never increases with i (windows are cut
-# apart); hence a key bounds its join's score and every key past it.  Popping
+# where wmax[i], the ``wmax`` of the child's i-th hypothesis, is the
+# highest incremental score in the child's window that holds index i.  By
+# induction over widths, as IEEE rounding is monotone, every hypothesis of
+# an entry has an incremental score at most its M, so wmax[i] <= wmax[0] <=
+# M, and wmax never increases with i (windows are cut apart); hence a key bounds its join's score and every key past it.  Popping
 # (i, j) pushes (i, j + 1), and (i + 1, 0) when j = 0, so each join but the
 # first has the one predecessor (i, j - 1), or (i - 1, 0) when j = 0, and
 # none is pushed twice.  Every join not yet popped thus lies at the end of a
@@ -125,13 +126,16 @@ from .logmath import NEG_INF
 _SLACK = 4 * 2.0**-53
 
 
-@dataclass(slots=True)  # never changed once made; not frozen, which is slower to build
+@dataclass(slots=True)  # not frozen, which is slower to build
 class _Cell:
     score: float  # incremental: lp[rule] + left.score + right.score
     rule_id: int
     split: int = 0  # where the left child's span ends; 0 for lexical entries
     left: _Cell | None = None  # children; None for lexical entries
     right: _Cell | None = None
+    # the top incremental score of its window, set once when it is listed;
+    # every other field is never changed once made
+    wmax: float = NEG_INF
 
 
 def _preorder(cell: _Cell) -> list[int]:
@@ -192,19 +196,19 @@ class _Lists:
     highest incremental score over its candidates (-inf where absent);
     ``widths[w]`` holds the candidate scores ``(lp[rule] + M_left) +
     M_right`` of the spans w tokens wide, as ``chart._forward`` keeps them,
-    their children and the spans' starts, column-major as ``chart._Width``
-    lays them out: ``scores[col, row]`` and ``children[:, col, row]`` for one column per
-    (split, rule) and one row per (span, lhs); ``_row`` finds an entry's
-    row from its span and left-hand side.  ``hyps[entry]`` holds a started
-    entry's hypotheses so far and ``wmax[entry]``, for each, the highest
-    incremental score in its window.  An entry that has started and is
-    still open keeps in ``frontier`` its heap of ``(-key, column, left
-    index, right index)`` joins, the joins popped but not yet appended, one
-    window by descending incremental score, its candidates by column as
-    (rule log probability, rule id, split, left entry, right entry), each
-    read back when a join of its column is first about to be popped, its
-    width, its row and the slack of its cut test.  An entry in ``hyps`` but not in
-    ``frontier`` holds its whole list, at most n long.  A request (entry,
+    and their children, column-major as ``chart._Width`` lays them out:
+    ``scores[col, row]`` and ``children[:, col, row]`` for one column per
+    (split, rule) and one row per (span, lhs).  ``row_of`` is a flat chart of
+    each binary entry's row in its width, copied from the widths'
+    ``entry`` arrays.  ``hyps[entry]`` holds a started entry's hypotheses
+    so far, each with its window's top score.  An entry that has started
+    and is still open keeps in ``frontier`` its heap of ``(-key, column,
+    left index, right index)`` joins, the joins popped but not yet
+    appended, one window by descending incremental score, its candidates by
+    column as (rule log probability, rule id, split, left entry, right
+    entry), each read back when a join of its column is first about to be
+    popped, its width, its row and the slack of its cut test.  An entry in
+    ``hyps`` but not in ``frontier`` holds its whole list, at most n long.  A request (entry,
     index) extends the entry until it holds the index or is whole, window
     by window (see ``ask`` and ``_extend``).  No data here refers back to
     the object, so it is freed without the cycle collector.
@@ -213,21 +217,20 @@ class _Lists:
     def __init__(self, g: Grammar, trav: _Traversal, n: int):
         self.g, self.n = g, n
         self.n1, _, self.n_nt = trav.shape
-        self.lhs_row, self.rule_rows = g.binary_table_lists
+        self.rule_rows = g.binary_table_lists
         lp = g.log_probs
         # the max-plus pass: a candidate scores (lp[rule] + M_left) +
         # M_right, -inf where a child is absent or the column is padding
         kept: list[tuple[_Width, np.ndarray]] = []
         self.maxplus = _forward(trav, g.weights.log, np.add, np.maximum.reduce, kept)
-        self.widths: dict[int, tuple[np.ndarray, np.ndarray, Sequence[int]]] = {
-            width.width: (scores, width.children.reshape(2, len(scores), -1), width.starts)
-            for width, scores in kept
-        }
+        self.widths: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.row_of = np.zeros(trav.size, dtype=np.intp)
+        for width, scores in kept:
+            self.widths[width.width] = (scores, width.children.reshape(2, len(scores), -1))
+            self.row_of[width.entry] = np.arange(len(width.entry))
         self.hyps: dict[int, list[_Cell]] = {}
-        self.wmax: dict[int, list[float]] = {}
         for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
-            self.hyps[entry] = [_Cell(lp[rule], rule)]
-            self.wmax[entry] = [lp[rule]]
+            self.hyps[entry] = [_Cell(lp[rule], rule, wmax=lp[rule])]
         self.frontier: dict[int, tuple[list, list[_Cell], dict[int, tuple], int, int, float]] = {}
 
     def ask(self, entry: int, index: int) -> None:
@@ -251,23 +254,16 @@ class _Lists:
             else:
                 stack.pop()
 
-    def _row(self, entry: int, start: int, width: int) -> int:
-        """The row of a binary entry of span (start, start + width): its
-        span's place among the width's spans times ``L``, plus its
-        left-hand side's table row."""
-        place = bisect_left(self.widths[width][2], start)
-        return place * len(self.rule_rows) + self.lhs_row[entry % self.n_nt]
-
     def _start(self, entry: int) -> tuple:
         """Start an entry's frontier: the first join of every column of its
-        row that scores above -inf, keyed by its max-plus score."""
+        row, looked up in ``row_of``, that scores above -inf, keyed by its
+        max-plus score."""
         start, end = divmod(entry // self.n_nt, self.n1)
-        width = end - start
-        r = self._row(entry, start, width)
+        width, r = end - start, self.row_of.item(entry)
         row = self.widths[width][0][:, r].tolist()
         heap = [(-key, col, 0, 0) for col, key in enumerate(row) if key > NEG_INF]
         heapify(heap)
-        self.hyps[entry], self.wmax[entry] = [], []
+        self.hyps[entry] = []
         slack = _SLACK * (2 * width - 1)  # rules in every hypothesis of the span
         state = self.frontier[entry] = (heap, [], {}, width, r, slack)
         return state
@@ -288,16 +284,17 @@ class _Lists:
         final once its lowest member passes the cut test against the top
         key, or no join is left (see ``_SLACK``).  A window of one
         hypothesis, the common case, is appended as it stands; a longer
-        one is ranked canonically first.  Each member's ``wmax`` is the
-        window's top incremental score.  The list is truncated at n, which
-        closes the entry.
+        one is ranked canonically first.  Each member's ``wmax`` is set,
+        as it is appended, to the window's top incremental score, and a
+        join's key reads it from its two children.  The list is truncated
+        at n, which closes the entry.
         """
-        hyps, wmax, frontier, n = self.hyps, self.wmax, self.frontier, self.n
+        hyps, frontier, n = self.hyps, self.frontier, self.n
         state = frontier.get(entry)
         if state is None:
             state = self._start(entry)
         heap, pending, cands, width, r, slack = state
-        mine, mine_wmax = hyps[entry], wmax[entry]
+        mine = hyps[entry]
         while True:
             # a join not yet popped scores at most the top key U, so the
             # popped joins are a final window once their lowest member a
@@ -308,16 +305,17 @@ class _Lists:
                     bound = -heap[0][0]
                 if not heap or low - bound > slack * -(low + bound):
                     if len(pending) == 1:
+                        pending[0].wmax = low
                         mine.append(pending.pop())
-                        mine_wmax.append(low)
                     else:
                         top = pending[0].score
+                        for cell in pending:
+                            cell.wmax = top
                         _rank(self.g, pending)
                         mine += pending
-                        mine_wmax += [top] * len(pending)
                         pending.clear()
                     if len(mine) >= n:
-                        del mine[n:], mine_wmax[n:]
+                        del mine[n:]
                         del frontier[entry]
                         return []
                     if len(mine) > index:
@@ -354,11 +352,11 @@ class _Lists:
             # the heap's joins are distinct, so replacing its top pops the
             # same joins in the same order as a pop and a push
             if ri + 1 < len(rights):
-                heapreplace(heap, (-((lpr + wmax[left][li]) + wmax[right][ri + 1]), col, li, ri + 1))
+                heapreplace(heap, (-((lpr + lcell.wmax) + rights[ri + 1].wmax), col, li, ri + 1))
             else:
                 heappop(heap)
             if ri == 0 and li + 1 < len(lefts):
-                heappush(heap, (-((lpr + wmax[left][li + 1]) + wmax[right][0]), col, li + 1, 0))
+                heappush(heap, (-((lpr + lefts[li + 1].wmax) + rcell.wmax), col, li + 1, 0))
 
 
 def _rank(g: Grammar, window: list[_Cell]) -> None:

@@ -10,8 +10,9 @@ import numpy as np
 NEG_INF = float("-inf")
 
 # ln 2 in two parts: LN2_HI has 32 significant bits, so e * LN2_HI is exact
-# for every integer |e| < 2**21, and LN2_HI + LN2_LO is ln 2 to about 2**-90
-# (the split of fdlibm's exp and log)
+# for every integer |e| < SPLIT_BOUND, and LN2_HI + LN2_LO is ln 2 to about
+# 2**-90 (the split of fdlibm's exp and log)
+SPLIT_BOUND = 2**21
 LN2_HI = float.fromhex("0x1.62e42feep-1")
 LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
 INV_LN2 = float.fromhex("0x1.71547652b82fep0")  # 1 / ln 2
@@ -55,7 +56,8 @@ def exp_split(log_values) -> tuple[np.ndarray, np.ndarray]:
     With k = floor(v / ln 2), ``math.exp`` of the reduced r = (v - k *
     LN2_HI) - k * LN2_LO, which lies in [0, ln 2) up to rounding, cannot
     overflow or underflow; ``frexp`` of it, its exponent plus k, is the
-    split.  That is one ``math.exp`` per value.
+    split.  That is one ``math.exp`` per value.  The reduction is exact
+    only while |k| < ``SPLIT_BOUND``, which ``Grammar.weights_of`` checks.
     """
     v = np.array(log_values, dtype=float)
     k = np.floor(v * INV_LN2)

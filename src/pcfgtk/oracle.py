@@ -75,29 +75,26 @@ def _expand(g: Grammar, tokens: list[str]) -> list[_Record]:
         if state is not None:
             return state
         out = []
-        if j - i == 1:
-            for rule in g.rules_for_terminal(tokens[i]):
-                if rule.lhs == lhs:
+        for rule in g.rules_by_lhs[lhs]:
+            if rule.is_lexical:
+                if j - i == 1 and rule.terminal == tokens[i]:
                     out.append(((rule.id,), (rule.id,), ((i, j),)))
-        else:
-            for rule in g.rules_by_lhs[lhs]:
-                if rule.is_lexical:
-                    continue
-                for k in range(i + 1, j):
-                    for lrules, lkey, lspans in derive(rule.rhs[0], i, k):
-                        for rrules, rkey, rspans in derive(rule.rhs[1], k, j):
-                            budget[0] -= 1
-                            if budget[0] < 0:
-                                raise EnumerationLimitError(
-                                    f"more than {DERIVATION_GUARD} partial derivations"
-                                )
-                            out.append(
-                                (
-                                    (rule.id,) + lrules + rrules,
-                                    (k, rule.id) + lkey + rkey,
-                                    ((i, j),) + lspans + rspans,
-                                )
+                continue
+            for k in range(i + 1, j):
+                for lrules, lkey, lspans in derive(rule.rhs[0], i, k):
+                    for rrules, rkey, rspans in derive(rule.rhs[1], k, j):
+                        budget[0] -= 1
+                        if budget[0] < 0:
+                            raise EnumerationLimitError(
+                                f"more than {DERIVATION_GUARD} partial derivations"
                             )
+                        out.append(
+                            (
+                                (rule.id,) + lrules + rrules,
+                                (k, rule.id) + lkey + rkey,
+                                ((i, j),) + lspans + rspans,
+                            )
+                        )
         memo[(lhs, i, j)] = out
         return out
 
@@ -130,8 +127,6 @@ def _select(records: list[_Record], mode: str, n: int, brackets: Bracketing | No
     # a bracketed mode keeps the records that nest with the brackets; every
     # mode then keeps the best 1, the best n, or all of them
     sizes = {"viterbi": 1, "bracketed_viterbi": 1, "nbest": n, "all": None, "bracketed_all": None}
-    if mode not in sizes:
-        raise ValueError(f"unknown delta mode {mode!r}")
     if mode.startswith("bracketed_") and brackets is not None:
         records = [r for r in records if all(brackets.compatible(i, j) for i, j in r.spans)]
     return records[: sizes[mode]]

@@ -50,7 +50,7 @@ def _cky(g, sentence, brackets, leaf, combine):
     binary = [(rule, rule.lhs, rule.rhs[0], rule.rhs[1]) for rule in g.rules if not rule.is_lexical]
     chart: dict[tuple[int, int], dict] = {}
     for i, tok in enumerate(tokens):
-        cell = {rule.lhs: leaf(rule) for rule in g.rules_for_terminal(tok)}
+        cell = {rule.lhs: leaf(rule) for rule in g.rules if rule.rhs == (tok,)}
         if cell:
             chart[(i, i + 1)] = cell
     for width in range(2, n + 1):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pcfgtk import DegenerateDeltaWarning, load_grammar
+from pcfgtk import DegenerateDeltaWarning, chart, load_grammar
 from pcfgtk.cli import main
 
 TOY = "S -> S S 0.4\nS -> a 0.6\n"
@@ -82,6 +82,25 @@ class TestConsistency:
         code, out, err = run(capsys, "consistency", str(grammar), "--format", "csv")
         assert (code, err) == (0, "")
         assert out == "spectral_radius,verdict,iterations,converged\n1.0,borderline,2,True\n"
+
+
+class TestMemoryError:
+    @pytest.mark.parametrize(
+        "error,line",
+        [
+            (MemoryError("Unable to allocate 12.0 GiB"), "error: Unable to allocate 12.0 GiB\n"),
+            (MemoryError(), "error: MemoryError\n"),
+        ],
+    )
+    def test_is_one_error_line(self, toy_files, capsys, monkeypatch, error, line):
+        # a long sentence's layout may not fit in memory; stand in for
+        # NumPy's error without allocating anything
+        def build_layout(g, n_max):
+            raise error
+
+        monkeypatch.setattr(chart, "_build_layout", build_layout)
+        _, grammar, corpus, _ = toy_files
+        assert run(capsys, "inside", grammar, corpus) == (1, "", line)
 
 
 class TestParsingCommands:
@@ -279,6 +298,57 @@ class TestTrain:
         assert err.splitlines() == [err.strip()]
         assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
         assert not out_g.exists()
+
+    @pytest.mark.parametrize("eta", ["1e308", "1e300", "1e20", "1e10"])
+    def test_eta_beyond_the_exact_split_is_one_error_line(self, tmp_path, capsys, eta):
+        # eta * log p left the range where exp_split reduces exactly: 1e308
+        # ended in an OverflowError traceback, 1e300 and 1e20 in a NumPy
+        # RuntimeWarning and an error blaming the grammar's probabilities
+        code, out, err = self._train_aaa(tmp_path, capsys, "--eta", eta)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: rule S -> S S: log weight -9")
+        assert err.endswith("is out of range; exp_split needs |floor(w / ln 2)| < 2**21\n")
+
+    def test_eta_beyond_the_exact_split_trains_listed_sets(self, tmp_path, capsys):
+        # only a complete set's mass reads the split of eta * log p; a
+        # listed set's does not, and no split is made for it
+        code, out, err = self._train_aaa(
+            tmp_path, capsys, "--eta", "1e300", "--comp-mode", "nbest", "--n-comp", "3"
+        )
+        assert (code, out, err) == (0, "1\t-3.36505833505e+300\n", "")
+
+    @pytest.mark.parametrize("iters", ["1", "0"])
+    def test_min_prob_no_block_can_hold_is_one_error_line(self, tmp_path, capsys, iters):
+        # both S rules floored at 0.9 renormalize to 0.5: every step then
+        # fell, and the run ended in an error that did not name the floor;
+        # the floor is now checked before the first iteration
+        code, out, err = self._train_aaa(tmp_path, capsys, "--min-prob", "0.9", "--iters", iters)
+        assert (code, out) == (1, "")
+        assert err == "error: min_prob 0.9 cannot hold for all 2 rules of S: their floors sum past 1\n"
+        assert not (tmp_path / "o.g").exists()
+
+    def test_min_prob_a_block_can_just_hold_runs(self, tmp_path, capsys):
+        # 0.5 * 2 rules is 1: not rejected, and a run from S -> S S 0.5 |
+        # a 0.5 takes its step
+        code, out, err = self._train_aaa(tmp_path, capsys, "--min-prob", "0.5", "--iters", "0")
+        assert (code, out, err) == (0, "", "")
+        code, out, err = self._train_aaa(
+            tmp_path, capsys, "--min-prob", "0.5", grammar_text="S -> S S 0.5\nS -> a 0.5\n"
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("1\t-3.39532214053\n")
+
+    def _train_aaa(self, tmp_path, capsys, *flags, grammar_text=TOY):
+        # flags given later override the defaults here
+        grammar, corpus = tmp_path / "toy.g", tmp_path / "aaa.txt"
+        grammar.write_text(grammar_text, encoding="utf-8")
+        corpus.write_text("a a a\n", encoding="utf-8")
+        argv = ["train", str(grammar), str(corpus), "--out-grammar", str(tmp_path / "o.g")]
+        argv += ["--ref-mode", "viterbi", "--comp-mode", "all", "--iters", "1", *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print beside the error line
+            return run(capsys, *argv)
 
     def test_deterministic_output(self, toy_files, capsys):
         tmp_path, grammar, corpus, _ = toy_files

@@ -751,6 +751,28 @@ class TestObjective:
                 _, f_before = accumulate_realized(g, realized, eta, 0.6)
                 assert f_before == objective_over_sets(g, realized, eta, 0.6)
 
+    def test_pre_step_objective_is_the_frozen_set_objective_on_g100(self):
+        # f_before and a fresh scoring of the same sets under the same
+        # grammar take the same logs and sum them in the same order, so
+        # they agree bit for bit, and a step that changes nothing leaves
+        # the objective as it was
+        data = Path(__file__).parent / "data"
+        g = load_grammar(data / "g100-seed0.g")
+        corpus = read_bracketed_corpus(data / "g100-seed0-block.txt")
+        cases = 0
+        for ref_mode in REF_MODES:
+            for comp_mode in COMP_MODES:
+                spec = DeltaSpec(ref_mode, comp_mode, n_ref=3, n_comp=10)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateDeltaWarning)
+                    realized = [realize_delta_sets(g, s, spec) for s in corpus]
+                for eta in (1.0, 0.5, 2.0):
+                    for h in (0.0, 0.3, 0.9):
+                        _, f_before = accumulate_realized(g, realized, eta, h)
+                        assert f_before == objective_over_sets(g, realized, eta, h)
+                        cases += 1
+        assert cases == 81
+
     def test_skipped_sentences_excluded(self):
         g = parse_grammar("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n")
         got = objective(g, [["a", "b"], ["b", "a"]], VIT_ALL, HParams(h=0.5))

@@ -1,14 +1,16 @@
 """Grammar parsing, validation, serialization, and the expectation matrix."""
 import functools
 import math
+import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_grammar, toy
-from pcfgtk.logmath import NEG_INF, exp_split
+from pcfgtk.logmath import INV_LN2, LN2_HI, NEG_INF, exp_split
 from pcfgtk import (
     ConsistencyReport,
     Grammar,
@@ -344,6 +346,32 @@ class TestPassWeights:
         for rules, columns in (w.log, w.plain, w.mant, w.expo):
             want = rules.take(g.binary_rule_table.T)[:, None, :]
             assert columns.tobytes() == want.tobytes() and columns.shape == want.shape
+
+    def test_weights_of_rejects_weights_the_split_cannot_reduce_exactly(self):
+        # exp_split reduces w by k * ln 2 in two parts, k = floor(w / ln 2);
+        # k * LN2_HI is exact while |k| < 2**21, and weights_of takes w just
+        # when that holds, the reduction being exact for every w it takes
+        g = toy(0.3)
+        for edge in ((1 - 2**21) * math.log(2.0), 2**21 * math.log(2.0)):
+            taken = set()
+            w = edge
+            for _ in range(20):
+                w = math.nextafter(w, -math.inf)
+            for _ in range(40):
+                k = math.floor(w * INV_LN2)
+                within = abs(k) < 2**21
+                if within:
+                    g.weights_of((w, -1.0))
+                    assert Fraction(k) * Fraction(LN2_HI) == Fraction(k * LN2_HI)
+                else:
+                    with pytest.raises(ValueError, match=re.escape("|floor(w / ln 2)| < 2**21")):
+                        g.weights_of((w, -1.0))
+                taken.add(within)
+                w = math.nextafter(w, math.inf)
+            assert taken == {True, False}
+        for w in (-1e10, 1e10, -1e300, -1.7e308, 1.7e308):
+            with pytest.raises(ValueError, match=re.escape(f"rule S -> S S: log weight {w!r} is out")):
+                g.weights_of((w, -1.0))
 
     def test_weights_beyond_a_double_keep_their_split(self):
         g = toy(0.3)

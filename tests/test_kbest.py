@@ -204,9 +204,10 @@ def started_lists(monkeypatch):
 
 
 def key_bounds(lists) -> list[tuple[float, float]]:
-    """(M, wmax[0]) of every started entry: its max-plus score, which keys
-    its candidates' first joins, and the top of its first window."""
-    return [(lists.maxplus[entry], wmax[0]) for entry, wmax in lists.wmax.items()]
+    """(M, its first hypothesis's wmax) of every started entry: its max-plus
+    score, which keys its candidates' first joins, and the top of its first
+    window."""
+    return [(lists.maxplus[entry], cells[0].wmax) for entry, cells in lists.hyps.items()]
 
 
 def assert_decoder_matches_scalar_layout(g, tokens, brackets=None):
@@ -234,7 +235,7 @@ def assert_decoder_matches_scalar_layout(g, tokens, brackets=None):
     for entry in (lists.maxplus > -math.inf).nonzero()[0].tolist():
         i, j = divmod(entry // n_nt, n1)
         if j - i > 1:
-            r = lists._row(entry, i, j - i)
+            r = lists.row_of[entry]
             cols = (lists.widths[j - i][0][:, r] > -math.inf).nonzero()[0].tolist()
             got[entry] = [lists._candidate(j - i, r, col) for col in cols]
     assert got == want
@@ -380,13 +381,12 @@ class TestOrderingProperties:
 
 
 def request_state(lists):
-    """The started entries of a ``_Lists`` with each one's hypotheses (rule
-    ids in preorder and incremental score) and window tops."""
-    hyps = {
-        entry: [(kbest._preorder(cell), cell.score) for cell in cells]
+    """The started entries of a ``_Lists`` with each one's hypotheses: rule
+    ids in preorder, incremental score and window top."""
+    return {
+        entry: [(kbest._preorder(cell), cell.score, cell.wmax) for cell in cells]
         for entry, cells in lists.hyps.items()
     }
-    return hyps, lists.wmax
 
 
 def assert_one_request_equals_many(g, tokens, brackets):
@@ -475,7 +475,8 @@ class TestG100:
             _, lists = started_lists(g, tokens, 10, brackets)
             for entry, cells in lists.hyps.items():
                 windows = []
-                for cell, top, before in zip(cells, lists.wmax[entry], [None] + lists.wmax[entry]):
+                tops = [cell.wmax for cell in cells]
+                for cell, top, before in zip(cells, tops, [None] + tops):
                     if top != before:
                         windows.append([])
                     windows[-1].append(cell)

@@ -13,7 +13,7 @@ from pcfgtk import (
     parse_grammar,
     replay_derivation,
 )
-from pcfgtk.oracle import catalan
+from pcfgtk.oracle import catalan, count_vector
 
 
 class TestEnumerationCounts:
@@ -96,6 +96,13 @@ class TestEnumerationGuards:
         monkeypatch.setattr(oracle_module, "DERIVATION_GUARD", 3)
         with pytest.raises(EnumerationLimitError, match="partial derivations"):
             enumerate_derivations(toy(0.5), ["a"] * 4)
+
+    @pytest.mark.parametrize("rid", [-1, 2])
+    def test_count_vector_rejects_a_rule_id_out_of_range(self, rid):
+        # unchecked, -1 would count against the last rule, and 2 raise an
+        # IndexError naming no rule
+        with pytest.raises(ValueError, match=f"rule id {rid} out of range for grammar with 2 rules"):
+            count_vector(toy(0.5), [0, 1, rid])
 
 
 class TestOracleAccumulate:
