@@ -121,11 +121,11 @@ class _Width(NamedTuple):
 
     With ``L, Q = g.binary_rule_table.shape``, row ``s * L + a`` holds the
     candidates of the ``s``-th compatible span of this width (by start)
-    whose left-hand side is table row ``a``, its flat chart index being
-    ``entry[s * L + a]``: the one record of which span and left-hand side a
-    row holds, from which ``kbest`` looks up an entry's row.  Column
-    ``k * Q + q`` holds the span's ``k``-th split and that table row's
-    ``q``-th rule.
+    whose left-hand side is that of table row ``a``'s rules, its flat chart
+    index being ``entry[s * L + a]``: the one record of which span and
+    left-hand side a row holds, from which ``kbest`` looks up an entry's
+    row.  Column ``k * Q + q`` holds the span's ``k``-th split and that
+    table row's ``q``-th rule.
     Each row thus lists its candidates in ascending (split, rule id) order.
     ``children`` has shape (2, splits, Q, spans, L): the flat chart index of
     each candidate's left and right child, so that each column is one
@@ -153,7 +153,14 @@ class _Layout(NamedTuple):
 
 def _build_layout(g: Grammar, n_max: int) -> _Layout:
     """Lay out the candidates of every span of an n_max-token sentence, and
-    view them for every shorter one."""
+    view them for every shorter one.
+
+    The layout is the one encoding of the binary rules that every pass
+    reads, derived here from the grammar's ``binary_rule_table``: a row's
+    left-hand side is ``rule_lhs_index`` of its table row's first rule, and
+    a rule slot's children are the right-hand side of its rule in
+    ``g.rules``, 0 at padding.
+    """
     n1, n_nt = n_max + 1, len(g.nonterminals)
     table = g.binary_rule_table
     if not table.size:
@@ -166,13 +173,16 @@ def _build_layout(g: Grammar, n_max: int) -> _Layout:
     # offsets[:, k - 1, q, a] is split k and rule slot q of table row a
     stride = (n1 + 1) * n_nt
     steps = np.array([n_nt, n1 * n_nt])[:, None, None, None]
-    rhs = g.binary_table_rhs.transpose(0, 2, 1)[:, None]
+    # the children's nt_index of each binary rule by id, 0 at padding (rule
+    # id -1, the last)
+    rhs = [[g.nt_index[s] for s in r.rhs] if len(r.rhs) == 2 else [0, 0] for r in g.rules]
+    rhs = np.array(rhs + [[0, 0]]).T.take(table.T, axis=1)[:, None]
     offsets = steps * np.arange(1, n_max)[:, None, None] + rhs
     offsets = np.where(table.T < 0, n1 * n1 * n_nt, offsets)
     # ends[:, w, i]: i * stride, and i * stride + w * n_nt for the right
     # child and the entry
     ends = np.arange(n_max) * stride + np.array([[0], [n_nt]])[:, :, None] * np.arange(n1)[:, None]
-    entries = ends[1][:, :, None] + g.binary_table_lhs
+    entries = ends[1][:, :, None] + g.rule_lhs_index.take(table[:, 0])
     entries.flags.writeable = False
     full = []
     for width in range(2, n_max + 1):
@@ -536,8 +546,6 @@ def expected_counts(
     trav = _cky(g, sentence, brackets)
     by_width: list[tuple[_Width, np.ndarray, np.ndarray, np.ndarray]] = []
     mant, expo = _scaled_pass(trav, w, kept=by_width)
-    if not mant[trav.root]:
-        return NEG_INF, np.zeros(len(g.rules))
     table = g.binary_rule_table
     n_lhs, n_rules = table.shape
     n_splits = len(trav.tokens) - 1  # at most, in any span
@@ -550,7 +558,7 @@ def expected_counts(
     span_order = span_of * (len(col) * len(g.rules))  # beyond any col_order
     counts = np.zeros(len(g.rules))
     flow = np.zeros(trav.size)
-    flow[trav.root] = 1.0
+    flow[trav.root] = 1.0  # with the root absent, every share handed on is 0
     # every candidate's children are narrower than its entry, so each flow
     # is complete before it is passed on
     for width, present, terms, totals in reversed(by_width):

@@ -71,8 +71,8 @@ def _walk(g: Grammar, rules, sentence_len: int | None = None):
     if the sequence is not a complete leftmost derivation from the start
     symbol, or not of ``sentence_len`` tokens when that is given.
     """
-    lhs_rhs = g.rule_lhs_rhs
-    n_rules = len(lhs_rhs)
+    by_id = g.rules
+    n_rules = len(by_id)
     pending = [g.start]  # leftmost pending nonterminal on top
     pop = pending.pop
     # binary nodes awaiting children: [label, start, left child or None]
@@ -84,13 +84,14 @@ def _walk(g: Grammar, rules, sentence_len: int | None = None):
     for rid in rules:
         if not 0 <= rid < n_rules:
             raise ValueError(f"rule id {rid} out of range")
-        lhs, rhs = lhs_rhs[rid]
+        rule = by_id[rid]
+        lhs, rhs = rule.lhs, rule.rhs
         try:
             top = pop()
         except IndexError:
-            raise ValueError(f"rule {g.rules[rid]} applied after the derivation completed") from None
+            raise ValueError(f"rule {rule} applied after the derivation completed") from None
         if top != lhs:
-            raise ValueError(f"rule {g.rules[rid]} cannot rewrite pending nonterminal {top}")
+            raise ValueError(f"rule {rule} cannot rewrite pending nonterminal {top}")
         if len(rhs) == 2:
             pending += (rhs[1], rhs[0])
             open_nodes.append([lhs, end, None])

@@ -302,8 +302,17 @@ def _complete_weights(g: Grammar, kept: list[RealizedDelta], eta: float) -> Pass
     """The ``PassWeights`` of ``eta * log p``, which only complete sets
     read; None when no set is complete, so a listed set takes any eta."""
     if any(rd.complete is not None for rd in kept):
-        return g.weights_of(eta * lp for lp in g.log_probs)
+        return g.weights_of(_times_eta(eta, g.log_probs))
     return None
+
+
+def _times_eta(eta: float, log_probs) -> list[float]:
+    """``eta`` times each log probability, all of them finite; raises
+    ValueError naming eta where a product overflows."""
+    logs = [eta * lp for lp in log_probs]
+    if not all(map(math.isfinite, logs)):
+        raise ValueError(f"eta {eta!r} times a log probability overflows")
+    return logs
 
 
 def _add_set(g: Grammar, rule_acc, derivs, eta: float, complete=None, weights=None) -> float:
@@ -312,7 +321,7 @@ def _add_set(g: Grammar, rule_acc, derivs, eta: float, complete=None, weights=No
     # leaves it unchanged.  A complete set comes first, as one term: its
     # log mass and expected counts under ``weights``, those of p ** eta.
     # Returns the set's log mass, the log of its summed p ** eta.
-    logs = [eta * d.log_prob for d in derivs]
+    logs = _times_eta(eta, [d.log_prob for d in derivs])
     terms = [np.bincount(d.rules, minlength=len(g.rules)) for d in derivs]
     if complete is not None:
         mass, counts = expected_counts(g, complete.tokens, weights, complete.brackets)
@@ -332,10 +341,13 @@ def compute_ctilde(acc: Accumulators, g: Grammar, h: float, epsilon: float) -> f
     p(rule) * epsilon, which rounds away when that probability is tiny (a
     rule at the ``min_prob`` floor, say).  Only then, when some numerator of
     the growth step would not be positive, the epsilon term is doubled until
-    every numerator is positive.
+    every numerator is positive.  A quotient past the float range, from a
+    probability near the least float, leaves the constant infinite, which
+    the growth step rejects.
     """
     num = acc.d_rule_ref - h * acc.d_rule_comp
-    base = float(np.max(-num / np.array(g.probs), initial=0.0))
+    with np.errstate(over="ignore"):  # a quotient past the float range is inf
+        base = float(np.max(-num / np.array(g.probs), initial=0.0))
     ctilde = base + epsilon
     while math.isfinite(ctilde) and (_numerators(g, acc, h, ctilde) <= 0.0).any():
         epsilon *= 2.0
@@ -362,7 +374,10 @@ def _raw_transform(g: Grammar, acc: Accumulators, h: float, ctilde: float) -> li
                         "the offset constant is too small"
                     )
     lhs = g.rule_lhs_index
-    return (num / np.bincount(lhs, num, len(g.nonterminals))[lhs]).tolist()
+    totals = np.bincount(lhs, num, len(g.nonterminals))
+    if not np.isfinite(totals).all():
+        raise EstimationError(f"the offset constant {ctilde!r} overflows a block's numerators")
+    return (num / totals[lhs]).tolist()
 
 
 def _finalize(g: Grammar, raw: list[float], min_prob: float) -> Grammar:
@@ -402,8 +417,8 @@ def objective_over_sets(g: Grammar, realized, eta: float, h: float) -> float:
     weights = _complete_weights(g, kept, eta)
     total = 0.0
     for rd in kept:
-        total += logsumexp([eta * derivation_probability(g, d) for d in rd.ref])
-        comp = [eta * derivation_probability(g, d) for d in rd.comp]
+        total += logsumexp(_times_eta(eta, [derivation_probability(g, d) for d in rd.ref]))
+        comp = _times_eta(eta, [derivation_probability(g, d) for d in rd.comp])
         if rd.complete is not None:
             comp.insert(0, log_total(g, rd.complete.tokens, weights, rd.complete.brackets))
         total -= h * logsumexp(comp)
@@ -430,8 +445,9 @@ _MAX_DOUBLINGS = 32  # up to 2**32 times compute_ctilde's constant
 
 
 def _checked_step(g: Grammar, acc: Accumulators, realized, f_before: float, params: HParams):
-    """The growth step from ``acc``: its offset constant, raw probabilities,
-    new grammar and frozen-set objective.
+    """The growth step from ``acc``: its offset constant, the number of
+    rules it floored at ``min_prob``, its new grammar and frozen-set
+    objective.
 
     The offset constant starts at ``compute_ctilde``'s, which need not make
     the step climb; while the objective on the frozen sets falls below
@@ -439,20 +455,25 @@ def _checked_step(g: Grammar, acc: Accumulators, realized, f_before: float, para
     step redone from the same accumulators.  Growth transformations climb
     for every large enough constant (Gopalakrishnan et al. 1991; Kanevsky
     2004), so the doubling ends; after ``_MAX_DOUBLINGS`` it raises
-    ``EstimationError``.
+    ``EstimationError``, which names ``min_prob`` when the last attempt
+    floored a rule.
     """
     ctilde = compute_ctilde(acc, g, params.h, params.epsilon)
     floor = f_before - _DOWNHILL_TOL * max(1.0, abs(f_before))
     for _ in range(_MAX_DOUBLINGS + 1):
         raw = _raw_transform(g, acc, params.h, ctilde)
+        floored = sum(p < params.min_prob for p in raw)
         g_new = _finalize(g, raw, params.min_prob)
         f_after = objective_over_sets(g_new, realized, params.eta, params.h)
         if f_after >= floor:
-            return ctilde, raw, g_new, f_after
+            return ctilde, floored, g_new, f_after
         ctilde *= 2.0
-    raise EstimationError(
-        f"the objective fell from {f_before!r} at every offset constant up to {ctilde / 2.0!r}"
-    )
+    fault = f"the objective fell from {f_before!r} at every offset constant up to {ctilde / 2.0!r}"
+    if floored:
+        fault += (
+            f"; its last step floored {floored} of {len(raw)} rules at min_prob {params.min_prob!r}"
+        )
+    raise EstimationError(fault)
 
 
 def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
@@ -489,8 +510,7 @@ def train(g0: Grammar, corpus, spec: DeltaSpec, params: HParams) -> TrainReport:
     for iteration in range(1, params.max_iters + 1):
         realized = [realize_delta_sets(g, s, spec) for s in corpus]
         acc, f_before = accumulate_realized(g, realized, params.eta, params.h)
-        ctilde, raw, g_new, f_after = _checked_step(g, acc, realized, f_before, params)
-        floored = sum(1 for p in raw if p < params.min_prob)
+        ctilde, floored, g_new, f_after = _checked_step(g, acc, realized, f_before, params)
         max_dp = max(abs(a - b) for a, b in zip(g.probs, g_new.probs))
         rho = check_consistency(g_new).spectral_radius
         records.append(

@@ -23,12 +23,17 @@ renormalized, so a rule-set fault is reported before a probability fault.
 An error in a file names its line in either case.
 
 What the parsers derive from the grammar alone is made once per grammar,
-never once per call, and each fact has one index.  Indexes of the rule set
-(the binary rule table, with its rows as tuples for ``kbest``; the lexicon,
-``terminal_leaves``, which alone maps a terminal to its lexical rules; the
-CKY layout) are cached on first use, never at load, and shared by every
-``with_probs`` copy.  The brute-force oracle reads none of these parser
-indexes: it finds a span's rules, lexical ones too, in ``rules_by_lhs``.
+never once per call, and each fact has one form.  Indexes of the rule set
+are cached and shared by every ``with_probs`` copy: the binary rule table,
+built at load since every ``PassWeights`` column is gathered by it, and
+the lexicon, ``terminal_leaves``, which alone maps a terminal to its
+lexical rules, and the CKY layout, both built on first use.  Any other
+encoding of a rule-set fact is derived by the module that reads it, from
+these and ``rules``: ``chart`` lays out each row's left-hand side and each
+slot's children, ``kbest`` reads a column's rule id off the table, and
+``derivations`` each rule's sides off ``rules``.  The brute-force oracle
+reads none of these parser indexes: it finds a span's rules, lexical ones
+too, in ``rules_by_lhs``.
 The weights that ``chart``'s and ``kbest``'s forward passes read, each
 form in one ``PassWeights`` value, are set with each probability vector,
 so each copy has its own; other log weights get theirs from
@@ -288,11 +293,6 @@ class Grammar:
         return {nt: i for i, nt in enumerate(self.nonterminals)}
 
     @cached_property
-    def rule_lhs_rhs(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        """``(lhs, rhs)`` of every rule, indexed by rule id."""
-        return tuple((r.lhs, r.rhs) for r in self.rules)
-
-    @cached_property
     def rule_lhs_index(self) -> np.ndarray:
         """``nt_index`` of every rule's LHS, indexed by rule id (read-only)."""
         index = np.array([self.nt_index[r.lhs] for r in self.rules], dtype=np.intp)
@@ -300,54 +300,23 @@ class Grammar:
         return index
 
     @cached_property
-    def _binary_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lhs, rows = [], []
-        for a, nt in enumerate(self.nonterminals):
-            ids = [r.id for r in self.rules_by_lhs[nt] if len(r.rhs) == 2]
-            if ids:
-                lhs.append(a)
-                rows.append(ids)
+    def binary_rule_table(self) -> np.ndarray:
+        """Binary rule ids by left-hand side (read-only), the grammar's one
+        binary-rule index.
+
+        One row per nonterminal with binary rules, in ``nt_index`` order;
+        each row lists that nonterminal's binary rule ids in ascending
+        order, padded with -1 to the longest row, so ``rule_lhs_index`` of
+        a row's first id is its left-hand side.  Built at load, since every
+        ``PassWeights`` column is gathered by it.
+        """
+        rows = [[r.id for r in rules if len(r.rhs) == 2] for rules in self.rules_by_lhs.values()]
+        rows = [ids for ids in rows if ids]
         width = max(map(len, rows), default=0)
         table = [ids + [-1] * (width - len(ids)) for ids in rows]
-        rhs = [
-            [[self.nt_index[self.rules[r].rhs[side]] if r >= 0 else 0 for r in row] for row in table]
-            for side in (0, 1)
-        ]
-        arrays = (
-            np.array(table, dtype=np.intp).reshape(len(rows), width),
-            np.array(lhs, dtype=np.intp),
-            np.array(rhs, dtype=np.intp).reshape(2, len(rows), width),
-        )
-        for array in arrays:
-            array.flags.writeable = False
-        return arrays
-
-    @property
-    def binary_rule_table(self) -> np.ndarray:
-        """Binary rule ids by left-hand side (read-only).
-
-        One row per nonterminal with binary rules, in ``nt_index`` order
-        (see ``binary_table_lhs``); each row lists that nonterminal's binary
-        rule ids in ascending order, padded with -1 to the longest row.
-        """
-        return self._binary_tables[0]
-
-    @property
-    def binary_table_lhs(self) -> np.ndarray:
-        """``nt_index`` of the left-hand side of each ``binary_rule_table`` row (read-only)."""
-        return self._binary_tables[1]
-
-    @property
-    def binary_table_rhs(self) -> np.ndarray:
-        """``nt_index`` of the left and right child of each ``binary_rule_table``
-        entry, shape ``(2,) + binary_rule_table.shape``; 0 at padding (read-only)."""
-        return self._binary_tables[2]
-
-    @cached_property
-    def binary_table_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Each row of ``binary_rule_table`` as a tuple, for lookups one at
-        a time."""
-        return tuple(map(tuple, self.binary_rule_table.tolist()))
+        table = np.array(table, dtype=np.intp).reshape(len(rows), width)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def rules_by_lhs(self) -> dict[str, tuple[Rule, ...]]:

@@ -198,7 +198,8 @@ class _Lists:
     M_right`` of the spans w tokens wide, as ``chart._forward`` keeps them,
     and their children, column-major as ``chart._Width`` lays them out:
     ``scores[col, row]`` and ``children[:, col, row]`` for one column per
-    (split, rule) and one row per (span, lhs).  ``row_of`` is a flat chart of
+    (split, rule) and one row per (span, lhs), a column's rule id being read
+    off ``g.binary_rule_table``.  ``row_of`` is a flat chart of
     each binary entry's row in its width, copied from the widths'
     ``entry`` arrays.  ``hyps[entry]`` holds a started entry's hypotheses
     so far, each with its window's top score.  An entry that has started
@@ -217,7 +218,6 @@ class _Lists:
     def __init__(self, g: Grammar, trav: _Traversal, n: int):
         self.g, self.n = g, n
         self.n1, _, self.n_nt = trav.shape
-        self.rule_rows = g.binary_table_lists
         lp = g.log_probs
         # the max-plus pass: a candidate scores (lp[rule] + M_left) +
         # M_right, -inf where a child is absent or the column is padding
@@ -270,10 +270,13 @@ class _Lists:
 
     def _candidate(self, width: int, r: int, col: int) -> tuple[int, int, int]:
         """Rule id and left and right child entries of column ``col`` of row
-        ``r`` of a width, read from the layout (see ``chart._Width``)."""
-        rules = self.rule_rows[r % len(self.rule_rows)]
+        ``r`` of a width: the rule is slot ``col % Q`` of table row ``r % L``
+        of ``binary_rule_table``, of shape (L, Q), and the children are read
+        from the width's layout (see ``chart._Width``)."""
+        table = self.g.binary_rule_table
         children = self.widths[width][1]
-        return rules[col % len(rules)], children.item(0, col, r), children.item(1, col, r)
+        rule = table.item(r % table.shape[0], col % table.shape[1])
+        return rule, children.item(0, col, r), children.item(1, col, r)
 
     def _extend(self, entry: int, index: int) -> list[tuple[int, int]]:
         """Append an open entry's final windows until it holds ``index`` or
@@ -304,16 +307,13 @@ class _Lists:
                 if heap:
                     bound = -heap[0][0]
                 if not heap or low - bound > slack * -(low + bound):
-                    if len(pending) == 1:
-                        pending[0].wmax = low
-                        mine.append(pending.pop())
-                    else:
-                        top = pending[0].score
-                        for cell in pending:
-                            cell.wmax = top
+                    top = pending[0].score
+                    for cell in pending:
+                        cell.wmax = top
+                    if len(pending) > 1:
                         _rank(self.g, pending)
-                        mine += pending
-                        pending.clear()
+                    mine += pending
+                    pending.clear()
                     if len(mine) >= n:
                         del mine[n:]
                         del frontier[entry]

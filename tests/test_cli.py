@@ -318,6 +318,55 @@ class TestTrain:
         )
         assert (code, out, err) == (0, "1\t-3.36505833505e+300\n", "")
 
+    def test_eta_overflowing_a_listed_score_is_one_error_line(self, tmp_path, capsys):
+        # eta * log p(d) overflowed to -inf, whose normalized weight is nan:
+        # the run ended in an error blaming the grammar's probabilities
+        code, out, err = self._train_aaa(
+            tmp_path, capsys, "--eta", "1e308", "--comp-mode", "nbest", "--n-comp", "3"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: eta 1e+308 times a log probability overflows\n"
+
+    def test_eta_overflowing_a_complete_set_weight_is_one_error_line(self, tmp_path, capsys):
+        # eta * log 0.01 overflowed to -inf, and the split of the weights
+        # said only that it expected finite log weights
+        code, out, err = self._train_aaa(
+            tmp_path, capsys, "--eta", "1e308", grammar_text="S -> S S 0.01\nS -> a 0.99\n"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: eta 1e+308 times a log probability overflows\n"
+
+    def test_min_prob_that_stops_training_is_named(self, tmp_path, capsys):
+        # floored at 0.5 and renormalized, S -> S S lands at 0.4545 at every
+        # offset constant, away from the optimum 0.4, so every step falls
+        code, out, err = self._train_aaa(tmp_path, capsys, "--min-prob", "0.5")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the objective fell from -3.365058335046282 at every offset constant up to "
+            "4294.967296; its last step floored 1 of 2 rules at min_prob 0.5\n"
+        )
+        assert not (tmp_path / "o.g").exists()
+
+    def test_subnormal_probability_trains_without_a_warning(self, tmp_path, capsys):
+        # the offset constant's quotient 1 / 5e-324 overflowed to -inf, which
+        # is clamped at 0, but printed a NumPy RuntimeWarning
+        code, out, err = self._train_aaa(
+            tmp_path, capsys, grammar_text="S -> a 5e-324\nS -> b 1.0\n", corpus_text="a\n"
+        )
+        assert (code, out, err) == (0, "1\t-9.99999499939e-07\n", "")
+
+    def test_offset_constant_past_the_float_range_is_one_error_line(self, tmp_path, capsys):
+        # p ** 0.001 of S -> S S gives it a posterior near 1/2 against a
+        # probability of 5e-324, so the offset constant overflows to inf;
+        # the step then divided inf by inf and blamed the grammar's nan
+        code, out, err = self._train_aaa(
+            tmp_path, capsys, "--h", "0.5", "--eta", "0.001",
+            grammar_text="S -> S S 5e-324\nS -> S A 0.5\nS -> a 0.5\nA -> a 1.0\n",
+            corpus_text="a a\n",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: the offset constant inf overflows a block's numerators\n"
+
     @pytest.mark.parametrize("iters", ["1", "0"])
     def test_min_prob_no_block_can_hold_is_one_error_line(self, tmp_path, capsys, iters):
         # both S rules floored at 0.9 renormalize to 0.5: every step then
@@ -339,11 +388,11 @@ class TestTrain:
         assert (code, err) == (0, "")
         assert out.startswith("1\t-3.39532214053\n")
 
-    def _train_aaa(self, tmp_path, capsys, *flags, grammar_text=TOY):
+    def _train_aaa(self, tmp_path, capsys, *flags, grammar_text=TOY, corpus_text="a a a\n"):
         # flags given later override the defaults here
         grammar, corpus = tmp_path / "toy.g", tmp_path / "aaa.txt"
         grammar.write_text(grammar_text, encoding="utf-8")
-        corpus.write_text("a a a\n", encoding="utf-8")
+        corpus.write_text(corpus_text, encoding="utf-8")
         argv = ["train", str(grammar), str(corpus), "--out-grammar", str(tmp_path / "o.g")]
         argv += ["--ref-mode", "viterbi", "--comp-mode", "all", "--iters", "1", *flags]
         with warnings.catch_warnings():

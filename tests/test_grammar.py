@@ -262,25 +262,18 @@ class TestBinaryRuleTable:
             "B -> B C 0.2\nB -> C C 0.3\nB -> S B 0.1\nB -> b 0.4\nC -> b 1.0\n"
         )
         assert g.binary_rule_table.tolist() == [[0, -1, -1], [3, 4, 5]]
-        assert g.binary_table_lhs.tolist() == [g.nt_index["S"], g.nt_index["B"]]
-        left, right = g.binary_table_rhs.tolist()
-        nt = g.nt_index
-        assert left == [[nt["A"], 0, 0], [nt["B"], nt["C"], nt["S"]]]
-        assert right == [[nt["B"], 0, 0], [nt["C"], nt["C"], nt["B"]]]
-        for table in (g.binary_rule_table, g.binary_table_lhs, g.binary_table_rhs):
-            assert not table.flags.writeable
+        assert not g.binary_rule_table.flags.writeable
 
     def test_no_binary_rules(self):
         g = parse_grammar("S -> a 0.6\nS -> b 0.4\n")
         assert g.binary_rule_table.shape == (0, 0)
-        assert g.binary_table_rhs.shape == (2, 0, 0)
 
     def test_with_probs_keeps_the_rule_set_indexes(self):
         # every cached property must depend on the rule set alone: a cache
         # of anything derived from the probabilities would go stale here
         g = toy(0.3)
         cached = [n for n, a in vars(Grammar).items() if isinstance(a, functools.cached_property)]
-        assert {"_binary_tables", "rule_lhs_rhs"} <= set(cached)
+        assert {"binary_rule_table", "rule_lhs_index"} <= set(cached)
         before = {name: getattr(g, name) for name in cached}
         h = g.with_probs([0.6 + 1e-12, 0.4])
         for name in cached:

@@ -455,7 +455,7 @@ class TestG100:
         assert [decoded(g, *case) for case in cases] == [decoded(fresh, *case) for case in cases]
         for other in (g, copied, fresh, pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
             arrays = cached_arrays(other)
-            assert len(arrays) >= 11  # four pass weights and their columns, three binary tables
+            assert len(arrays) >= 10  # four pass weights and their columns, the binary table
             assert not any(array.flags.writeable for array in arrays)
 
     def test_max_plus_key_is_the_window_top(self, started_lists):
