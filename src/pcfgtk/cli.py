@@ -1,14 +1,19 @@
 """Command-line interface.
 
 Subcommands: validate, consistency, inside, viterbi, nbest, oracle-enum,
-train.  Flags only map onto the library, which holds every default and
-check: a ``train`` flag sets the ``DeltaSpec`` or ``HParams`` field it is
-named after, and one left out sets nothing.  All output is deterministic:
-identical inputs and flags produce byte-identical output.  Log
-probabilities are printed with 12 significant digits next to a linear-space
-convenience column; derivations are printed as bracketed trees.  Errors,
-running out of memory among them, exit nonzero after a single ``error:
-...`` line on stderr, which names an error without a message by its type.
+train.  ``main`` loads the grammar that each names and hands it to the
+subcommand.  Flags only map onto the library, which holds every default
+and check: a ``train`` flag sets the ``DeltaSpec`` or ``HParams`` field it
+is named after, and one left out sets nothing.  The four parsing commands
+are row functions of (grammar, sentence, flags), and one loop prints each
+row as ``index\trow`` as soon as it is made, so an error leaves the rows of
+the sentences before it printed; ``nbest`` and ``oracle-enum`` share their
+ranked-derivation rows.  All output is deterministic: identical inputs and
+flags produce byte-identical output.  Log probabilities are printed with
+12 significant digits next to a linear-space convenience column;
+derivations are printed as bracketed trees.  Errors, running out of memory
+among them, exit nonzero after a single ``error: ...`` line on stderr,
+which names an error without a message by its type.
 """
 from __future__ import annotations
 
@@ -40,6 +45,9 @@ def _derivation_columns(g, d) -> str:
     return f"{_prob_columns(d.log_prob)}\t{format_tree(derivation_tree(g, d))}"
 
 
+_NO_PARSE = "-inf\t0\t-"  # the columns of a sentence outside the language
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcfgtk",
@@ -57,14 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
-    for name, help_text, run in (
-        ("inside", "per-sentence log string probability", _cmd_inside),
-        ("viterbi", "per-sentence best derivation", _cmd_viterbi),
-        ("nbest", "per-sentence n-best derivations", _cmd_nbest),
-        ("oracle-enum", "exhaustive derivation enumeration (small sentences)", _cmd_oracle_enum),
+    for name, help_text, rows in (
+        ("inside", "per-sentence log string probability", _inside_rows),
+        ("viterbi", "per-sentence best derivation", _viterbi_rows),
+        ("nbest", "per-sentence n-best derivations", _nbest_rows),
+        ("oracle-enum", "exhaustive derivation enumeration (small sentences)", _oracle_enum_rows),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
+        p.set_defaults(run=_cmd_rows, rows=rows)
         p.add_argument("grammar")
         p.add_argument("corpus", nargs="?", help="plain corpus: one sentence per line")
         p.add_argument(
@@ -111,8 +119,7 @@ def _load_sentences(args):
     raise ValueError("a corpus is required (positional path or --bracketed-corpus)")
 
 
-def _cmd_validate(args) -> int:
-    g = load_grammar(args.grammar)
+def _cmd_validate(g, args) -> int:
     print(
         f"ok: start={g.start} nonterminals={len(g.nonterminals)} "
         f"terminals={len(g.terminals)} rules={len(g.rules)}"
@@ -120,8 +127,8 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_consistency(args) -> int:
-    report = check_consistency(load_grammar(args.grammar), tol=args.tol)
+def _cmd_consistency(g, args) -> int:
+    report = check_consistency(g, tol=args.tol)
     if args.format == "csv":
         print("spectral_radius,verdict,iterations,converged")
         print(f"{report.spectral_radius!r},{report.verdict},{report.iterations},{report.converged}")
@@ -133,43 +140,38 @@ def _cmd_consistency(args) -> int:
     return 0
 
 
-def _cmd_inside(args) -> int:
-    g = load_grammar(args.grammar)
+def _cmd_rows(g, args) -> int:
+    """Print ``index\trow`` for each row of each sentence, as it comes."""
     for idx, sent in enumerate(_load_sentences(args)):
-        chart = inside(g, sent.tokens, sent.brackets)
-        print(f"{idx}\t{_prob_columns(chart.log_string_prob)}")
+        for row in args.rows(g, sent, args):
+            print(f"{idx}\t{row}")
     return 0
 
 
-def _cmd_viterbi(args) -> int:
-    g = load_grammar(args.grammar)
-    for idx, sent in enumerate(_load_sentences(args)):
-        hit = viterbi(g, sent.tokens, sent.brackets)
-        columns = "-inf\t0\t-" if hit is None else _derivation_columns(g, hit[0])
-        print(f"{idx}\t{columns}")
-    return 0
+def _inside_rows(g, sent, args):
+    yield _prob_columns(inside(g, sent.tokens, sent.brackets).log_string_prob)
 
 
-def _cmd_nbest(args) -> int:
-    g = load_grammar(args.grammar)
-    for idx, sent in enumerate(_load_sentences(args)):
-        result = nbest(g, sent.tokens, args.n, sent.brackets)
-        if not result.in_language:
-            print(f"{idx}\t0\t-inf\t0\t-")
-            continue
-        for rank, d in enumerate(result.derivations, 1):
-            print(f"{idx}\t{rank}\t{_derivation_columns(g, d)}")
-    return 0
+def _viterbi_rows(g, sent, args):
+    hit = viterbi(g, sent.tokens, sent.brackets)
+    yield _NO_PARSE if hit is None else _derivation_columns(g, hit[0])
 
 
-def _cmd_oracle_enum(args) -> int:
-    g = load_grammar(args.grammar)
-    for idx, sent in enumerate(_load_sentences(args)):
-        enum = enumerate_derivations(g, sent.tokens, cap=args.cap)
-        print(f"{idx}\ttotal\t{len(enum)}\t{_prob_columns(enum.total_log_prob)}")
-        for rank, d in enumerate(enum.derivations, 1):
-            print(f"{idx}\t{rank}\t{_derivation_columns(g, d)}")
-    return 0
+def _nbest_rows(g, sent, args):
+    result = nbest(g, sent.tokens, args.n, sent.brackets)
+    if not result.in_language:
+        yield f"0\t{_NO_PARSE}"
+    yield from _ranked_rows(g, result.derivations)
+
+
+def _oracle_enum_rows(g, sent, args):
+    enum = enumerate_derivations(g, sent.tokens, cap=args.cap)
+    yield f"total\t{len(enum)}\t{_prob_columns(enum.total_log_prob)}"
+    yield from _ranked_rows(g, enum.derivations)
+
+
+def _ranked_rows(g, derivations):
+    return (f"{rank}\t{_derivation_columns(g, d)}" for rank, d in enumerate(derivations, 1))
 
 
 def _from_flags(cls, args):
@@ -178,8 +180,7 @@ def _from_flags(cls, args):
     return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
 
 
-def _cmd_train(args) -> int:
-    g = load_grammar(args.grammar)
+def _cmd_train(g, args) -> int:
     sentences = _load_sentences(args)
     spec = _from_flags(DeltaSpec, args)
     if {spec.ref_mode, spec.comp_mode} & BRACKETED_MODES and not args.bracketed_corpus:
@@ -196,7 +197,7 @@ def _cmd_train(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        return args.run(load_grammar(args.grammar), args)
     except (
         GrammarError, EstimationError, EnumerationLimitError, ValueError, OSError, MemoryError
     ) as exc:

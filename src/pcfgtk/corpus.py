@@ -3,6 +3,7 @@
 Plain corpus files hold one whitespace-tokenized sentence per line.
 Bracketed corpus files hold one sentence per line in parenthesis notation,
 e.g. ``( ( a a ) ( a a ) )``; brackets need not be binary or exhaustive.
+Both readers run one loop over a file's lines, which skips blank ones.
 """
 from __future__ import annotations
 
@@ -51,11 +52,10 @@ class Bracketing:
             raise ValueError(f"bracket span exceeds sentence length {n}")
         ok = np.ones((n + 1, n + 1), dtype=bool)
         for a, b in self.spans:
-            # a bracket one token wide or over the whole sentence crosses
-            # no span, and both its slices are empty
-            if 1 < b - a < n:
-                ok[:a, a + 1 : b] = False  # i < a < j < b
-                ok[a + 1 : b, b + 1 :] = False  # a < i < b < j
+            # empty slices for a bracket one token wide or over the whole
+            # sentence, which crosses no span
+            ok[:a, a + 1 : b] = False  # i < a < j < b
+            ok[a + 1 : b, b + 1 :] = False  # a < i < b < j
         return ok
 
     def max_position(self) -> int:
@@ -104,19 +104,14 @@ def parse_bracketed_sentence(line: str) -> Sentence:
 
 
 def read_corpus(path) -> list[Sentence]:
-    sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            tokens = line.split()
-            if tokens:
-                sentences.append(Sentence(tuple(tokens)))
-    return sentences
+    return _read_lines(path, lambda line: Sentence(tuple(line.split())))
 
 
 def read_bracketed_corpus(path) -> list[Sentence]:
-    sentences = []
+    return _read_lines(path, parse_bracketed_sentence)
+
+
+def _read_lines(path, parse) -> list[Sentence]:
+    """``parse`` of each non-blank line of a file."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                sentences.append(parse_bracketed_sentence(line))
-    return sentences
+        return [parse(line) for line in fh if line.strip()]

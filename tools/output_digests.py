@@ -35,7 +35,16 @@ plain pass's range (``--eta 30``), so two more run G100's bracketed
 corpus at ``--eta 0.5``, with ``viterbi``/``all`` and with
 ``bracketed_viterbi``/``bracketed_all``: their weights ``eta * log p`` are
 not the grammar's own (``Grammar.weights_of`` splits them) and lie within
-the plain pass's range.  A command's digest covers its exit code, stdout,
+the plain pass's range.  After them come twelve toy rows of inputs that a
+command rejects, so a change's error lines are compared too: ``inside``,
+``viterbi``, ``nbest --n 10`` and ``oracle-enum`` on a corpus whose second
+line holds the unknown token ``c``, ``oracle-enum --cap 5`` on the twelve
+tokens long sentence, ``inside`` on a bracketed corpus with an unbalanced
+line after a blank one, on both corpora and on none, ``validate`` of a
+missing grammar file and of an improper grammar, ``train --ref-mode
+bracketed_viterbi`` on a plain corpus, and ``train`` with a complete
+competing set at ``--eta 1e10``.  In all the matrix has 85 rows.  A
+command's digest covers its exit code, stdout,
 stderr and the files it writes (``--out-grammar``, ``--report``).
 
 Two checkouts print the same lines exactly when every command behaves the
@@ -75,6 +84,9 @@ TOY_DESCENDING = "a a a a a a\na a a a\na a\na\n"
 TOY_LONG = " ".join(["a"] * 12) + "\n"
 TINY = "S -> S S 1e-60\nS -> a 1.0\n"
 TINY_PLAIN = "a a\na a a\na a a a a a a a\na a a a a\n"
+TOY_UNKNOWN = "a a\na c a\na a a\n"
+TOY_UNBALANCED = "( a a )\n\n( a ( a ) a\na a\n"
+IMPROPER = "S -> S S 0.4\nS -> a 0.5\n"
 
 REF_MODES = ("viterbi", "nbest", "bracketed_viterbi")
 COMP_MODES = ("all", "nbest", "bracketed_all")
@@ -103,7 +115,8 @@ for s in read(sys.argv[2]):
 def write_inputs(work: Path) -> None:
     """Write each of ``GRAMMARS`` into ``work`` with its plain, bracketed and
     falling-length corpus, the toy grammar's long sentence, the tiny-mass
-    grammar with its corpus, and ``HEX_SCRIPT``."""
+    grammar with its corpus, the inputs of ``error_commands`` and
+    ``HEX_SCRIPT``."""
     block = (DATA / "g100-seed0-block.txt").read_text(encoding="utf-8")
     plain = "".join(" ".join(line.replace("(", " ").replace(")", " ").split()) + "\n"
                     for line in block.splitlines())
@@ -119,6 +132,9 @@ def write_inputs(work: Path) -> None:
         "toy-long.txt": TOY_LONG,
         "tiny.g": TINY,
         "tiny.txt": TINY_PLAIN,
+        "toy-unknown.txt": TOY_UNKNOWN,
+        "toy-unbalanced.txt": TOY_UNBALANCED,
+        "improper.g": IMPROPER,
         HEX_SCRIPT_NAME: HEX_SCRIPT,
     }
     for name, text in files.items():
@@ -168,6 +184,23 @@ def eta_commands() -> list[list[str]]:
          "--report", "out.csv", "--ref-mode", ref, "--comp-mode", comp, "--eta", "0.5",
          *TRAIN_FLAGS]
         for ref, comp in (("viterbi", "all"), ("bracketed_viterbi", "bracketed_all"))
+    ]
+
+
+def error_commands() -> list[list[str]]:
+    """The toy rows of inputs that a command rejects (``oracle-enum`` on
+    an unknown token prints a row and goes on)."""
+    parses = [["inside"], ["viterbi"], ["nbest", "--n", "10"], ["oracle-enum"]]
+    train = ["train", "toy.g", "toy.txt", "--out-grammar", "out.g", "--report", "out.csv"]
+    return [[p[0], "toy.g", "toy-unknown.txt", *p[1:]] for p in parses] + [
+        ["oracle-enum", "toy.g", "toy-long.txt", "--cap", "5"],
+        ["inside", "toy.g", "--bracketed-corpus", "toy-unbalanced.txt"],
+        ["inside", "toy.g", "toy.txt", "--bracketed-corpus", "toy-bracketed.txt"],
+        ["inside", "toy.g"],
+        ["validate", "missing.g"],
+        ["validate", "improper.g"],
+        [*train, "--ref-mode", "bracketed_viterbi"],
+        [*train, "--ref-mode", "viterbi", "--comp-mode", "all", "--eta", "1e10", *TRAIN_FLAGS],
     ]
 
 
@@ -236,6 +269,7 @@ def main(argv: list[str]) -> int:
         write_inputs(work)
         matrix = [c for stem in GRAMMARS for c in commands(stem)]
         rows = matrix + fallback_commands() + long_commands() + hex_commands() + eta_commands()
+        rows += error_commands()
         for command in rows:
             runs = [run(command, work, env) for env in envs]
             digests = dict.fromkeys(d for d, _ in runs)
