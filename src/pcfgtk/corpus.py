@@ -3,7 +3,9 @@
 Plain corpus files hold one whitespace-tokenized sentence per line.
 Bracketed corpus files hold one sentence per line in parenthesis notation,
 e.g. ``( ( a a ) ( a a ) )``; brackets need not be binary or exhaustive.
-Both readers run one loop over a file's lines, which skips blank ones.
+Both readers run one loop over a file's lines, which skips blank ones; a
+line that does not parse raises ValueError naming it (``line N: ...``,
+counted from 1 with blank lines), as grammar-file errors do.
 """
 from __future__ import annotations
 
@@ -112,6 +114,15 @@ def read_bracketed_corpus(path) -> list[Sentence]:
 
 
 def _read_lines(path, parse) -> list[Sentence]:
-    """``parse`` of each non-blank line of a file."""
+    """``parse`` of each non-blank line of a file, its newline dropped; a
+    ValueError names the line, counted from 1 with blank lines."""
     with open(path, encoding="utf-8") as fh:
-        return [parse(line) for line in fh if line.strip()]
+        lines = fh.read().split("\n")
+    sentences = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                sentences.append(parse(line))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from exc
+    return sentences

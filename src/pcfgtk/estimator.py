@@ -54,7 +54,7 @@ from .corpus import Sentence
 from .derivations import Derivation, derivation_probability, derivation_spans
 from .grammar import Grammar, PassWeights, exact_normalize
 from .kbest import nbest
-from .logmath import logsumexp, normalized_weights
+from .logmath import INV_LN2, SPLIT_BOUND, logsumexp, normalized_weights
 
 REF_MODES = ("viterbi", "nbest", "bracketed_viterbi")
 COMP_MODES = ("all", "nbest", "bracketed_all")
@@ -300,10 +300,19 @@ def accumulate_realized(
 
 def _complete_weights(g: Grammar, kept: list[RealizedDelta], eta: float) -> PassWeights | None:
     """The ``PassWeights`` of ``eta * log p``, which only complete sets
-    read; None when no set is complete, so a listed set takes any eta."""
-    if any(rd.complete is not None for rd in kept):
-        return g.weights_of(_times_eta(eta, g.log_probs))
-    return None
+    read; None when no set is complete, so a listed set takes any eta.
+    Raises ValueError naming eta and the largest this grammar takes where
+    ``Grammar.weights_of`` would reject eta times the lowest log probability."""
+    if not any(rd.complete is not None for rd in kept):
+        return None
+    lowest = min(g.log_probs)
+    if eta * lowest * INV_LN2 < 1 - SPLIT_BOUND:  # weights_of's bound; may overflow to -inf
+        limit = (SPLIT_BOUND - 1) * math.log(2) / -lowest
+        raise ValueError(
+            f"eta {eta!r} is too large for a complete competing set of this grammar, "
+            f"which takes eta up to about {math.floor(limit)}"
+        )
+    return g.weights_of(_times_eta(eta, g.log_probs))
 
 
 def _times_eta(eta: float, log_probs) -> list[float]:

@@ -299,16 +299,25 @@ class TestTrain:
         assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
         assert not out_g.exists()
 
-    @pytest.mark.parametrize("eta", ["1e308", "1e300", "1e20", "1e10"])
+    @pytest.mark.parametrize("eta", ["1e308", "1e300", "1e20", "1e10", "1587000", "1586434"])
     def test_eta_beyond_the_exact_split_is_one_error_line(self, tmp_path, capsys, eta):
         # eta * log p left the range where exp_split reduces exactly: 1e308
         # ended in an OverflowError traceback, 1e300 and 1e20 in a NumPy
-        # RuntimeWarning and an error blaming the grammar's probabilities
+        # RuntimeWarning and an error blaming the grammar's probabilities,
+        # and then each in an error naming a rule's log weight, not eta
         code, out, err = self._train_aaa(tmp_path, capsys, "--eta", eta)
         assert (code, out) == (1, "")
-        assert err.splitlines() == [err.strip()]
-        assert err.startswith("error: rule S -> S S: log weight -9")
-        assert err.endswith("is out of range; exp_split needs |floor(w / ln 2)| < 2**21\n")
+        assert err == (
+            f"error: eta {float(eta)!r} is too large for a complete competing set of this "
+            "grammar, which takes eta up to about 1586433\n"
+        )
+
+    @pytest.mark.parametrize("eta", ["1586000", "1586433"])
+    def test_eta_up_to_the_exact_split_trains_a_complete_set(self, tmp_path, capsys, eta):
+        # (2**21 - 1) * ln 2 / |ln 0.4| is 1586433.49
+        code, out, err = self._train_aaa(tmp_path, capsys, "--eta", eta)
+        assert (code, err) == (0, "")
+        assert out.startswith("1\t-")
 
     def test_eta_beyond_the_exact_split_trains_listed_sets(self, tmp_path, capsys):
         # only a complete set's mass reads the split of eta * log p; a
@@ -334,7 +343,10 @@ class TestTrain:
             tmp_path, capsys, "--eta", "1e308", grammar_text="S -> S S 0.01\nS -> a 0.99\n"
         )
         assert (code, out) == (1, "")
-        assert err == "error: eta 1e+308 times a log probability overflows\n"
+        assert err == (
+            "error: eta 1e+308 is too large for a complete competing set of this grammar, "
+            "which takes eta up to about 315652\n"
+        )
 
     def test_min_prob_that_stops_training_is_named(self, tmp_path, capsys):
         # floored at 0.5 and renormalized, S -> S S lands at 0.4545 at every

@@ -1,9 +1,10 @@
 """Every accepted command line ends in its output or in one error line.
 
 Draws small grammars (a nonterminal without rules on some right-hand side,
-an unreachable one, subnormal probabilities), one to three sentences, and
-the flags of ``train``, ``nbest`` and ``consistency`` over their accepted
-ranges, extremes included, and runs ``cli.main`` in-process.  A run either
+an unreachable one, subnormal probabilities), one to three sentences (some
+holding the unknown token ``c``; a bracketed corpus may hold a malformed
+line), and every subcommand with its flags over their accepted ranges,
+extremes included, and runs ``cli.main`` in-process.  A run either
 exits 0 with nothing on stderr and no warning but ``DegenerateDeltaWarning``,
 or exits 1 with one ``error: ...`` line on stderr and no warning.  A
 ``train`` error on a grammar that ``validate`` accepts never blames the
@@ -30,6 +31,7 @@ RIGHT_HAND_SIDES = [("a",), ("b",)] + [(x, y) for x in NONTERMINALS + ("D",) for
 EXTREMES = [5e-324, 1e-300, 1e300, 1.7e308]
 # what the grammar's own checks say of a probability vector
 GRAMMAR_FAULTS = ("outside ]0, 1]", "probabilities for ")
+MALFORMED = ("( a", "a )", "( ) a")
 
 
 def _floats(lo: float, hi: float, exclude_max: bool = False) -> st.SearchStrategy[float]:
@@ -60,16 +62,24 @@ def grammars(draw) -> str:
 
 @st.composite
 def corpora(draw) -> tuple[bool, list[str]]:
-    """Whether the corpus is bracketed, and its lines, each with at most one bracket."""
+    """Whether the corpus is bracketed, and its lines, each with at most one
+    bracket; in some corpora a line holds the unknown token c, and some
+    bracketed corpora hold a malformed line."""
     bracketed = draw(st.booleans())
     sentences = st.lists(st.sampled_from("ab"), min_size=1, max_size=4)
+    sentences = draw(st.lists(sentences, min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        tokens = draw(st.sampled_from(sentences))
+        tokens[draw(st.integers(0, len(tokens) - 1))] = "c"
     lines = []
-    for tokens in draw(st.lists(sentences, min_size=1, max_size=3)):
+    for tokens in sentences:
         if bracketed and len(tokens) > 1:
             i = draw(st.integers(0, len(tokens) - 1))
             j = draw(st.integers(i + 1, len(tokens)))
             tokens = tokens[:i] + ["(", *tokens[i:j], ")"] + tokens[j:]
         lines.append(" ".join(tokens))
+    if bracketed and draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED)))
     return bracketed, lines
 
 
@@ -103,12 +113,18 @@ TRAIN = commands(
     },
 )
 NBEST = commands("nbest", {"--n": st.integers(1, 4) | st.just(10**18)})
+ORACLE_ENUM = commands("oracle-enum", {"--cap": st.integers(-1, 6) | st.just(10**18)})
 CONSISTENCY = commands(
     "consistency", {"--tol": _floats(5e-324, 1.7e308), "--format": st.sampled_from(["text", "csv"])}
 )
+INSIDE, VITERBI, VALIDATE = (commands(name, {}) for name in ("inside", "viterbi", "validate"))
+# subcommands that read no corpus
+NO_CORPUS = ("consistency", "validate")
 
-# train three times in five, as it reads the most flags
-COMMANDS = st.sampled_from([TRAIN, TRAIN, TRAIN, NBEST, CONSISTENCY]).flatmap(lambda command: command)
+# train three times in nine, as it reads the most flags
+COMMANDS = st.sampled_from(
+    [TRAIN, TRAIN, TRAIN, NBEST, ORACLE_ENUM, CONSISTENCY, INSIDE, VITERBI, VALIDATE]
+).flatmap(lambda command: command)
 
 
 def run(argv) -> tuple[int, str, set]:
@@ -150,7 +166,7 @@ def test_every_accepted_input_ends_in_output_or_one_error_line(grammar, corpus, 
         corpus_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         name, *flags = command
         argv = [name, str(grammar_path)]
-        if name != "consistency":
+        if name not in NO_CORPUS:
             argv += ["--bracketed-corpus", str(corpus_path)] if bracketed else [str(corpus_path)]
         if name == "train":
             argv += ["--out-grammar", str(Path(tmp, "out.g")), "--report", str(Path(tmp, "out.csv"))]

@@ -1,4 +1,6 @@
 """Bracketings and corpus readers."""
+import re
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,27 @@ class TestReaders:
         sentences = read_bracketed_corpus(path)
         assert sentences[0].tokens == ("a", "a")
         assert sentences[1].brackets.spans == frozenset({(0, 3), (0, 2)})
+
+    def test_lines_end_only_at_newlines(self, tmp_path):
+        # as a file's own lines do: a form feed or a line separator inside a
+        # line splits no sentence, and a carriage return ends a line
+        path = tmp_path / "corpus.txt"
+        path.write_text("a\x0ca\r\n \r\na\u2028a a\ra", encoding="utf-8")
+        sentences = read_corpus(path)
+        assert [s.tokens for s in sentences] == [("a", "a"), ("a", "a", "a"), ("a",)]
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("( a ( a ) a", "unbalanced '(' in '( a ( a ) a'"),
+            ("a )", "unbalanced ')' in 'a )'"),
+            ("( ) a", "empty bracket in '( ) a'"),
+        ],
+    )
+    def test_a_line_that_does_not_parse_is_named(self, tmp_path, line, message):
+        # the message quoted the line with its newline and named no line;
+        # line numbers count blank lines, as a grammar file's do
+        path = tmp_path / "corpus.brk"
+        path.write_text(f"( a a )\n\n{line}\r\n( a )\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'line 3: {message}')}$"):
+            read_bracketed_corpus(path)
