@@ -6,14 +6,15 @@ subcommand.  Flags only map onto the library, which holds every default
 and check: a ``train`` flag sets the ``DeltaSpec`` or ``HParams`` field it
 is named after, and one left out sets nothing.  The four parsing commands
 are row functions of (grammar, sentence, flags), and one loop prints each
-row as ``index\trow`` as soon as it is made, so an error leaves the rows of
-the sentences before it printed; ``nbest`` and ``oracle-enum`` share their
-ranked-derivation rows.  All output is deterministic: identical inputs and
-flags produce byte-identical output.  Log probabilities are printed with
-12 significant digits next to a linear-space convenience column;
-derivations are printed as bracketed trees.  Errors, running out of memory
-among them, exit nonzero after a single ``error: ...`` line on stderr,
-which names an error without a message by its type.
+row after its sentence index and a tab as soon as it is made, so an error
+leaves the rows of the sentences before it printed; ``nbest`` and
+``oracle-enum`` share their ranked-derivation rows.  All output is
+deterministic: identical inputs and flags produce byte-identical output.
+Log probabilities are printed with 12 significant digits next to a
+linear-space convenience column; derivations are printed as bracketed
+trees.  Errors, running out of memory among them, exit nonzero after a
+single ``error: ...`` line on stderr, which names an error without a
+message by its type.
 """
 from __future__ import annotations
 
@@ -141,7 +142,7 @@ def _cmd_consistency(g, args) -> int:
 
 
 def _cmd_rows(g, args) -> int:
-    """Print ``index\trow`` for each row of each sentence, as it comes."""
+    """Print each row of each sentence after its index and a tab, as it comes."""
     for idx, sent in enumerate(_load_sentences(args)):
         for row in args.rows(g, sent, args):
             print(f"{idx}\t{row}")
