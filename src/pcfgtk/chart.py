@@ -58,8 +58,11 @@ from ``binary_rule_table``, its children from ``_Width.children``) only
 for the entries a parent asks for, making their hypotheses top-down from
 the root and ranking them canonically only within rounding distance of
 each other.
-``viterbi`` is the first entry of that list, made by the same engine at
-n = 1, so this module holds no tie-breaking or rounding logic.
+``viterbi`` is the first entry of that list.  ``kbest`` reads it off the
+max-plus chart by one backtrace from the root, each entry taking its row's
+best candidate, wherever that candidate and the row's runner-up pass the
+n-best engine's cut test; at a near-tie it runs the engine at n = 1 on the
+same chart.  So this module holds no tie-breaking or rounding logic.
 
 Every result is bit-identical to the span-by-span scalar chart of the
 tests, which performs the same operations one candidate at a time, whatever
@@ -582,13 +585,17 @@ def viterbi(
 ) -> tuple[Derivation, float] | None:
     """Best derivation of the sentence and its log probability.
 
-    The best derivation is the first entry of the n-best list, made by the
-    n-best engine at n = 1 (see ``kbest``): the highest canonical score (the
-    count-ordered ``score_rules`` of its rules), ties broken by the
-    smallest flattened (split, rule id) backpointer key, so the result is
-    deterministic even when several derivations have exactly equal
-    probability.  The returned log probability is canonical.  Returns None
-    when the sentence has no (bracket-compatible) derivation.
+    The best derivation is the first entry of the n-best list (see
+    ``kbest``): the highest canonical score (the count-ordered
+    ``score_rules`` of its rules), ties broken by the smallest flattened
+    (split, rule id) backpointer key, so the result is deterministic even
+    when several derivations have exactly equal probability.  It is read
+    off the max-plus chart by one backtrace from the root, each entry
+    taking its row's best candidate, unless that candidate and the row's
+    runner-up fail the n-best engine's cut test somewhere on the way (see
+    ``kbest._SLACK``); then the engine runs at n = 1 on the same
+    chart.  The returned log probability is canonical.  Returns None when
+    the sentence has no (bracket-compatible) derivation.
     """
     from .kbest import _best  # local import: no cycle at load time
 

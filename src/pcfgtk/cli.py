@@ -166,7 +166,7 @@ def _nbest_rows(g, sent, args):
 
 
 def _oracle_enum_rows(g, sent, args):
-    enum = enumerate_derivations(g, sent.tokens, cap=args.cap)
+    enum = enumerate_derivations(g, sent.tokens, args.cap, sent.brackets)
     yield f"total\t{len(enum)}\t{_prob_columns(enum.total_log_prob)}"
     yield from _ranked_rows(g, enum.derivations)
 

@@ -28,9 +28,20 @@ of one and the first of the next lie further apart than rounding distance
 one, so only windows with more than one member are ranked, by canonical
 score and key, both rebuilt from the child references.  Whole windows are
 kept until the list holds n hypotheses, and the last one is truncated
-after ranking.  ``chart.viterbi`` is this engine at n = 1, so
-``nbest(..., 1)`` returns the Viterbi derivation by construction.  With a
-large enough n the result is the complete derivation set.
+after ranking.  With a large enough n the result is the complete
+derivation set.
+
+At n = 1 (``chart.viterbi``, and ``nbest(..., 1)``) the max-plus chart is
+first walked back from the root (Goodman 1999: the Viterbi backtrace of a
+semiring parse): each binary entry on the way takes its row's best column,
+the lowest on equal scores as the heap pops, and the rules are read off in
+preorder.  At each such entry the best score and the row's runner-up must
+pass ``_extend``'s cut test; there the engine's first window would be
+that one join, so the walk gives the engine's first hypothesis (see
+``_SLACK``).  Where the test fails, at a near-tie or an exact tie, the
+engine runs on the same max-plus chart, with no second forward pass.  The
+walk makes no hypothesis: leaf hypotheses are made only when the engine is
+first asked.
 
 An entry starts when it is first asked for a hypothesis: its row is looked
 up in one flat array filled from the layout's ``_Width.entry`` indexes, and
@@ -123,6 +134,24 @@ from .logmath import NEG_INF
 # complete canonical list, whatever order the joins were popped in.  A window
 # may hold a cut of its own, where a popped join scored far below its key;
 # ranking it whole keeps the runs on either side in their order.
+#
+# At n = 1 the engine's first hypothesis is read off the max-plus chart by
+# the backtrace wherever it can be.  By induction over widths, suppose each
+# child of an entry's best column has as its one hypothesis its own first
+# join, whose incremental score is the child's M (a lexical entry's is its
+# rule's log probability, as in the max-plus chart).  The entry's heap then
+# pops first the join (0, 0) of its best column, the lowest column on equal
+# keys, and that join scores (lp[rule] + M_L) + M_R, the column's kept score
+# M1 made by the same two additions.  At n = 1 its children hold one
+# hypothesis each, so it pushes no join, and the top key left is M2, the
+# best of the row's other columns.  The window of that one join is final
+# exactly when M1 and M2 pass the cut test (or no other column is finite),
+# and it is then the entry's first and only hypothesis, so the induction
+# goes on down.  The backtrace makes that test at every binary entry on
+# the best columns' path from the root and, where it passes everywhere,
+# gives the engine's first hypothesis of the root with no hypothesis made.
+# Where it fails, that entry's first window takes more joins, which may be
+# ranked apart from the max-plus order, and the engine itself runs.
 _SLACK = 4 * 2.0**-53
 
 
@@ -180,11 +209,17 @@ def nbest(
 
 def _best(g: Grammar, trav: _Traversal, n: int) -> tuple[Derivation, ...]:
     """The first n derivations of a laid-out sentence, best first; all of
-    them when it has fewer.  ``nbest`` and ``chart.viterbi`` both read this."""
+    them when it has fewer.  ``nbest`` and ``chart.viterbi`` both read this.
+    At n = 1 the backtrace gives the derivation unless it meets a near-tie,
+    and the engine then runs on the same max-plus chart."""
     lists = _Lists(g, trav, n)
-    if lists.maxplus[trav.root] > NEG_INF:
-        lists.ask(trav.root, n - 1)
-    cells = lists.hyps.get(trav.root, [])
+    if lists.maxplus[trav.root] == NEG_INF:
+        return ()
+    rules = lists.backtrace(trav.root) if n == 1 else None
+    if rules is not None:
+        return (Derivation.build(g, rules, len(trav.tokens)),)
+    lists.ask(trav.root, n - 1)
+    cells = lists.hyps[trav.root]
     return tuple(Derivation.build(g, _preorder(cell), len(trav.tokens)) for cell in cells)
 
 
@@ -201,8 +236,10 @@ class _Lists:
     (split, rule) and one row per (span, lhs), a column's rule id being read
     off ``g.binary_rule_table``.  ``row_of`` is a flat chart of
     each binary entry's row in its width, copied from the widths'
-    ``entry`` arrays.  ``hyps[entry]`` holds a started entry's hypotheses
-    so far, each with its window's top score.  An entry that has started
+    ``entry`` arrays, and ``leaves`` maps each lexical entry to its rule id.
+    ``hyps[entry]`` holds a started entry's hypotheses so far, each with its
+    window's top score; the lexical entries' one hypothesis each is made on
+    the first request.  An entry that has started
     and is still open keeps in ``frontier`` its heap of ``(-key, column,
     left index, right index)`` joins, the joins popped but not yet
     appended, one window by descending incremental score, its candidates by
@@ -218,7 +255,6 @@ class _Lists:
     def __init__(self, g: Grammar, trav: _Traversal, n: int):
         self.g, self.n = g, n
         self.n1, _, self.n_nt = trav.shape
-        lp = g.log_probs
         # the max-plus pass: a candidate scores (lp[rule] + M_left) +
         # M_right, -inf where a child is absent or the column is padding
         kept: list[tuple[_Width, np.ndarray]] = []
@@ -228,9 +264,8 @@ class _Lists:
         for width, scores in kept:
             self.widths[width.width] = (scores, width.children.reshape(2, len(scores), -1))
             self.row_of[width.entry] = np.arange(len(width.entry))
+        self.leaves = dict(zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()))
         self.hyps: dict[int, list[_Cell]] = {}
-        for entry, rule in zip(trav.leaf_entry.tolist(), trav.leaf_rule.tolist()):
-            self.hyps[entry] = [_Cell(lp[rule], rule, wmax=lp[rule])]
         self.frontier: dict[int, tuple[list, list[_Cell], dict[int, tuple], int, int, float]] = {}
 
     def ask(self, entry: int, index: int) -> None:
@@ -241,6 +276,10 @@ class _Lists:
         is dropped once ``_extend`` returns without one.
         """
         hyps, frontier, extend = self.hyps, self.frontier, self._extend
+        if not hyps:  # the first request: each lexical entry's one hypothesis
+            lp = self.g.log_probs
+            for leaf, rule in self.leaves.items():
+                hyps[leaf] = [_Cell(lp[rule], rule, wmax=lp[rule])]
         stack = [(entry, index)]
         while stack:
             top, i = stack[-1]
@@ -253,6 +292,34 @@ class _Lists:
                 stack += need
             else:
                 stack.pop()
+
+    def backtrace(self, root: int) -> list[int] | None:
+        """The rule ids, in preorder, of the derivation that takes, at each
+        binary entry from ``root`` down, its row's best column, the lowest
+        on equal scores; None where that column and the row's runner-up fail
+        ``_extend``'s cut test, as the engine's first window there would
+        hold more than that one join (see ``_SLACK``)."""
+        maxplus, row_of, leaves, widths = self.maxplus, self.row_of, self.leaves, self.widths
+        n1, n_nt = self.n1, self.n_nt
+        rules = []
+        stack = [root]
+        while stack:
+            entry = stack.pop()
+            rule = leaves.get(entry)
+            if rule is None:
+                start, end = divmod(entry // n_nt, n1)
+                width, r = end - start, row_of.item(entry)
+                row = widths[width][0][:, r].tolist()
+                low = maxplus.item(entry)  # the first join's score, as the heap pops it
+                col = row.index(low)
+                row[col] = NEG_INF
+                bound = max(row)  # the top key left on the heap, if any
+                if bound > NEG_INF and not low - bound > _SLACK * (2 * width - 1) * -(low + bound):
+                    return None
+                rule, left, right = self._candidate(width, r, col)
+                stack += (right, left)
+            rules.append(rule)
+        return rules
 
     def _start(self, entry: int) -> tuple:
         """Start an entry's frontier: the first join of every column of its

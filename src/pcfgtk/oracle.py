@@ -66,7 +66,14 @@ class _Record:
 
 
 def _expand(g: Grammar, tokens: list[str]) -> list[_Record]:
-    """All derivations over (nonterminal, span), by recursive splitting."""
+    """All derivations over (nonterminal, span), by recursive splitting.
+
+    Raises ValueError, as the parsers do, for a token that no lexical rule
+    derives."""
+    terminals = {rule.terminal for rule in g.rules if rule.is_lexical}
+    for i, tok in enumerate(tokens):
+        if tok not in terminals:
+            raise ValueError(f"token {tok!r} at position {i} is not a terminal")
     memo: dict[tuple[str, int, int], list] = {}
     budget = [DERIVATION_GUARD]
 
@@ -107,8 +114,12 @@ def _expand(g: Grammar, tokens: list[str]) -> list[_Record]:
     return records
 
 
-def enumerate_derivations(g: Grammar, sentence, cap: int = DEFAULT_LENGTH_CAP) -> Enumeration:
-    """Every derivation of the sentence, found by exhaustive expansion.
+def enumerate_derivations(
+    g: Grammar, sentence, cap: int = DEFAULT_LENGTH_CAP, brackets: Bracketing | None = None
+) -> Enumeration:
+    """Every derivation of the sentence, found by exhaustive expansion; with
+    brackets, every one whose constituent spans nest with each bracket, and
+    the total over those alone.
 
     Refuses sentences longer than ``cap`` tokens and aborts if the search
     would produce more than a million partial derivations.
@@ -119,6 +130,8 @@ def enumerate_derivations(g: Grammar, sentence, cap: int = DEFAULT_LENGTH_CAP) -
     if not tokens:
         raise ValueError("sentence is empty")
     records = _expand(g, tokens)
+    if brackets is not None:
+        records = _nesting(records, brackets)
     derivations = tuple(Derivation(r.rules, len(tokens), r.score) for r in records)
     return Enumeration(derivations, logsumexp([d.log_prob for d in derivations]))
 
@@ -128,8 +141,13 @@ def _select(records: list[_Record], mode: str, n: int, brackets: Bracketing | No
     # mode then keeps the best 1, the best n, or all of them
     sizes = {"viterbi": 1, "bracketed_viterbi": 1, "nbest": n, "all": None, "bracketed_all": None}
     if mode.startswith("bracketed_") and brackets is not None:
-        records = [r for r in records if all(brackets.compatible(i, j) for i, j in r.spans)]
+        records = _nesting(records, brackets)
     return records[: sizes[mode]]
+
+
+def _nesting(records: list[_Record], brackets: Bracketing) -> list[_Record]:
+    """The records none of whose constituent spans crosses a bracket."""
+    return [r for r in records if all(brackets.compatible(i, j) for i, j in r.spans)]
 
 
 def oracle_accumulate(g: Grammar, corpus, spec, eta: float = 1.0):

@@ -160,6 +160,27 @@ class TestParsingCommands:
         assert lines[0].startswith("0\ttotal\t1\t")
         assert sum(1 for l in lines if l.startswith("1\t")) == 6  # total line + 5 derivations
 
+    def test_oracle_enum_unknown_token(self, toy_files, capsys):
+        # as inside, viterbi and nbest do: the rows before it, then one error line
+        tmp_path, grammar, _, _ = toy_files
+        corpus = tmp_path / "unknown.txt"
+        corpus.write_text("a a\na c a\n", encoding="utf-8")
+        for command in ("oracle-enum", "viterbi"):
+            code, out, err = run(capsys, command, grammar, str(corpus))
+            assert (code, err) == (1, "error: token 'c' at position 1 is not a terminal\n")
+            assert {line.split("\t")[0] for line in out.splitlines()} == {"0"}
+
+    def test_oracle_enum_honours_brackets(self, tmp_path, capsys):
+        grammar = tmp_path / "g.g"
+        grammar.write_text("S -> S S 0.5\nS -> a 0.5\n", encoding="utf-8")
+        corpus = tmp_path / "c.brk"
+        corpus.write_text("( a a ) a\n", encoding="utf-8")
+        code, out, _ = run(capsys, "oracle-enum", str(grammar), "--bracketed-corpus", str(corpus))
+        _, listed, _ = run(capsys, "nbest", str(grammar), "--bracketed-corpus", str(corpus))
+        assert code == 0
+        assert out == "0\ttotal\t1\t-3.4657359028\t0.03125\n" + listed
+        assert listed == "0\t1\t-3.4657359028\t0.03125\t(S (S (S a) (S a)) (S a))\n"
+
     def test_not_in_language_line(self, tmp_path, capsys):
         grammar = tmp_path / "g.g"
         grammar.write_text("S -> A B 1.0\nA -> a 1.0\nB -> b 1.0\n", encoding="utf-8")

@@ -14,6 +14,7 @@ import pytest
 import scalar_chart
 from conftest import random_grammar, sample_bracketing, sample_corpus, sample_rules, toy
 from pcfgtk import (
+    Derivation,
     derivation_spans,
     enumerate_derivations,
     inside,
@@ -378,6 +379,69 @@ class TestOrderingProperties:
             result = nbest(g, ["a"] * n_tokens, 1000)
             seqs = [d.rules for d in result.derivations]
             assert len(seqs) == len(set(seqs))
+
+
+def backtrace_and_engine(g, tokens, brackets=None):
+    """``_best`` at n = 1, what the backtrace alone gives (None at a
+    near-tie), and the engine's first hypothesis, all over one layout; None
+    for a sentence outside the language."""
+    trav = kbest._cky(g, tokens, brackets)
+    lists = kbest._Lists(g, trav, 1)
+    if lists.maxplus[trav.root] == -math.inf:
+        return None
+    walked = lists.backtrace(trav.root)
+    assert lists.hyps == {}  # the backtrace makes no hypothesis
+    lists.ask(trav.root, 0)
+    first = Derivation.build(g, kbest._preorder(lists.hyps[trav.root][0]), len(tokens))
+    return kbest._best(g, trav, 1), walked, first
+
+
+class TestBacktrace:
+    def test_random_grammars_plain_and_bracketed(self):
+        # both branches run: a backtrace that is whole, and one that meets
+        # a near-tie and leaves the derivation to the engine
+        outcomes = {"walked": 0, "engine": 0}
+        for seed in range(60):
+            rng = np.random.default_rng(17500 + seed)
+            g = random_grammar(rng)
+            for tokens, brackets in corpus_and_bracketed(g, rng):
+                got = backtrace_and_engine(g, tokens, brackets)
+                if got is None:
+                    continue
+                best, walked, first = got
+                assert best == (first,)
+                if walked is None:
+                    outcomes["engine"] += 1
+                else:
+                    assert tuple(walked) == first.rules
+                    outcomes["walked"] += 1
+        assert outcomes["walked"] > 0 and outcomes["engine"] > 0, outcomes
+
+    def test_toy_ties_always_reach_the_engine(self):
+        # every derivation of a^k ties exactly; a^2 has one derivation and
+        # a^1 no binary entry, so the backtrace is whole there
+        for q in (0.3, 0.5):
+            g = toy(q)
+            for k in range(1, 9):
+                best, walked, first = backtrace_and_engine(g, ["a"] * k)
+                assert best == (first,)
+                assert (walked is None) == (k >= 3)
+
+    def test_g100_walks(self):
+        # no row on these sentences' Viterbi derivations holds a near-tie
+        g, cases = g100_cases()
+        for tokens, brackets in cases:
+            best, walked, first = backtrace_and_engine(g, tokens, brackets)
+            assert best == (first,)
+            assert tuple(walked) == first.rules
+
+    def test_ties_in_one_row_reach_the_engine(self):
+        # S -> A A and S -> B B tie exactly on "a a", and the engine breaks
+        # the tie by the backpointer key
+        g = parse_grammar("S -> A A 0.5\nS -> B B 0.5\nA -> a 1.0\nB -> a 1.0\n")
+        best, walked, first = backtrace_and_engine(g, ["a", "a"])
+        assert walked is None
+        assert best == (first,) and first.rules == (0, 2, 2)
 
 
 def request_state(lists):

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_grammar, sample_corpus, toy
+from conftest import random_grammar, sample_bracketing, sample_corpus, sample_rules, toy
 from pcfgtk import (
+    Bracketing,
     DeltaSpec,
     EnumerationLimitError,
+    derivation_spans,
     enumerate_derivations,
+    nbest,
     oracle_accumulate,
     parse_grammar,
     replay_derivation,
@@ -77,6 +80,39 @@ class TestEnumerationProbabilities:
         assert enum.total_log_prob == float("-inf")
 
 
+class TestBracketedEnumeration:
+    def test_keeps_only_nesting_derivations(self):
+        # ( a a ) a: the derivation with the constituent (1, 3) crosses
+        g = toy(0.5)
+        enum = enumerate_derivations(g, ["a"] * 3, brackets=Bracketing({(0, 2)}))
+        assert [sorted(derivation_spans(g, d)) for d in enum.derivations] == [
+            [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+        ]
+        assert enum.total_log_prob == enum.derivations[0].log_prob
+
+    def test_empty_bracketing_keeps_every_derivation(self):
+        g = toy(0.3)
+        assert enumerate_derivations(g, ["a"] * 5, brackets=Bracketing()) == (
+            enumerate_derivations(g, ["a"] * 5)
+        )
+
+    def test_equals_a_complete_nbest_list(self):
+        # the list and its total over random small bracketed instances
+        for seed in range(40):
+            rng = np.random.default_rng(18500 + seed)
+            g = random_grammar(rng)
+            draws = [r for r in (sample_rules(g, rng, 5) for _ in range(20)) if r is not None]
+            if not draws:
+                continue
+            rules = max(draws, key=len)
+            tokens = replay_derivation(g, rules)
+            brackets = sample_bracketing(g, rng, rules, len(tokens))
+            enum = enumerate_derivations(g, tokens, brackets=brackets)
+            assert enum.derivations == nbest(g, tokens, 10**6, brackets).derivations
+            direct = math.fsum(math.exp(d.log_prob) for d in enum.derivations)
+            assert math.exp(enum.total_log_prob) == pytest.approx(direct, rel=1e-12)
+
+
 class TestEnumerationGuards:
     def test_length_cap(self):
         with pytest.raises(EnumerationLimitError, match="cap"):
@@ -89,6 +125,15 @@ class TestEnumerationGuards:
     def test_empty_sentence(self):
         with pytest.raises(ValueError, match="empty"):
             enumerate_derivations(toy(0.5), [])
+
+    def test_unknown_token(self):
+        with pytest.raises(ValueError, match="^token 'c' at position 1 is not a terminal$"):
+            enumerate_derivations(toy(0.5), ["a", "c", "a"])
+
+    def test_unknown_token_in_accumulation(self):
+        # raised as the estimator raises it, not skipped as unparseable
+        with pytest.raises(ValueError, match="token 'c' at position 0 is not a terminal"):
+            oracle_accumulate(toy(0.5), [["a", "a"], ["c"]], DeltaSpec())
 
     def test_blowup_guard(self, monkeypatch):
         import pcfgtk.oracle as oracle_module

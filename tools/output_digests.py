@@ -27,9 +27,10 @@ last-bit change.  They stay off ``nbest`` and ``oracle-enum``, as every toy
 derivation ties and those would list all 58,786 of them.  So two rows run
 ``hex_digits.py`` (``HEX_SCRIPT``, written next to the inputs) rather than
 the command line, on the G100 plain and bracketed corpus: per sentence it
-prints ``float.hex()`` of the ``inside`` log probability and each
-``nbest(..., 10)`` derivation's rule ids and ``float.hex()`` log
-probability, every bit of each.  Every other ``train`` row weighs
+prints ``float.hex()`` of the ``inside`` log probability, the ``viterbi``
+derivation's rule ids and ``float.hex()`` log probability, and each
+``nbest(..., 10)`` derivation's, every bit of each (the command line
+prints 12 significant digits).  Every other ``train`` row weighs
 derivations by the grammar's own probabilities (``--eta 1``) or leaves the
 plain pass's range (``--eta 30``), so two more run G100's bracketed
 corpus at ``--eta 0.5``, with ``viterbi``/``all`` and with
@@ -102,11 +103,13 @@ OUTPUTS = ("out.g", "out.csv")
 HEX_SCRIPT_NAME = "hex_digits.py"
 HEX_SCRIPT = """\
 import sys
-from pcfgtk import inside, load_grammar, nbest, read_bracketed_corpus, read_corpus
+from pcfgtk import inside, load_grammar, nbest, read_bracketed_corpus, read_corpus, viterbi
 g = load_grammar(sys.argv[1])
 read = read_bracketed_corpus if sys.argv[3:] == ["--bracketed"] else read_corpus
 for s in read(sys.argv[2]):
     print(inside(g, s.tokens, s.brackets).log_string_prob.hex())
+    d, log_prob = viterbi(g, s.tokens, s.brackets)
+    print("viterbi", *d.rules, log_prob.hex())
     for d in nbest(g, s.tokens, 10, s.brackets).derivations:
         print(*d.rules, d.log_prob.hex())
 """
@@ -188,8 +191,7 @@ def eta_commands() -> list[list[str]]:
 
 
 def error_commands() -> list[list[str]]:
-    """The toy rows of inputs that a command rejects (``oracle-enum`` on
-    an unknown token prints a row and goes on)."""
+    """The toy rows of inputs that a command rejects."""
     parses = [["inside"], ["viterbi"], ["nbest", "--n", "10"], ["oracle-enum"]]
     train = ["train", "toy.g", "toy.txt", "--out-grammar", "out.g", "--report", "out.csv"]
     return [[p[0], "toy.g", "toy-unknown.txt", *p[1:]] for p in parses] + [
@@ -205,7 +207,8 @@ def error_commands() -> list[list[str]]:
 
 
 def hex_commands() -> list[list[str]]:
-    """The rows that print every bit of G100's inside and n-best scores."""
+    """The rows that print every bit of G100's inside, Viterbi and n-best
+    scores."""
     return [
         [HEX_SCRIPT_NAME, "g100.g", "g100.txt"],
         [HEX_SCRIPT_NAME, "g100.g", "g100-bracketed.txt", "--bracketed"],
