@@ -21,7 +21,10 @@ of its window, which the joins that use it as a child read for their keys.
 Ordering is by descending canonical log probability (``score_rules`` of
 the subtree's rules) with the backpointer key as secondary
 criterion: the flattened (split, rule id) tuples of the hypothesis tree,
-compared lexicographically.  An entry's list is a run of windows in
+compared lexicographically.  One stack walk, ``_preorder``, reads both off
+a hypothesis tree: its rule ids in preorder, or with ``splits`` its
+backpointer key, each binary node giving its split and then its rule id
+and a lexical node its rule id alone.  An entry's list is a run of windows in
 incremental-score order, with a cut after each window: the last member
 of one and the first of the next lie further apart than rounding distance
 (see ``_SLACK``).  Across a cut the incremental order is the canonical
@@ -43,9 +46,10 @@ engine runs on the same max-plus chart, with no second forward pass.  The
 walk makes no hypothesis: leaf hypotheses are made only when the engine is
 first asked.
 
-An entry starts when it is first asked for a hypothesis: its row is looked
-up in one flat array filled from the layout's ``_Width.entry`` indexes, and
-its heap frontier of joins (column, left index, right index) starts with
+An entry starts when it is first asked for a hypothesis: ``_Lists._row``,
+which the backtrace reads too, gives its width, its row, looked up in one
+flat array filled from the layout's ``_Width.entry`` indexes, and that
+row's candidate scores; its heap frontier of joins (column, left index, right index) starts with
 the first join of each column of that row that scores above -inf, keyed by
 that column's max-plus score.  A column is read back from the layout as a
 candidate only when one of its joins is about to be popped.  A later join's
@@ -58,6 +62,11 @@ j is 0, the left child for i + 1 (at most n - 1 either way), which starts
 a child not yet started.  The hypotheses popped and not yet appended are
 one window, final once its lowest member lies further than rounding
 distance above the top key, or the frontier is empty (see ``_SLACK``).
+The window is kept unsorted but for its lowest member, which stays last:
+a popped hypothesis that scores above it goes in just before it, any
+other is appended.  Only that member's score and the window's top are
+read before ranking, and a window of several members is ranked by a
+total key anyway.
 The root is asked for n hypotheses; requests wait on an explicit stack,
 not on Python recursion.  A request for an entry's index i
 appends final windows until the entry holds i or is whole, and gives way
@@ -69,7 +78,6 @@ is ranked.
 from __future__ import annotations
 
 import numbers
-from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 
@@ -167,16 +175,20 @@ class _Cell:
     wmax: float = NEG_INF
 
 
-def _preorder(cell: _Cell) -> list[int]:
-    """Rule ids of a cell's subtree in leftmost-derivation order."""
-    rules = []
+def _preorder(cell: _Cell, splits: bool = False) -> list[int]:
+    """Rule ids of a cell's subtree in leftmost-derivation order; with
+    ``splits``, its backpointer key: each binary node's split, then its
+    rule id, and a lexical node's rule id alone."""
+    out = []
     stack = [cell]
     while stack:
         cell = stack.pop()
-        rules.append(cell.rule_id)
         if cell.left is not None:
+            if splits:
+                out.append(cell.split)
             stack += (cell.right, cell.left)
-    return rules
+        out.append(cell.rule_id)
+    return out
 
 
 @dataclass(frozen=True)
@@ -237,12 +249,15 @@ class _Lists:
     off ``g.binary_rule_table``.  ``row_of`` is a flat chart of
     each binary entry's row in its width, copied from the widths'
     ``entry`` arrays, and ``leaves`` maps each lexical entry to its rule id.
+    ``_row`` reads a binary entry's width, row and row scores, for the
+    backtrace and for an entry's start alike.
     ``hyps[entry]`` holds a started entry's hypotheses so far, each with its
     window's top score; the lexical entries' one hypothesis each is made on
     the first request.  An entry that has started
     and is still open keeps in ``frontier`` its heap of ``(-key, column,
     left index, right index)`` joins, the joins popped but not yet
-    appended, one window by descending incremental score, its candidates by
+    appended, one window kept unsorted but for its lowest member, which
+    stays last, its candidates by
     column as (rule log probability, rule id, split, left entry, right
     entry), each read back when a join of its column is first about to be
     popped, its width, its row and the slack of its cut test.  An entry in
@@ -299,17 +314,14 @@ class _Lists:
         on equal scores; None where that column and the row's runner-up fail
         ``_extend``'s cut test, as the engine's first window there would
         hold more than that one join (see ``_SLACK``)."""
-        maxplus, row_of, leaves, widths = self.maxplus, self.row_of, self.leaves, self.widths
-        n1, n_nt = self.n1, self.n_nt
+        maxplus, leaves = self.maxplus, self.leaves
         rules = []
         stack = [root]
         while stack:
             entry = stack.pop()
             rule = leaves.get(entry)
             if rule is None:
-                start, end = divmod(entry // n_nt, n1)
-                width, r = end - start, row_of.item(entry)
-                row = widths[width][0][:, r].tolist()
+                width, r, row = self._row(entry)
                 low = maxplus.item(entry)  # the first join's score, as the heap pops it
                 col = row.index(low)
                 row[col] = NEG_INF
@@ -321,19 +333,12 @@ class _Lists:
             rules.append(rule)
         return rules
 
-    def _start(self, entry: int) -> tuple:
-        """Start an entry's frontier: the first join of every column of its
-        row, looked up in ``row_of``, that scores above -inf, keyed by its
-        max-plus score."""
+    def _row(self, entry: int) -> tuple[int, int, list[float]]:
+        """A binary entry's width, its row in that width, looked up in
+        ``row_of``, and the row's candidate scores by column."""
         start, end = divmod(entry // self.n_nt, self.n1)
         width, r = end - start, self.row_of.item(entry)
-        row = self.widths[width][0][:, r].tolist()
-        heap = [(-key, col, 0, 0) for col, key in enumerate(row) if key > NEG_INF]
-        heapify(heap)
-        self.hyps[entry] = []
-        slack = _SLACK * (2 * width - 1)  # rules in every hypothesis of the span
-        state = self.frontier[entry] = (heap, [], {}, width, r, slack)
-        return state
+        return width, r, self.widths[width][0][:, r].tolist()
 
     def _candidate(self, width: int, r: int, col: int) -> tuple[int, int, int]:
         """Rule id and left and right child entries of column ``col`` of row
@@ -362,7 +367,14 @@ class _Lists:
         hyps, frontier, n = self.hyps, self.frontier, self.n
         state = frontier.get(entry)
         if state is None:
-            state = self._start(entry)
+            # start: the first join of every column of the row that scores
+            # above -inf, keyed by its max-plus score
+            width, r, row = self._row(entry)
+            heap = [(-key, col, 0, 0) for col, key in enumerate(row) if key > NEG_INF]
+            heapify(heap)
+            hyps[entry] = []
+            slack = _SLACK * (2 * width - 1)  # rules in every hypothesis of the span
+            state = frontier[entry] = (heap, [], {}, width, r, slack)
         heap, pending, cands, width, r, slack = state
         mine = hyps[entry]
         while True:
@@ -374,7 +386,7 @@ class _Lists:
                 if heap:
                     bound = -heap[0][0]
                 if not heap or low - bound > slack * -(low + bound):
-                    top = pending[0].score
+                    top = max([cell.score for cell in pending]) if len(pending) > 1 else low
                     for cell in pending:
                         cell.wmax = top
                     if len(pending) > 1:
@@ -402,18 +414,18 @@ class _Lists:
             # is 0, so the children must first hold those indexes, where
             # they can (a child not yet started holds no hypotheses)
             lefts, rights = hyps.get(left), hyps.get(right)
-            wait_right = rights is None or len(rights) <= ri + 1 and right in frontier
+            need = []
             if ri == 0 and (lefts is None or len(lefts) <= li + 1 and left in frontier):
-                need = [(left, min(li + 1, n - 1))]
-                if wait_right:
-                    need.append((right, min(ri + 1, n - 1)))
+                need.append((left, min(li + 1, n - 1)))
+            if rights is None or len(rights) <= ri + 1 and right in frontier:
+                need.append((right, min(ri + 1, n - 1)))
+            if need:
                 return need
-            if wait_right:
-                return [(right, min(ri + 1, n - 1))]
             lcell, rcell = lefts[li], rights[ri]
             cell = _Cell((lpr + lcell.score) + rcell.score, rule, split, lcell, rcell)
+            # the window is unsorted but for its lowest member, kept last
             if pending and cell.score > pending[-1].score:
-                insort(pending, cell, key=_descending)
+                pending.insert(-1, cell)
             else:
                 pending.append(cell)
             # the heap's joins are distinct, so replacing its top pops the
@@ -429,23 +441,4 @@ class _Lists:
 def _rank(g: Grammar, window: list[_Cell]) -> None:
     """Sort a final window of several hypotheses canonically: by descending
     ``score_rules`` of its rules, then by backpointer key."""
-    window.sort(key=lambda cell: (-score_rules(g, _preorder(cell)), _backpointer_key(cell)))
-
-
-def _descending(cell: _Cell) -> float:
-    return -cell.score
-
-
-def _backpointer_key(cell: _Cell) -> list[int]:
-    """Flattened (split, rule id) backpointers of a subtree in preorder, a
-    lexical entry contributing its rule id alone; each cell holds its split."""
-    key = []
-    stack = [cell]
-    while stack:
-        cell = stack.pop()
-        if cell.left is None:
-            key.append(cell.rule_id)
-            continue
-        key += (cell.split, cell.rule_id)
-        stack += (cell.right, cell.left)
-    return key
+    window.sort(key=lambda cell: (-score_rules(g, _preorder(cell)), _preorder(cell, True)))
