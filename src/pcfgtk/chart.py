@@ -51,18 +51,12 @@ The plain pass and ``kbest``'s max-plus pass are one loop, ``_forward``,
 in two semirings (Goodman 1999): the plain pass gives it multiplication
 and ``_row_sums``, and ``kbest.nbest`` addition and ``np.maximum.reduce``
 over the same value's log weights, so that a candidate's term is
-``(w * left) * right`` or ``(w + left) + right``.  ``kbest`` keeps each
-width's candidate scores, looks up an entry's row in a flat array filled
-from ``_Width.entry``, and reads a column back as a candidate (its rule id
-from ``binary_rule_table``, its children from ``_Width.children``) only
-for the entries a parent asks for, making their hypotheses top-down from
-the root and ranking them canonically only within rounding distance of
-each other.
-``viterbi`` is the first entry of that list.  ``kbest`` reads it off the
-max-plus chart by one backtrace from the root, each entry taking its row's
-best candidate, wherever that candidate and the row's runner-up pass the
-n-best engine's cut test; at a near-tie it runs the engine at n = 1 on the
-same chart.  So this module holds no tie-breaking or rounding logic.
+``(w * left) * right`` or ``(w + left) + right``.  The n-best lists and
+``viterbi``, their first entry, are ``kbest``'s (see its docstring), so
+this module holds no tie-breaking or rounding logic.  Neither is always
+the complete canonical order: where a child entry's list is truncated at
+n across a near-tie between different rule multisets, a subtree that ties
+or wins at the root can be left out (see ``viterbi``).
 
 Every result is bit-identical to the span-by-span scalar chart of the
 tests, which performs the same operations one candidate at a time, whatever
@@ -589,7 +583,12 @@ def viterbi(
     ``kbest``): the highest canonical score (the count-ordered
     ``score_rules`` of its rules), ties broken by the smallest flattened
     (split, rule id) backpointer key, so the result is deterministic even
-    when several derivations have exactly equal probability.  It is read
+    when several derivations have exactly equal probability.  One
+    exception: where a child entry's list is truncated at n across a
+    near-tie between different rule multisets, the child's own canonical
+    order can drop a subtree that ties or wins at the root, and the result
+    then differs from the first entry of a longer list (exact scores on a
+    fixed-point grid, ROADMAP item 2, would end this).  It is read
     off the max-plus chart by one backtrace from the root, each entry
     taking its row's best candidate, unless that candidate and the row's
     runner-up fail the n-best engine's cut test somewhere on the way (see

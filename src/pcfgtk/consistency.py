@@ -3,7 +3,9 @@
 A proper PCFG defines a probability distribution over complete derivations
 only if generation terminates with probability 1; that holds when the
 spectral radius of the expectation matrix M, where M[A][B] is the expected
-number of B symbols produced by one rewrite of A, is below 1.
+number of B symbols produced by one rewrite of A, taken over the
+nonterminals that the start symbol reaches, is below 1, and none of those
+nonterminals is a dead end that derives no finite tree.
 """
 from __future__ import annotations
 
@@ -58,22 +60,39 @@ def _has_cycle(m: np.ndarray) -> bool:
 def check_consistency(g: Grammar, tol: float = DEFAULT_TOL) -> ConsistencyReport:
     """Classify a grammar as consistent, borderline, or inconsistent.
 
-    A grammar whose nonterminal dependencies are acyclic has a nilpotent
-    expectation matrix and spectral radius exactly 0; that case is resolved
-    structurally.  Otherwise the radius is found by power iteration with a
-    deterministic all-ones start vector.  Iteration runs on M + I (same
-    eigenvectors, eigenvalues shifted by +1), which has a positive diagonal
-    and therefore cannot cycle on periodic structures; the shift is
-    subtracted off the estimate.  A run that fails to settle within the cap
-    yields a borderline verdict with ``converged=False``.
+    Only the nonterminals that the start symbol reaches count: the radius
+    is that of the expectation matrix restricted to them
+    (``Grammar.reachable``).  A grammar where one of them derives no finite
+    tree (``Grammar.reaches_dead_end``) loses mass whatever the radius, and
+    is inconsistent.  A grammar whose reached nonterminal dependencies are
+    acyclic has a nilpotent matrix and spectral radius exactly 0; that case
+    is resolved structurally.  Otherwise the radius is found by power
+    iteration with a deterministic all-ones start vector.  Iteration runs
+    on M + I (same eigenvectors, eigenvalues shifted by +1), which has a
+    positive diagonal and therefore cannot cycle on periodic structures;
+    the shift is subtracted off the estimate.  A run that fails to settle
+    within the cap yields a borderline verdict with ``converged=False``,
+    unless a dead end makes it inconsistent.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    base = expectation_matrix(g)
-    if not _has_cycle(base):
-        return ConsistencyReport(0.0, "consistent", 0, True)
-    m = base + np.eye(len(g.nonterminals))
-    v = np.ones(len(g.nonterminals))
+    reached = g.reachable
+    base = expectation_matrix(g)[np.ix_(reached, reached)]
+    rho, iterations, converged = _radius(base) if _has_cycle(base) else (0.0, 0, True)
+    if g.reaches_dead_end or converged and rho > 1.0 + tol:
+        verdict = "inconsistent"
+    elif converged and rho < 1.0 - tol:
+        verdict = "consistent"
+    else:
+        verdict = "borderline"
+    return ConsistencyReport(rho, verdict, iterations, converged)
+
+
+def _radius(base: np.ndarray) -> tuple[float, int, bool]:
+    """Power iteration on ``base + I``: the radius estimate, the number of
+    iterations and whether two successive estimates agreed."""
+    m = base + np.eye(len(base))
+    v = np.ones(len(base))
     estimate = None
     converged = False
     iterations = 0
@@ -85,13 +104,4 @@ def check_consistency(g: Grammar, tol: float = DEFAULT_TOL) -> ConsistencyReport
         if previous is not None and abs(estimate - previous) <= POWER_ITERATION_TOL * max(1.0, estimate):
             converged = True
             break
-    rho = estimate - 1.0
-    if not converged:
-        verdict = "borderline"
-    elif rho < 1.0 - tol:
-        verdict = "consistent"
-    elif rho > 1.0 + tol:
-        verdict = "inconsistent"
-    else:
-        verdict = "borderline"
-    return ConsistencyReport(rho, verdict, iterations, converged)
+    return estimate - 1.0, iterations, converged

@@ -31,9 +31,11 @@ lexical rules, and the CKY layout, both built on first use.  Any other
 encoding of a rule-set fact is derived by the module that reads it, from
 these and ``rules``: ``chart`` lays out each row's left-hand side and each
 slot's children, ``kbest`` reads a column's rule id off the table, and
-``derivations`` each rule's sides off ``rules``.  The brute-force oracle
-reads none of these parser indexes: it finds a span's rules, lexical ones
-too, in ``rules_by_lhs``.
+``derivations`` each rule's sides off ``rules``.  The consistency check
+reads two more rule-set facts, cached beside them: the nonterminals the
+start symbol reaches, and whether one of those derives no finite tree.
+The brute-force oracle reads none of these parser indexes: it finds a
+span's rules, lexical ones too, in ``rules_by_lhs``.
 The weights that ``chart``'s and ``kbest``'s forward passes read, each
 form in one ``PassWeights`` value, are set with each probability vector,
 so each copy has its own; other log weights get theirs from
@@ -336,6 +338,39 @@ class Grammar:
                 lhs, ids = leaves.get(r.terminal, ((), ()))
                 leaves[r.terminal] = (lhs + (self.nt_index[r.lhs],), ids + (r.id,))
         return leaves
+
+    @cached_property
+    def reachable(self) -> np.ndarray:
+        """``nt_index`` of every nonterminal that the start symbol reaches,
+        itself included, ascending (read-only)."""
+        reached = {self.start}
+        stack = [self.start]
+        while stack:
+            for rule in self.rules_by_lhs[stack.pop()]:
+                fresh = set() if rule.is_lexical else set(rule.rhs) - reached
+                reached |= fresh
+                stack += fresh
+        index = np.array(sorted(self.nt_index[nt] for nt in reached), dtype=np.intp)
+        index.flags.writeable = False
+        return index
+
+    @cached_property
+    def reaches_dead_end(self) -> bool:
+        """Whether a nonterminal that the start symbol reaches derives no
+        finite tree (a useless symbol; Hopcroft & Ullman 1979): the start
+        symbol, or a child of a reached rule, whose mass then ends in no
+        derivation."""
+        finite: set[str] = set()
+        while True:
+            grown = {
+                r.lhs
+                for r in self.rules
+                if r.lhs not in finite and (r.is_lexical or finite.issuperset(r.rhs))
+            }
+            if not grown:
+                break
+            finite |= grown
+        return any(self.nonterminals[i] not in finite for i in self.reachable.tolist())
 
     def with_probs(self, probs) -> "Grammar":
         """A grammar over the same rule set with new probabilities: a shallow

@@ -19,20 +19,24 @@ count vector.  Once listed it also holds ``wmax``, the top incremental score
 of its window, which the joins that use it as a child read for their keys.
 
 Ordering is by descending canonical log probability (``score_rules`` of
-the subtree's rules) with the backpointer key as secondary
-criterion: the flattened (split, rule id) tuples of the hypothesis tree,
-compared lexicographically.  One stack walk, ``_preorder``, reads both off
-a hypothesis tree: its rule ids in preorder, or with ``splits`` its
+the subtree's rules) with the backpointer key as secondary criterion: the
+flattened (split, rule id) tuples of the hypothesis tree, compared
+lexicographically.  One stack walk, ``_preorder``, reads both off a
+hypothesis tree: its rule ids in preorder, or with ``splits`` its
 backpointer key, each binary node giving its split and then its rule id
-and a lexical node its rule id alone.  An entry's list is a run of windows in
-incremental-score order, with a cut after each window: the last member
+and a lexical node its rule id alone.  An entry's list is a run of windows
+in incremental-score order, with a cut after each window: the last member
 of one and the first of the next lie further apart than rounding distance
 (see ``_SLACK``).  Across a cut the incremental order is the canonical
 one, so only windows with more than one member are ranked, by canonical
 score and key, both rebuilt from the child references.  Whole windows are
 kept until the list holds n hypotheses, and the last one is truncated
 after ranking.  With a large enough n the result is the complete
-derivation set.
+derivation set.  A truncated list can part from the canonical order: each
+child entry ranks its windows at its own level, so where a child's list is
+cut at n across a near-tie between different rule multisets, a subtree
+that ties or wins canonically at the root may never be joined (exact
+scores on a fixed-point grid, ROADMAP item 2, would end this).
 
 At n = 1 (``chart.viterbi``, and ``nbest(..., 1)``) the max-plus chart is
 first walked back from the root (Goodman 1999: the Viterbi backtrace of a
@@ -49,31 +53,30 @@ first asked.
 An entry starts when it is first asked for a hypothesis: ``_Lists._row``,
 which the backtrace reads too, gives its width, its row, looked up in one
 flat array filled from the layout's ``_Width.entry`` indexes, and that
-row's candidate scores; its heap frontier of joins (column, left index, right index) starts with
-the first join of each column of that row that scores above -inf, keyed by
-that column's max-plus score.  A column is read back from the layout as a
-candidate only when one of its joins is about to be popped.  A later join's
-key is an upper bound on its score: the rule's log probability plus, for
-each child, the ``wmax`` of the child's hypothesis at the index.
-Popping (i, j) pushes (i, j + 1), and (i + 1, 0) only when j is 0, so each
-join but the first has one predecessor and none is pushed twice.  Before
-join (i, j) is popped, the right child is asked for index j + 1 and, when
-j is 0, the left child for i + 1 (at most n - 1 either way), which starts
-a child not yet started.  The hypotheses popped and not yet appended are
-one window, final once its lowest member lies further than rounding
-distance above the top key, or the frontier is empty (see ``_SLACK``).
-The window is kept unsorted but for its lowest member, which stays last:
-a popped hypothesis that scores above it goes in just before it, any
-other is appended.  Only that member's score and the window's top are
-read before ranking, and a window of several members is ranked by a
-total key anyway.
-The root is asked for n hypotheses; requests wait on an explicit stack,
-not on Python recursion.  A request for an entry's index i
-appends final windows until the entry holds i or is whole, and gives way
-only when a join needs a child's hypothesis first: the child's request
-goes above it and it resumes where it stopped.  A final window of one
-hypothesis, the common case, is appended as it stands; only a longer one
-is ranked.
+row's candidate scores.  Its heap frontier of joins (column, left index,
+right index) starts with the first join of each column of that row that
+scores above -inf, keyed by that column's max-plus score.  A column is
+read back from the layout as a candidate only when one of its joins is
+about to be popped.  A later join's key is an upper bound on its score:
+the rule's log probability plus, for each child, the ``wmax`` of the
+child's hypothesis at the index.  Popping (i, j) pushes (i, j + 1), and
+(i + 1, 0) only when j is 0, so each join but the first has one
+predecessor and none is pushed twice.  Before join (i, j) is popped, the
+right child is asked for index j + 1 and, when j is 0, the left child for
+i + 1 (at most n - 1 either way), which starts a child not yet started.
+The hypotheses popped and not yet appended are one window, final once its
+lowest member lies further than rounding distance above the top key, or
+the frontier is empty (see ``_SLACK``).  The window is kept unsorted but
+for its lowest member, which stays last: a popped hypothesis that scores
+above it goes in just before it, any other is appended.  Only that
+member's score and the window's top are read before ranking, and a window
+of several members is ranked by a total key anyway.  The root is asked for
+n hypotheses; requests wait on an explicit stack, not on Python recursion.
+A request for an entry's index i appends final windows until the entry
+holds i or is whole, and gives way only when a join needs a child's
+hypothesis first: the child's request goes above it and it resumes where
+it stopped.  A final window of one hypothesis, the common case, is
+appended as it stands; only a longer one is ranked.
 """
 from __future__ import annotations
 

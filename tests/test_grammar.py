@@ -486,6 +486,18 @@ class TestExpectationMatrix:
         assert ordered >= 100
 
 
+def reached_from_start(g, m) -> list[int]:
+    """Indexes of the nonterminals that the start symbol reaches along the
+    nonzero entries of its expectation matrix ``m``, ascending."""
+    reached = {g.nt_index[g.start]}
+    stack = list(reached)
+    while stack:
+        fresh = set(np.flatnonzero(m[stack.pop()]).tolist()) - reached
+        reached |= fresh
+        stack += fresh
+    return sorted(reached)
+
+
 # A and B feed each other through one binary rule each: radius sqrt(0.6 * 0.5)
 TWO_CYCLE = "S -> A X 1.0\nA -> B X 0.6\nA -> a 0.4\nB -> A X 0.5\nB -> b 0.5\nX -> x 1.0\n"
 # S reaches C along two paths and nothing returns: radius 0
@@ -541,9 +553,48 @@ class TestConsistency:
         grammars += [parse_grammar(TWO_CYCLE), parse_grammar(DIAMOND)]
         for g in grammars:
             report = check_consistency(g)
-            rho_direct = max(abs(np.linalg.eigvals(expectation_matrix(g))))
+            m = expectation_matrix(g)
+            reached = reached_from_start(g, m)
+            rho_direct = max(abs(np.linalg.eigvals(m[np.ix_(reached, reached)])))
             if report.converged:
                 assert abs(report.spectral_radius - rho_direct) < 1e-8
+
+    def test_unreachable_cycle_does_not_count(self):
+        # X -> X X is supercritical (radius 1.8), but S never reaches X, so
+        # every tree from S is finite
+        report = check_consistency(parse_grammar("S -> a 1.0\nX -> X X 0.9\nX -> x 0.1\n"))
+        assert report == ConsistencyReport(0.0, "consistent", 0, True)
+
+    def test_dead_end_is_inconsistent(self):
+        # B has no rule, so S -> A B derives no finite tree and half of S's
+        # mass is lost, though the radius is 0
+        g = parse_grammar("S -> A B 0.5\nS -> a 0.5\nA -> a 1.0\n")
+        assert check_consistency(g) == ConsistencyReport(0.0, "inconsistent", 0, True)
+
+    def test_dead_end_on_a_cycle_is_inconsistent(self):
+        # S feeds itself with radius 2 * 0.2 + 0.1, so the power iteration
+        # runs, yet B has no rule and no tree through S -> S B ends
+        g = parse_grammar("S -> S S 0.2\nS -> S B 0.1\nS -> a 0.7\n")
+        report = check_consistency(g)
+        assert report.converged and abs(report.spectral_radius - 0.5) < 1e-10
+        assert report.verdict == "inconsistent"
+
+    def test_unreachable_dead_end_does_not_count(self):
+        g = parse_grammar("S -> S S 0.2\nS -> a 0.8\nX -> S Y 1.0\n")
+        report = check_consistency(g)
+        assert report.verdict == "consistent"
+        assert abs(report.spectral_radius - 0.4) < 1e-10
+
+    def test_reachability_is_kept_per_rule_set(self):
+        # both facts are rule-set indexes: a with_probs copy made after a
+        # check holds them already, and gives the same verdict
+        g = parse_grammar("S -> A B 0.5\nS -> a 0.5\nA -> a 1.0\nX -> X X 0.9\nX -> x 0.1\n")
+        check_consistency(g)
+        h = g.with_probs([0.4, 0.6, 1.0, 0.5, 0.5])
+        assert {"reachable", "reaches_dead_end"} <= vars(h).keys()
+        assert h.reachable is g.reachable
+        assert [g.nonterminals[i] for i in h.reachable] == ["S", "A", "B"]
+        assert check_consistency(h).verdict == "inconsistent"
 
     def test_bad_tol_rejected(self):
         for tol in (0.0, math.nan, math.inf):

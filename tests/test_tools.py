@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 # every kind of line: its code lines are those listed in CODE_LINES
@@ -78,3 +80,30 @@ class TestCodeLines:
             ["sample.py", "14", "15", "+1"],
             ["total", "16", "15", "-1"],
         ]
+
+
+class TestCheckouts:
+    # a path that is not a checkout would make every command fail alike,
+    # and the digests agree; each tool stops first with one line naming it
+    @pytest.mark.parametrize("tool", ["code_lines.py", "output_digests.py"])
+    def test_a_directory_without_the_package_is_rejected(self, tmp_path, tool):
+        good = checkout(tmp_path / "good", {"sample.py": SAMPLE})
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for args in ([tmp_path / "nosuch"], [good, empty], [empty, good], ["nosuch1", "nosuch2"]):
+            bad = next(arg for arg in args if arg != good)
+            proc = subprocess.run(
+                [sys.executable, str(TOOLS / tool), *map(str, args)],
+                capture_output=True, text=True, cwd=tmp_path,
+            )
+            assert proc.returncode != 0
+            assert proc.stdout == ""
+            assert proc.stderr.splitlines() == [f"{bad}: not a pcfgtk checkout (no src/pcfgtk)"]
+
+    @pytest.mark.parametrize("tool", ["code_lines.py", "output_digests.py"])
+    def test_usage_names_checkout_directories(self, tool):
+        proc = subprocess.run(
+            [sys.executable, str(TOOLS / tool), "a", "b", "c"], capture_output=True, text=True
+        )
+        assert proc.returncode != 0
+        assert "checkout directory (not a commit id)" in proc.stderr

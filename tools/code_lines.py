@@ -1,6 +1,7 @@
 """Print the code lines of each module of a pcfgtk checkout, and their total.
 
-Usage: ``python tools/code_lines.py [CHECKOUT [OTHER]]``
+Usage: ``python tools/code_lines.py [CHECKOUT [OTHER]]``, each argument
+a checkout directory (not a commit id) that holds ``src/pcfgtk``.
 
 Reads every ``*.py`` file of ``CHECKOUT/src/pcfgtk`` (default: the checkout
 holding this script).  A code line is a line that holds a token other than
@@ -9,7 +10,8 @@ docstring: every other line of a statement, a multi-line string's
 included, is counted.  ``tokenize``
 finds the tokens and ``ast`` the docstrings.  Given a second checkout
 ``OTHER``, each line gives both counts and their difference, OTHER minus
-CHECKOUT, so a change's size is read by naming its parent first.
+CHECKOUT, so a change's size is read by naming its parent first.  A
+directory without ``src/pcfgtk`` is rejected with one line naming it.
 """
 from __future__ import annotations
 
@@ -73,6 +75,9 @@ def main(argv: list[str]) -> int:
     if len(argv) > 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
+    for arg in argv:
+        if not (Path(arg) / "src" / "pcfgtk").is_dir():
+            sys.exit(f"{arg}: not a pcfgtk checkout (no src/pcfgtk)")
     counts = [count(Path(arg)) for arg in argv] or [count(HERE)]
     names = sorted(set().union(*counts))
     rows = [[c.get(name, 0) for c in counts] for name in names]

@@ -1,6 +1,7 @@
 """Print one sha256 digest per command of a fixed ``python -m pcfgtk`` matrix.
 
-Usage: ``python tools/output_digests.py [CHECKOUT [OTHER]]``
+Usage: ``python tools/output_digests.py [CHECKOUT [OTHER]]``, each argument
+a checkout directory (not a commit id) that holds ``src/pcfgtk``.
 
 Runs the command line of the pcfgtk in ``CHECKOUT/src`` (default: the
 checkout holding this script) over fixed inputs: the seed-0 G100 grammar
@@ -52,7 +53,9 @@ Two checkouts print the same lines exactly when every command behaves the
 same to the byte.  Given a second checkout ``OTHER``, the script runs each
 command under both, prints both digests where they differ, and exits with
 status 1 if any command differs, so a change meant to keep every output is
-checked by one run naming its parent and the change.  Below a command that
+checked by one run naming its parent and the change.  A directory without
+``src/pcfgtk`` is rejected with one line naming it before any command
+runs, since every command would fail there alike.  Below a command that
 differs it prints the largest absolute and the largest relative difference
 between the numbers of the two outputs (stdout, the report CSV and the
 output grammar, read in order), so a change that moves low bits shows how
@@ -264,6 +267,9 @@ def _float(number: str) -> float:
 def main(argv: list[str]) -> int:
     if len(argv) > 2:
         sys.exit(__doc__.split("\n\n")[1])
+    for arg in argv:
+        if not (Path(arg) / "src" / "pcfgtk").is_dir():
+            sys.exit(f"{arg}: not a pcfgtk checkout (no src/pcfgtk)")
     checkouts = [Path(arg).resolve() for arg in argv] or [HERE]
     envs = [dict(os.environ, PYTHONPATH=str(checkout / "src")) for checkout in checkouts]
     differ = 0
